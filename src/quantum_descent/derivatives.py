@@ -31,7 +31,10 @@ def first_derivative(values: np.ndarray, dx: float, periodic: bool, scheme: str 
 
     out = np.empty_like(f, dtype=np.result_type(f, float))
     if periodic:
-        out[:] = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+        out[1:-1] = f[2:] - f[:-2]
+        out[0] = f[1] - f[-1]
+        out[-1] = f[0] - f[-2]
+        out /= 2.0 * dx
         return out
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
@@ -51,7 +54,10 @@ def second_derivative(values: np.ndarray, dx: float, periodic: bool, scheme: str
     out = np.empty_like(f, dtype=np.result_type(f, float))
     dx2 = dx * dx
     if periodic:
-        out[:] = (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / dx2
+        out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        out[0] = f[1] - 2.0 * f[0] + f[-1]
+        out[-1] = f[0] - 2.0 * f[-1] + f[-2]
+        out /= dx2
         return out
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx2
@@ -70,7 +76,11 @@ def central_from_increments(increments: np.ndarray, dx: float, periodic: bool) -
     """
     d = np.asarray(increments, dtype=float)
     if periodic:
-        return (d + np.roll(d, 1)) / (2.0 * dx)
+        out = np.empty(d.size, dtype=float)
+        np.add(d[1:], d[:-1], out=out[1:])
+        out[0] = d[0] + d[-1]
+        out /= 2.0 * dx
+        return out
     n = d.size + 1
     out = np.empty(n, dtype=float)
     out[1:-1] = (d[1:] + d[:-1]) / (2.0 * dx)

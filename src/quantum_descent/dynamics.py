@@ -134,6 +134,7 @@ class KostinPropagator:
         self.dt = float(dt)
         self.scheme = scheme
         self._Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
+        self._decay = -np.expm1(-params.mu * self.dt)  # 1 - e^{-mu dt}
         if scheme == "split_step_spectral":
             k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
             # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
@@ -156,8 +157,12 @@ class KostinPropagator:
         fields = polar_decompose(Wavefunction(values, self.grid), self.params)
         d0 = fields.S - expectation_phase(fields)
         v_mean = float(np.sum(fields.rho * self._Vx) / np.sum(fields.rho))
-        decay = -np.expm1(-self.params.mu * dt)  # 1 - e^{-mu dt}
-        return -v_mean * dt - (d0 + (self._Vx - v_mean) / self.params.mu) * decay
+        # -v_mean dt - (d0 + (V - v_mean) / mu) * decay, evaluated in place
+        phase = self._Vx - v_mean
+        phase /= self.params.mu
+        np.add(d0, phase, out=phase)
+        phase *= self._decay
+        return np.subtract(-v_mean * dt, phase, out=phase)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         if self.scheme == "split_step_spectral":

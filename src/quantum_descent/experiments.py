@@ -255,10 +255,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
                            "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         out = comp.meta.get("learner") or comp.meta.get("quantum") or comp.meta
-        summary_rows.append([i, float(value), comp.exit_code,
-                             out.get("steps_taken", -1),
-                             out.get("final_x", out.get("final_x_mean", np.nan)),
-                             out.get("final_u", out.get("final_p_mean", np.nan))])
+        # index, exit code and step count stay integers in the written table
+        summary_rows.append([i, float(value), int(comp.exit_code),
+                             int(out.get("steps_taken", -1)),
+                             float(out.get("final_x", out.get("final_x_mean", np.nan))),
+                             float(out.get("final_u", out.get("final_p_mean", np.nan)))])
 
     codes = [c.exit_code for c in computed]
     exit_code = EXIT_NUMERICAL if EXIT_NUMERICAL in codes else (
@@ -266,8 +267,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     header = ["index", "value", "exit_code", "steps", "final_x", "final_u"]
     meta = {"parameter": sweep.parameter, "sub_experiment": sweep.experiment,
             "points": point_meta}
-    return ComputedRun({"sweep_summary": (header, np.asarray(summary_rows, dtype=float))},
-                       meta, exit_code)
+    return ComputedRun({"sweep_summary": (header, summary_rows)}, meta, exit_code)
 
 
 def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,

@@ -145,17 +145,26 @@ def norm(psi: Wavefunction) -> float:
     return float(np.sum(v.real * v.real + v.imag * v.imag) * psi.grid.dx)
 
 
-def _fill_from_nearest_valid(values: np.ndarray, valid_idx: np.ndarray) -> np.ndarray:
-    """Return a copy where every index takes the value of its nearest valid index."""
-    n = values.size
-    out = values.copy()
-    pos = np.searchsorted(valid_idx, np.arange(n))
-    left = valid_idx[np.clip(pos - 1, 0, valid_idx.size - 1)]
-    right = valid_idx[np.clip(pos, 0, valid_idx.size - 1)]
-    # ties go to the left neighbour
-    nearest = np.where(np.abs(np.arange(n) - left) <= np.abs(right - np.arange(n)), left, right)
-    out[:] = values[nearest]
-    return out
+def _unwrap(theta: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.unwrap(theta)`` of a 1-D phase into ``out``.
+
+    The same mod/copyto/cumsum operations as numpy's unwrap with its default
+    period 2*pi, without the axis handling, so the result is equal to the bit.
+    numpy zeroes the correction wherever |d theta| < pi, so the mod arithmetic
+    runs on the remaining jumps only.
+    """
+    dd = theta[1:] - theta[:-1]
+    correction = np.zeros_like(dd)
+    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
+    if jumps.size:
+        d = dd[jumps]
+        c = np.mod(d + np.pi, 2.0 * np.pi)
+        c -= np.pi
+        np.copyto(c, np.pi, where=(c == -np.pi) & (d > 0))
+        c -= d
+        correction[jumps] = c
+    out[0] = theta[0]
+    np.add(theta[1:], correction.cumsum(), out=out[1:])
 
 
 def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "central") -> MadelungFields:
@@ -181,8 +190,9 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
     R = np.abs(v)
     rho = R * R
     valid = rho >= EPS_NODE
-    n_invalid = int(np.count_nonzero(~valid))
-    if grid.n - n_invalid < 2:
+    n_valid = int(np.count_nonzero(valid))
+    n_invalid = grid.n - n_valid
+    if n_valid < 2:
         raise NodeDominatedError(
             f"node-dominated wavefunction: {n_invalid} of {grid.n} points below the "
             f"density floor {EPS_NODE:g}; no usable phase information"
@@ -196,12 +206,29 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
             NodeDominatedWarning, stacklevel=2,
         )
 
-    theta = np.angle(v)
-    valid_idx = np.flatnonzero(valid)
+    # The phase is only needed between the first and the last valid point;
+    # the tails outside that span take the phase of its end points.
+    first = int(np.argmax(valid))
+    last = grid.n - 1 - int(np.argmax(valid[::-1]))
     S = np.empty(grid.n, dtype=float)
-    S[valid_idx] = np.unwrap(theta[valid_idx])
-    if n_invalid:
-        S = _fill_from_nearest_valid(S, valid_idx)
+    span = S[first:last + 1]
+    theta = np.angle(v[first:last + 1])
+    if n_valid == span.size:
+        _unwrap(theta, span)
+    else:
+        # interior nodes: unwrap across them, then give each the phase of its
+        # nearest valid neighbour (ties go to the left one)
+        inside = valid[first:last + 1]
+        unwrapped = np.empty(n_valid)
+        _unwrap(theta[inside], unwrapped)
+        span[inside] = unwrapped
+        kept = np.flatnonzero(inside)
+        gaps = np.flatnonzero(~inside)
+        pos = np.searchsorted(kept, gaps)
+        left, right = kept[pos - 1], kept[pos]
+        span[gaps] = span[np.where(gaps - left <= right - gaps, left, right)]
+    S[:first] = S[first]
+    S[last + 1:] = S[last]
     S *= params.hbar
     S -= S[int(np.argmax(rho))]
 
@@ -211,13 +238,13 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
     else:
         # Unwrapped S is not periodic even for a periodic psi (nonzero winding),
         # so the seam increment is taken from the wavefunction itself.
-        inc = np.diff(S)
+        inc = np.empty(grid.n if grid.periodic else grid.n - 1)
+        np.subtract(S[1:], S[:-1], out=inc[:grid.n - 1])
         if grid.periodic:
             if valid[0] and valid[-1]:
-                seam = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
+                inc[-1] = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
             else:
-                seam = 0.0
-            inc = np.append(inc, seam)
+                inc[-1] = 0.0
         dSdx = central_from_increments(inc, grid.dx, grid.periodic)
 
     u = dSdx / params.m

@@ -110,6 +110,9 @@ class ZeroDisruptor:
     def sample(self, x: float) -> float:
         return 0.0
 
+    def contains(self, x: float) -> bool:
+        return True
+
 
 class CallbackDisruptor:
     """Disruptor values supplied by an arbitrary callable of position."""
@@ -121,6 +124,9 @@ class CallbackDisruptor:
 
     def sample(self, x: float) -> float:
         return float(self._fn(x))
+
+    def contains(self, x: float) -> bool:
+        return True
 
 
 class FieldSampledDisruptor:
@@ -158,6 +164,10 @@ class FieldSampledDisruptor:
             self._values = self._propagator.step(self._values)
         field = disruptor_field(np.abs(self._values), self.grid, self.params)
         return disruptor_at(field, x)
+
+    def contains(self, x: float) -> bool:
+        """Whether ``sample`` can be evaluated at x: the field lives on the grid."""
+        return self.params.hbar == 0.0 or self.grid.contains(x)
 
 
 def momentum_gd_step(state: LearnerState, objective: PotentialSpec,
@@ -200,8 +210,9 @@ class LearnerRun:
     """Trajectory record of a learning run.
 
     ``outcome`` is one of "converged" (gradient and velocity both under the
-    stopping tolerance), "max_steps", or "diverged" (|x| crossed the guard,
-    records up to the offending step are kept).
+    stopping tolerance), "max_steps", or "diverged" (|x| crossed the guard or
+    left the region where the disruptor is defined; records up to the
+    offending step are kept).
     """
 
     t: np.ndarray
@@ -224,7 +235,8 @@ def run_learner(x0: float, u0: float, potential: PotentialSpec,
     """Iterate the quantum learning update from (x0, u0).
 
     Stops early once |dV/dx| and |u| both drop below ``stop_tol``; flags
-    divergence when |x| exceeds the guard instead of raising.
+    divergence when |x| exceeds the guard, or leaves the domain of the
+    disruptor (the grid of a field-sampled one), instead of raising.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -239,7 +251,7 @@ def run_learner(x0: float, u0: float, potential: PotentialSpec,
         rows_u.append(state.u)
         rows_v.append(float(potential.evaluate(state.x)))
         rows_d.append(state.dis_last)
-        if abs(state.x) > DIVERGENCE_LIMIT:
+        if abs(state.x) > DIVERGENCE_LIMIT or not dis.contains(state.x):
             outcome = "diverged"
             break
         if abs(float(potential.gradient(state.x))) < stop_tol and abs(state.u) < stop_tol:

@@ -155,6 +155,29 @@ def test_divergence_exit_4_with_partial_data(tmp_path, capsys):
     assert (out / "error.json").exists()
 
 
+def test_learner_leaving_the_grid_is_a_divergence(tmp_path, capsys):
+    """A field-sampled learner thrown off the grid ends as exit 4, not a crash."""
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: learn\n"
+                 "grid: {x_min: -20.0, x_max: 20.0, n: 2048, periodic: true}\n"
+                 "physics: {m: 1.0, mu: 0.1}\n"
+                 "potential: {kind: harmonic, omega: 1.0}\n"
+                 "initial: {kind: gaussian, x0: -3.5, u0: 0.0, sigma: 0.9}\n"
+                 "disruptor: {kind: field_sampled, pde_dt: 0.01}\n"
+                 "run: {steps: 30}\n")
+    out = tmp_path / "off"
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    report = json.loads(capsys.readouterr().err)
+    assert report["exit_code"] == 4
+    assert report["status"] == "diverged"
+    _, rows = read_table(out / "trajectory.csv")  # partial data still written
+    assert 1 < len(rows) < 31
+    assert np.all(np.abs(rows[:-1, 1]) <= 20.0)   # on the grid until the last row
+    assert abs(rows[-1, 1]) > 20.0
+    assert read_meta(out / "meta.json")["outcome"] == "diverged"
+    assert json.loads((out / "error.json").read_text())["exit_code"] == 4
+
+
 # --- documented examples -------------------------------------------------------
 
 def test_compare_with_zero_disruptor_is_identical(tmp_path):
@@ -197,11 +220,35 @@ def test_sweep_layout_and_ordering(tmp_path):
     assert list(summary[:, 0]) == [0.0, 1.0, 2.0]
     assert list(summary[:, 1]) == [0.25, 0.5, 1.0]   # deterministic config order
     assert np.all(summary[:, 2] == 0.0)
+    # index, exit_code and steps are written as integers, the rest as %.17e
+    lines = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    for i, line in enumerate(lines):
+        index, value, code, steps, final_x, final_u = line.split(",")
+        assert (index, code) == (str(i), "0")
+        assert steps == str(int(summary[i, 3])) and steps.isdigit()
+        assert all("e" in v for v in (value, final_x, final_u))
     for i, mu in enumerate((0.25, 0.5, 1.0)):
         point = out / f"point_{i:03d}"
         assert (point / "trajectory.csv").exists()
         meta = read_meta(point / "meta.json")
         assert meta["effective_config"]["physics"]["mu"] == mu
+
+
+def test_sweep_summary_json_integer_columns(tmp_path):
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: sweep\n"
+                 "run: {steps: 30}\n"
+                 "sweep: {parameter: physics.mu, values: [0.5, 1.0], "
+                 "experiment: learn}\n")
+    out = tmp_path / "swj"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json",
+                 "--quiet"]) == 0
+    text = (out / "sweep_summary.json").read_text()
+    rows = json.loads(text)["rows"]
+    for i, row in enumerate(rows):
+        assert [type(v) for v in row] == [int, float, int, int, float, float]
+        assert row[0] == i and row[2] == 0 and row[3] > 0
+    assert '"rows": [\n  [\n   0,\n   0.5,\n   0,\n' in text
 
 
 def test_sweep_determinism(tmp_path):

@@ -1,0 +1,265 @@
+"""The field kernels against the straightforward versions they replaced.
+
+The polar decomposition, the periodic stencils and the friction substep are
+written for speed: slices instead of np.roll, a tail fill by slice assignment,
+an inlined unwrap over the valid span only, in-place arithmetic.  Each rewrite
+keeps the operations and their operand order, so its output must equal the
+plain version's to the bit.  The plain versions live here as references; the
+tests demand np.array_equal, not closeness.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantum_descent.derivatives import (central_from_increments,
+                                         first_derivative, second_derivative)
+from quantum_descent.dynamics import KostinPropagator
+from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
+                                    _unwrap, build_grid, gaussian_packet,
+                                    polar_decompose)
+from quantum_descent.learner import PotentialSpec
+
+# --- references ---------------------------------------------------------------
+
+
+def ref_first_derivative(f, dx):
+    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+
+
+def ref_second_derivative(f, dx):
+    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (dx * dx)
+
+
+def ref_central_from_increments(d, dx, periodic):
+    d = np.asarray(d, dtype=float)
+    if periodic:
+        return (d + np.roll(d, 1)) / (2.0 * dx)
+    out = np.empty(d.size + 1, dtype=float)
+    out[1:-1] = (d[1:] + d[:-1]) / (2.0 * dx)
+    out[0] = (3.0 * d[0] - d[1]) / (2.0 * dx)
+    out[-1] = (3.0 * d[-1] - d[-2]) / (2.0 * dx)
+    return out
+
+
+def ref_fill_from_nearest_valid(values, valid_idx):
+    n = values.size
+    out = values.copy()
+    pos = np.searchsorted(valid_idx, np.arange(n))
+    left = valid_idx[np.clip(pos - 1, 0, valid_idx.size - 1)]
+    right = valid_idx[np.clip(pos, 0, valid_idx.size - 1)]
+    # ties go to the left neighbour
+    nearest = np.where(np.abs(np.arange(n) - left) <= np.abs(right - np.arange(n)), left, right)
+    out[:] = values[nearest]
+    return out
+
+
+def ref_polar_decompose(psi, params):
+    """(S, rho, u, p) of the central-scheme decomposition, built the plain way."""
+    grid = psi.grid
+    v = psi.values
+    R = np.abs(v)
+    rho = R * R
+    valid = rho >= EPS_NODE
+    theta = np.angle(v)
+    valid_idx = np.flatnonzero(valid)
+    S = np.empty(grid.n, dtype=float)
+    S[valid_idx] = np.unwrap(theta[valid_idx])
+    if valid_idx.size < grid.n:
+        S = ref_fill_from_nearest_valid(S, valid_idx)
+    S *= params.hbar
+    S -= S[int(np.argmax(rho))]
+    inc = np.diff(S)
+    if grid.periodic:
+        if valid[0] and valid[-1]:
+            seam = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
+        else:
+            seam = 0.0
+        inc = np.append(inc, seam)
+    u = ref_central_from_increments(inc, grid.dx, grid.periodic) / params.m
+    return S, rho, u, params.m * u
+
+
+def ref_spectral_step(values, grid, potential, params, dt):
+    """One Strang step with the friction substep written as one expression."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    half_kinetic = np.exp(-1j * params.hbar * k * k * dt / (4.0 * params.m))
+    Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
+    out = np.fft.ifft(half_kinetic * np.fft.fft(values))
+    S, rho, _, _ = ref_polar_decompose(Wavefunction(out, grid), params)
+    d0 = S - float(np.sum(S * rho) * grid.dx)
+    v_mean = float(np.sum(rho * Vx) / np.sum(rho))
+    decay = -np.expm1(-params.mu * dt)
+    phase = -v_mean * dt - (d0 + (Vx - v_mean) / params.mu) * decay
+    out *= np.exp(1j * phase / params.hbar)
+    return np.fft.ifft(half_kinetic * np.fft.fft(out))
+
+
+# --- generated inputs ------------------------------------------------------------
+
+# unit phasors whose angles differ by exactly pi between some neighbours:
+# angle(1) = 0, angle(-1) = pi, angle(-1 - 0j) = -pi, angle(+-1j) = +-pi/2
+EXACT_PHASORS = (1.0 + 0.0j, -1.0 + 0.0j, complex(-1.0, -0.0), 1j, -1j)
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def phasors(draw, n):
+    """n unit-ish phasors, mixing exact +-pi jumps with arbitrary angles."""
+    out = np.empty(n, dtype=complex)
+    for j in range(n):
+        if draw(st.booleans()):
+            out[j] = draw(st.sampled_from(EXACT_PHASORS))
+        else:
+            angle = draw(st.floats(-12.0, 12.0, allow_nan=False))
+            out[j] = np.exp(1j * angle)
+    return out
+
+
+@st.composite
+def masks(draw, n):
+    """Valid-point masks of the shapes the fill rules distinguish."""
+    kind = draw(st.sampled_from(("interior_gaps", "empty_ends", "all_valid", "two_valid")))
+    if kind == "all_valid":
+        return np.ones(n, dtype=bool)
+    if kind == "two_valid":
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        mask = np.zeros(n, dtype=bool)
+        mask[[a, b]] = True
+        return mask
+    first = draw(st.integers(1 if kind == "empty_ends" else 0, n - 4))
+    last = draw(st.integers(first + 2, n - 2 if kind == "empty_ends" else n - 1))
+    mask = np.zeros(n, dtype=bool)
+    mask[first:last + 1] = True
+    if kind == "interior_gaps":
+        holes = draw(st.lists(st.integers(first + 1, last - 1), min_size=1, max_size=4))
+        mask[holes] = False
+    return mask
+
+
+@st.composite
+def wavefunctions(draw):
+    n = draw(st.integers(8, 48))
+    periodic = draw(st.booleans())
+    grid = build_grid(-3.0, 3.0, n, periodic=periodic)
+    mask = draw(masks(n))
+    amplitude = np.where(mask, draw(st.sampled_from((1.0, 0.37, 2.5))),
+                         draw(st.sampled_from((0.0, 1e-7, 9.9e-7))))
+    jitter = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    values = amplitude * jitter * draw(phasors(n))
+    return Wavefunction(values, grid)
+
+
+# --- unwrap and stencils ---------------------------------------------------------
+
+
+@given(theta=st.lists(st.one_of(st.sampled_from((0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2)),
+                                st.floats(-20.0, 20.0, allow_nan=False)),
+                      min_size=2, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_unwrap_equals_numpy(theta):
+    theta = np.array(theta)
+    out = np.empty_like(theta)
+    _unwrap(theta, out)
+    assert np.array_equal(out, np.unwrap(theta))
+
+
+@given(values=st.lists(finite, min_size=4, max_size=64),
+       imag=st.booleans(), dx=st.floats(1e-3, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_periodic_stencils_equal_roll_versions(values, imag, dx):
+    f = np.array(values)
+    if imag:
+        f = f + 1j * np.roll(f, 3)[::-1]
+    assert np.array_equal(first_derivative(f, dx, periodic=True), ref_first_derivative(f, dx))
+    assert np.array_equal(second_derivative(f, dx, periodic=True), ref_second_derivative(f, dx))
+
+
+@given(d=st.lists(finite, min_size=3, max_size=64), dx=st.floats(1e-3, 2.0),
+       periodic=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_central_from_increments_equals_roll_version(d, dx, periodic):
+    d = np.array(d)
+    assert np.array_equal(central_from_increments(d, dx, periodic),
+                          ref_central_from_increments(d, dx, periodic))
+
+
+# --- polar decomposition ---------------------------------------------------------
+
+
+@given(psi=wavefunctions(), hbar=st.sampled_from((1.0, 0.5, 0.3)),
+       m=st.sampled_from((1.0, 1.7)))
+@settings(max_examples=400, deadline=None)
+def test_polar_decompose_equals_reference(psi, hbar, m):
+    params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
+    fields = polar_decompose(psi, params)
+    S, rho, u, p = ref_polar_decompose(psi, params)
+    assert np.array_equal(fields.S, S)
+    assert np.array_equal(fields.rho, rho)
+    assert np.array_equal(fields.u, u)
+    assert np.array_equal(fields.p, p)
+
+
+def test_generated_masks_cover_every_shape():
+    """The strategy above reaches every mask shape the fill rules distinguish."""
+    seen = set()
+
+    @given(mask=st.integers(8, 48).flatmap(masks))
+    @settings(max_examples=200, deadline=None)
+    def collect(mask):
+        idx = np.flatnonzero(mask)
+        if mask.all():
+            seen.add("all_valid")
+        if idx.size == 2:
+            seen.add("two_valid")
+        if not mask[0] and not mask[-1]:
+            seen.add("empty_ends")
+        if idx.size > 1 and idx[-1] - idx[0] + 1 > idx.size:
+            seen.add("interior_gaps")
+
+    collect()
+    assert seen == {"all_valid", "two_valid", "empty_ends", "interior_gaps"}
+
+
+# --- the propagator --------------------------------------------------------------
+
+GRID = build_grid(-20.0, 20.0, 2048, periodic=True)
+HARMONIC = PotentialSpec.harmonic(1.0)
+
+
+@pytest.mark.parametrize("initial", ["breathing", "odd"])
+def test_propagator_steps_equal_reference_steps(initial):
+    """200 steps, each equal to the bit to a step built from the references.
+
+    The breathing packet has one contiguous valid span; the odd state keeps
+    a node at x = 0 on this grid, so most of its friction substeps fill an
+    interior gap.
+    """
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
+    if initial == "breathing":
+        values = gaussian_packet(GRID, x0=-3.5, p0=0.2, sigma=0.9).values
+    else:
+        values = GRID.x * np.exp(-0.5 * GRID.x**2)
+        values = Wavefunction(values, GRID).normalized().values
+    dt = 0.01
+    prop = KostinPropagator(GRID, HARMONIC, params, dt)
+    ours = np.array(values)
+    ref = np.array(values)
+    for k in range(200):
+        ours = prop.step(ours)
+        ref = ref_spectral_step(ref, GRID, HARMONIC, params, dt)
+        assert np.array_equal(ours, ref), f"step {k + 1} differs"
+
+
+def test_odd_state_has_an_interior_node():
+    """Guard for the test above: the first substep of the odd state has a gap."""
+    values = GRID.x * np.exp(-0.5 * GRID.x**2)
+    values = Wavefunction(values, GRID).normalized().values
+    k = 2.0 * np.pi * np.fft.fftfreq(GRID.n, d=GRID.dx)
+    half_kinetic = np.exp(-1j * k * k * 0.01 / 4.0)
+    rho = np.abs(np.fft.ifft(half_kinetic * np.fft.fft(values))) ** 2
+    valid = np.flatnonzero(rho >= EPS_NODE)
+    assert valid[-1] - valid[0] + 1 > valid.size
