@@ -23,8 +23,8 @@ from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      Wavefunction, build_grid, expectation_momentum,
                      expectation_position, gaussian_packet, norm, plane_wave,
                      polar_decompose)
-from .hydro import (ScalarField, disruptor_at, disruptor_field,
-                    quantum_potential, sample_field)
+from .hydro import (ScalarField, disruptor_field, quantum_potential,
+                    sample_field)
 from .learner import (CallbackDisruptor, FieldSampledDisruptor, LearnerRun,
                       LearnerState, PotentialSpec, ZeroDisruptor,
                       momentum_gd_step, quantum_learn_step, run_learner,
@@ -36,8 +36,7 @@ __all__ = [
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
     "build_grid", "polar_decompose", "gaussian_packet", "plane_wave", "norm",
     "expectation_position", "expectation_momentum", "EPS_NODE",
-    "ScalarField", "quantum_potential", "disruptor_field", "disruptor_at",
-    "sample_field",
+    "ScalarField", "quantum_potential", "disruptor_field", "sample_field",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
     "CallbackDisruptor", "FieldSampledDisruptor", "momentum_gd_step",
     "quantum_learn_step", "run_learner", "run_momentum_gd",

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .fields import (
@@ -192,6 +191,10 @@ class KostinPropagator:
         ab[0, 1:] = c * off
         ab[1, :] = 1.0 + c * diag
         ab[2, :-1] = c * off
+        # imported here: scipy.linalg takes about as long to import as the
+        # rest of the package, and only this scheme uses it
+        import scipy.linalg
+
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 

@@ -8,7 +8,6 @@ between identical runs.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,10 +89,6 @@ def _build_disruptor(cfg: ExperimentConfig):
                                  scheme=cfg.run.scheme)
 
 
-def _learner_rows(run: LearnerRun) -> np.ndarray:
-    return run.rows
-
-
 def _learner_meta(run: LearnerRun) -> dict:
     return {
         "outcome": run.outcome,
@@ -104,8 +99,7 @@ def _learner_meta(run: LearnerRun) -> dict:
 
 
 def _evolve_trajectory(rec: EvolutionRecord, cfg: ExperimentConfig) -> np.ndarray:
-    potential = cfg.build_potential()
-    v_vals = np.array([float(potential.evaluate(x)) for x in rec.x_mean])
+    v_vals = np.asarray(cfg.build_potential().evaluate(rec.x_mean), dtype=float)
     u_mean = rec.p_mean / cfg.physics.m
     return np.column_stack([rec.times, rec.x_mean, u_mean, v_vals, rec.dis_center])
 
@@ -132,7 +126,7 @@ def _compute_learn(cfg: ExperimentConfig) -> ComputedRun:
                       _build_disruptor(cfg), cfg.physics, steps=cfg.run.steps,
                       stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
     code = EXIT_DIVERGED if run.outcome == "diverged" else EXIT_OK
-    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, _learner_rows(run))},
+    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, run.rows)},
                        _learner_meta(run), code)
 
 
@@ -156,8 +150,8 @@ def _compute_compare(cfg: ExperimentConfig) -> ComputedRun:
     classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
                                 alpha=cfg.physics.lam, beta=cfg.physics.beta,
                                 steps=cfg.run.steps, stop_tol=cfg.run.stop_tol)
-    rows_q = _learner_rows(quantum)
-    rows_c = _learner_rows(classical)
+    rows_q = quantum.rows
+    rows_c = classical.rows
     n = min(len(rows_q), len(rows_c))
     diff = rows_q[:n] - rows_c[:n]
     diff[:, 0] = rows_q[:n, 0]  # keep the shared time axis readable
@@ -322,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                   "error": comp.meta.get("error",
                                          {"type": "Divergence",
                                           "message": "trajectory left the guard region"})}
-        (out_dir / "error.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        write_meta(out_dir / "error.json", report)
         files.append("error.json")
     return ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files + ["meta.json"])),
                             meta)

@@ -94,8 +94,3 @@ def sample_field(field: ScalarField, x: float) -> float:
     frac = t - j0
     v = field.values
     return float((1.0 - frac) * v[j0] + frac * v[j1])
-
-
-def disruptor_at(field: ScalarField, x: float) -> float:
-    """Disruptor value at a trajectory point (linear interpolation)."""
-    return sample_field(field, x)

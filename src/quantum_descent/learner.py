@@ -17,19 +17,40 @@ disruptor contributions together when a finer notional step is wanted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NodeDominatedError, NumericalError
 from .fields import PhysicsParams, Wavefunction
-from .hydro import disruptor_at, disruptor_field
+from .hydro import disruptor_field, sample_field
 
 DIVERGENCE_LIMIT = 1e6
 
 # finite-difference step for gradients of tabulated potentials
 DEFAULT_GRAD_STEP = 1e-6
+
+
+def _horner(coefficients: np.ndarray) -> Callable:
+    """numpy's ``polyval`` for ascending coefficients, on plain floats.
+
+    The same operations in the same order as ``polyval`` (``c0 = c[-1] + x*0``,
+    then ``c0 = c[-i] + c0*x``), so a float x gives a Python float and an
+    array gives polyval's elementwise result, both equal to polyval's to the
+    bit, without numpy's per-call cost on scalars.
+    """
+    *rest, last = (float(c) for c in coefficients)
+    rest = tuple(reversed(rest))
+
+    def value(x):
+        c0 = last + x * 0
+        for c in rest:
+            c0 = c + c0 * x
+        return c0
+
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,6 +83,9 @@ class PotentialSpec:
         if c <= 0:
             raise ValueError(f"quartic stiffness must be positive, got c={c}")
         c = float(c)
+        # np.power on scalars too: numpy's vectorized pow and the C library's
+        # (float `**`) differ in the last bit for some inputs, so scalar and
+        # array values agree only if both go through numpy
         return cls("quartic", (c,),
                    lambda x: 0.25 * c * np.power(x, 4),
                    lambda x: c * np.power(x, 3))
@@ -73,9 +97,7 @@ class PotentialSpec:
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("polynomial needs a flat, nonempty coefficient list")
         dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        return cls("polynomial", tuple(coeffs),
-                   lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-                   lambda x: np.polynomial.polynomial.polyval(x, dcoeffs))
+        return cls("polynomial", tuple(coeffs), _horner(coeffs), _horner(dcoeffs))
 
     @classmethod
     def tabulated(cls, xs: Sequence[float], vs: Sequence[float],
@@ -160,23 +182,40 @@ class FieldSampledDisruptor:
     def sample(self, x: float) -> float:
         if self.params.hbar == 0.0:
             return 0.0
-        for _ in range(self._substeps):
-            self._values = self._propagator.step(self._values)
+        try:
+            for _ in range(self._substeps):
+                self._values = self._propagator.step(self._values)
+        except NodeDominatedError:
+            # NaN and infinity fall below the density floor, so a non-finite
+            # field reaches the friction substep as a node-dominated one
+            self._require_finite()
+            raise
+        self._require_finite()
         field = disruptor_field(np.abs(self._values), self.grid, self.params)
-        return disruptor_at(field, x)
+        return sample_field(field, x)
+
+    def _require_finite(self) -> None:
+        bad = self._values.size - int(np.count_nonzero(np.isfinite(self._values)))
+        if bad:
+            raise NumericalError(f"non-finite wavefunction in the field-sampled disruptor: "
+                                 f"{bad} of {self._values.size} points are NaN or infinite")
 
     def contains(self, x: float) -> bool:
         """Whether ``sample`` can be evaluated at x: the field lives on the grid."""
         return self.params.hbar == 0.0 or self.grid.contains(x)
 
 
-def momentum_gd_step(state: LearnerState, objective: PotentialSpec,
-                     alpha: float, beta: float) -> LearnerState:
-    """One heavy-ball update: u' = beta u - alpha dV/dx(x), x' = x + u'."""
+def _check_momentum(alpha: float, beta: float) -> None:
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got alpha={alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"momentum factor must satisfy 0 <= beta <= 1, got beta={beta}")
+
+
+def momentum_gd_step(state: LearnerState, objective: PotentialSpec,
+                     alpha: float, beta: float) -> LearnerState:
+    """One heavy-ball update: u' = beta u - alpha dV/dx(x), x' = x + u'."""
+    _check_momentum(alpha, beta)
     g = float(objective.gradient(state.x))
     if not np.isfinite(g):
         raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
@@ -228,6 +267,46 @@ class LearnerRun:
         return np.column_stack([self.t, self.x, self.u, self.V, self.dis])
 
 
+def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
+             stop_tol: float, update: Callable, contains: Callable) -> LearnerRun:
+    """The loop both learners share, on plain floats.
+
+    ``update(x, u, g)`` returns the new velocity and the disruptor value from
+    the gradient g at x; the position then moves by the new velocity.  The
+    stop test's gradient is the next update's, and V is evaluated once over
+    the finished trajectory.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    gradient = potential.gradient
+    x, u = float(x0), float(u0)
+    xs, us, ds = [x], [u], [0.0]
+    g = float(gradient(x))
+    outcome = "max_steps"
+    for t in range(steps):
+        if not math.isfinite(g):
+            raise NumericalError(f"non-finite gradient {g} at x={x}", step=t)
+        try:
+            u, d = update(x, u, g)
+        except NumericalError as err:
+            raise NumericalError(f"learner update failed at step {t}: {err}", step=t) from err
+        x = x + u
+        xs.append(x)
+        us.append(u)
+        ds.append(d)
+        if abs(x) > DIVERGENCE_LIMIT or not contains(x):
+            outcome = "diverged"
+            break
+        g = float(gradient(x))
+        if abs(g) < stop_tol and abs(u) < stop_tol:
+            outcome = "converged"
+            break
+    x_all = np.array(xs)
+    return LearnerRun(np.arange(x_all.size, dtype=float), x_all, np.array(us),
+                      np.asarray(potential.evaluate(x_all), dtype=float), np.array(ds),
+                      outcome, LearnerState(t=x_all.size - 1, x=x, u=u, dis_last=ds[-1]))
+
+
 def run_learner(x0: float, u0: float, potential: PotentialSpec,
                 dis: "ZeroDisruptor | CallbackDisruptor | FieldSampledDisruptor",
                 params: PhysicsParams, steps: int, stop_tol: float = 1e-8,
@@ -236,52 +315,27 @@ def run_learner(x0: float, u0: float, potential: PotentialSpec,
 
     Stops early once |dV/dx| and |u| both drop below ``stop_tol``; flags
     divergence when |x| exceeds the guard, or leaves the domain of the
-    disruptor (the grid of a field-sampled one), instead of raising.
+    disruptor (the grid of a field-sampled one), instead of raising.  The
+    update is :func:`quantum_learn_step`'s arithmetic.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    state = LearnerState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
-    rows_t, rows_x, rows_u, rows_v, rows_d = [0.0], [state.x], [state.u], [
-        float(potential.evaluate(state.x))], [0.0]
-    outcome = "max_steps"
-    for _ in range(steps):
-        state = quantum_learn_step(state, potential, dis, params, time_scale=time_scale)
-        rows_t.append(float(state.t))
-        rows_x.append(state.x)
-        rows_u.append(state.u)
-        rows_v.append(float(potential.evaluate(state.x)))
-        rows_d.append(state.dis_last)
-        if abs(state.x) > DIVERGENCE_LIMIT or not dis.contains(state.x):
-            outcome = "diverged"
-            break
-        if abs(float(potential.gradient(state.x))) < stop_tol and abs(state.u) < stop_tol:
-            outcome = "converged"
-            break
-    return LearnerRun(np.array(rows_t), np.array(rows_x), np.array(rows_u),
-                      np.array(rows_v), np.array(rows_d), outcome, state)
+    beta, lam, sample = params.beta, params.lam, dis.sample
+    if time_scale == 1.0:
+        def update(x, u, g):
+            d = float(sample(x))
+            return beta * u - lam * g + d, d
+    else:
+        def update(x, u, g):
+            d = float(sample(x))
+            return beta * u + time_scale * (d - lam * g), d
+    return _descend(x0, u0, potential, steps, stop_tol, update, dis.contains)
 
 
 def run_momentum_gd(x0: float, u0: float, objective: PotentialSpec, alpha: float,
                     beta: float, steps: int, stop_tol: float = 1e-8) -> LearnerRun:
-    """Classical twin of :func:`run_learner` driven by :func:`momentum_gd_step`."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    state = LearnerState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
-    rows_t, rows_x, rows_u, rows_v, rows_d = [0.0], [state.x], [state.u], [
-        float(objective.evaluate(state.x))], [0.0]
-    outcome = "max_steps"
-    for _ in range(steps):
-        state = momentum_gd_step(state, objective, alpha, beta)
-        rows_t.append(float(state.t))
-        rows_x.append(state.x)
-        rows_u.append(state.u)
-        rows_v.append(float(objective.evaluate(state.x)))
-        rows_d.append(0.0)
-        if abs(state.x) > DIVERGENCE_LIMIT:
-            outcome = "diverged"
-            break
-        if abs(float(objective.gradient(state.x))) < stop_tol and abs(state.u) < stop_tol:
-            outcome = "converged"
-            break
-    return LearnerRun(np.array(rows_t), np.array(rows_x), np.array(rows_u),
-                      np.array(rows_v), np.array(rows_d), outcome, state)
+    """Classical twin of :func:`run_learner`, with :func:`momentum_gd_step`'s arithmetic."""
+    _check_momentum(alpha, beta)
+
+    def update(x, u, g):
+        return beta * u - alpha * g, 0.0
+
+    return _descend(x0, u0, objective, steps, stop_tol, update, ZeroDisruptor().contains)

@@ -8,6 +8,7 @@ runs of the same config produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,20 +16,39 @@ import numpy as np
 FLOAT_FMT = "%.17e"
 
 
-def format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FLOAT_FMT % float(v)
+def _plain_rows(rows) -> list:
+    """Rows as lists of Python bool, int and float values."""
+    if isinstance(rows, np.ndarray):
+        return rows.tolist()
+    return [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it.
+
+    A run killed mid-write leaves at most the temporary file, never a
+    truncated file under the final name.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_csv_table(path: Path, header: list, rows) -> None:
-    """Write a single-header-row CSV with '.' decimals and %.17e floats."""
+    """Write a single-header-row CSV with '.' decimals and %.17e floats.
+
+    Integer and bool columns are written as integers.  A column's type is
+    that of its value in the first row.
+    """
+    rows = _plain_rows(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    if rows:
+        fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json_table(path: Path, header: list, rows) -> None:
@@ -36,17 +56,8 @@ def write_json_table(path: Path, header: list, rows) -> None:
 
     float64 values survive a json round-trip exactly (repr-based encoding).
     """
-    payload = {"header": list(header),
-               "rows": [[_jsonable(v) for v in row] for row in rows]}
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-
-
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
+    payload = {"header": list(header), "rows": _plain_rows(rows)}
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
@@ -74,7 +85,8 @@ def read_table(path: Path) -> tuple:
 
 
 def write_meta(path: Path, meta: dict) -> None:
-    path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    """Write a JSON document with sorted keys (meta.json, error.json)."""
+    _write_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def read_meta(path: Path) -> dict:

@@ -15,7 +15,7 @@ from quantum_descent.dynamics import (CoherentStateParams, KostinPropagator,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.experiments import run_experiment
 from quantum_descent.fields import PhysicsParams, build_grid
-from quantum_descent.hydro import disruptor_at, disruptor_field, quantum_potential
+from quantum_descent.hydro import disruptor_field, quantum_potential, sample_field
 from quantum_descent.learner import (PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.output import read_table
@@ -56,7 +56,7 @@ def test_criterion_2_coherent_disruptor_vanishes():
         psi = coherent_state(CoherentStateParams(x_t, 0.0, 0.0, 1.0), GRID_2048)
         field = disruptor_field(np.abs(psi.values), GRID_2048,
                                 PhysicsParams(m=1.0, hbar=1.0, mu=1.0))
-        worst = max(worst, abs(disruptor_at(field, x_t)))
+        worst = max(worst, abs(sample_field(field, x_t)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 1.0
     _report(2, ok, f"max |Dis(centre)| = {worst:.2e} (tol 1e-6), {elapsed:.2f}s")
@@ -70,10 +70,10 @@ def test_criterion_3_classical_limit_scaling():
     scaled = []
     for hbar in (1.0, 0.5, 0.1):
         field = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=hbar, mu=1.0))
-        scaled.append(disruptor_at(field, x_eval) / hbar**2)
+        scaled.append(sample_field(field, x_eval) / hbar**2)
     rel = max(abs(s - scaled[0]) / abs(scaled[0]) for s in scaled)
     zero_field = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=0.0, mu=1.0))
-    at_zero = disruptor_at(zero_field, x_eval)
+    at_zero = sample_field(zero_field, x_eval)
     ok = rel < 1e-10 and at_zero == 0.0
     _report(3, ok, f"max rel spread of Dis/hbar^2 = {rel:.2e} (tol 1e-10), "
                    f"Dis(hbar=0) = {at_zero!r}")

@@ -139,6 +139,25 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert meta["error"]["step"] == 0
 
 
+def test_non_finite_disruptor_field_exit_3_with_step(tmp_path, capsys):
+    table = tmp_path / "seed.csv"
+    table.write_text("x,re,im\n-1.0,nan,0.0\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: learn\n"
+                 f"initial: {{kind: custom, path: {json.dumps(str(table))}}}\n"
+                 "disruptor: {kind: field_sampled, pde_dt: 0.1}\n"
+                 "run: {steps: 5}\n"
+                 "grid: {n: 256}\n")
+    out = tmp_path / "nf"
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["step"] == 0
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "NumericalError"
+    assert "non-finite wavefunction" in error["message"]
+    assert "node-dominated" not in error["message"]
+
+
 def test_divergence_exit_4_with_partial_data(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: learn\n"
@@ -275,3 +294,11 @@ def test_module_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "trajectory.csv").exists()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, quantum_descent.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 
 from quantum_descent.fields import EPS_NODE, PhysicsParams, build_grid
-from quantum_descent.hydro import (ScalarField, disruptor_at, disruptor_field,
+from quantum_descent.hydro import (ScalarField, disruptor_field,
                                    quantum_potential, sample_field)
 
 P1 = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
@@ -85,9 +85,9 @@ def test_gaussian_disruptor_closed_form():
     dis = disruptor_field(R, grid, P1)
     assert dis.meaning == "disruptor"
     # at the packet centre the disruptor vanishes; one sigma out it is 1/s^3
-    assert abs(disruptor_at(dis, a)) < 1e-9
-    assert disruptor_at(dis, a + s) == pytest.approx(1.0 / s**3, rel=1e-5)
-    assert disruptor_at(dis, a - s) == pytest.approx(-1.0 / s**3, rel=1e-5)
+    assert abs(sample_field(dis, a)) < 1e-9
+    assert sample_field(dis, a + s) == pytest.approx(1.0 / s**3, rel=1e-5)
+    assert sample_field(dis, a - s) == pytest.approx(-1.0 / s**3, rel=1e-5)
 
 
 def test_disruptor_against_sympy():
@@ -123,7 +123,7 @@ def test_hbar_squared_scaling():
     ratios = []
     for hbar in (1.0, 0.5, 0.1):
         dis = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=hbar, mu=1.0))
-        ratios.append(disruptor_at(dis, x_eval) / hbar**2)
+        ratios.append(sample_field(dis, x_eval) / hbar**2)
     assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
 

@@ -210,3 +210,24 @@ def test_field_sampled_validates_steps():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
     with pytest.raises(ValueError):
         FieldSampledDisruptor(_coherent_on_grid(0.0), HARMONIC, params, pde_dt=-0.1)
+
+
+def test_non_finite_field_reports_the_learner_step(monkeypatch):
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
+    dis = FieldSampledDisruptor(_coherent_on_grid(-3.0), HARMONIC, params,
+                                pde_dt=0.1, macro_time=0.5)
+    step, calls = dis._propagator.step, []
+
+    def poisoned(values):
+        calls.append(None)
+        out = step(values)
+        if len(calls) == 3 * 5 + 2:  # inside the sample of update 3
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(dis._propagator, "step", poisoned)
+    with pytest.raises(NumericalError) as err:
+        run_learner(-3.0, 0.0, HARMONIC, dis, params, steps=10)
+    assert type(err.value) is NumericalError
+    assert err.value.step == 3
+    assert "non-finite wavefunction" in str(err.value)

@@ -1,6 +1,9 @@
 """Table writers: exact float round-trips and byte determinism."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,3 +70,22 @@ def test_meta_round_trip_and_key_order(tmp_path):
     assert read_meta(tmp_path / "meta.json") == meta
     text = (tmp_path / "meta.json").read_text()
     assert text.index('"alpha"') < text.index('"zeta"')  # sorted keys
+
+
+def _failing_write_text(self, text, *args, **kwargs):
+    """Path.write_text that writes half its text, then fails."""
+    with open(self, "w") as f:
+        f.write(text[:len(text) // 2])
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("write", [
+    lambda d: write_table(d, "t", ["a"], np.arange(100.0).reshape(100, 1), "csv"),
+    lambda d: write_table(d, "t", ["a"], np.arange(100.0).reshape(100, 1), "json"),
+    lambda d: write_meta(d / "meta.json", {"k": list(range(100))}),
+])
+def test_failed_write_leaves_no_file_under_the_final_name(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(Path, "write_text", _failing_write_text)
+    with pytest.raises(OSError):
+        write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
