@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from quantum_descent.dynamics import (CoherentStateParams, PropagatorConfig,
                                       coherent_state, damped_oscillator_closed_form,
                                       evolve)
-from quantum_descent.fields import PhysicsParams, Wavefunction, build_grid
+from quantum_descent.fields import PhysicsParams, build_grid
 from quantum_descent.hydro import quantum_potential
 from quantum_descent.learner import PotentialSpec
 
@@ -48,7 +48,7 @@ def quantum_potential_errors(sizes, omega=1.0, a=0.3):
         R = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * (grid.x - a) ** 2)
         q = quantum_potential(R, grid, params)
         exact = -(omega ** 2 * (grid.x - a) ** 2 - omega) / 2.0
-        errors.append(float(np.max(np.abs(q.values - exact))))
+        errors.append(float(np.max(np.abs(q - exact))))
     return errors
 
 

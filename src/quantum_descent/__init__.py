@@ -15,7 +15,7 @@ from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
                      load_config, parse_config)
 from .dynamics import (CoherentStateParams, EvolutionRecord, KostinPropagator,
                        PropagatorConfig, coherent_ode_step, coherent_state,
-                       damped_oscillator_closed_form, evolve, kostin_step)
+                       damped_oscillator_closed_form, evolve)
 from .errors import (ConfigError, NodeDominatedError, NodeDominatedWarning,
                      NumericalError)
 from .experiments import ExperimentResult, run_experiment
@@ -23,8 +23,7 @@ from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      Wavefunction, build_grid, expectation_momentum,
                      expectation_position, gaussian_packet, norm, plane_wave,
                      polar_decompose)
-from .hydro import (ScalarField, disruptor_field, quantum_potential,
-                    sample_field)
+from .hydro import disruptor_field, quantum_potential, sample_field
 from .learner import (CallbackDisruptor, FieldSampledDisruptor, LearnerRun,
                       LearnerState, PotentialSpec, ZeroDisruptor,
                       momentum_gd_step, quantum_learn_step, run_learner,
@@ -36,12 +35,12 @@ __all__ = [
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
     "build_grid", "polar_decompose", "gaussian_packet", "plane_wave", "norm",
     "expectation_position", "expectation_momentum", "EPS_NODE",
-    "ScalarField", "quantum_potential", "disruptor_field", "sample_field",
+    "quantum_potential", "disruptor_field", "sample_field",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
     "CallbackDisruptor", "FieldSampledDisruptor", "momentum_gd_step",
     "quantum_learn_step", "run_learner", "run_momentum_gd",
     "PropagatorConfig", "CoherentStateParams", "KostinPropagator",
-    "EvolutionRecord", "coherent_state", "kostin_step", "evolve",
+    "EvolutionRecord", "coherent_state", "evolve",
     "coherent_ode_step", "damped_oscillator_closed_form",
     "ExperimentConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
     "OutputConfig", "SweepConfig", "parse_config", "load_config",

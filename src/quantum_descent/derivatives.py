@@ -1,34 +1,18 @@
-"""Finite-difference and spectral derivatives on uniform 1-D grids.
+"""Finite-difference derivatives on uniform 1-D grids.
 
-Default scheme is 2nd-order central differences: periodic grids wrap the
+All stencils are 2nd-order central differences: periodic grids wrap the
 stencil, non-periodic grids fall back to one-sided 2nd-order stencils at the
-two boundary points.  A spectral (FFT) scheme is available for periodic grids
-and smooth periodic fields.
+two boundary points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SCHEMES = ("central", "spectral")
 
-
-def _check_scheme(scheme: str, periodic: bool) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown derivative scheme {scheme!r}, expected one of {SCHEMES}")
-    if scheme == "spectral" and not periodic:
-        raise ValueError("spectral derivatives require a periodic grid")
-
-
-def first_derivative(values: np.ndarray, dx: float, periodic: bool, scheme: str = "central") -> np.ndarray:
+def first_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
     """d/dx of ``values`` sampled with spacing ``dx``."""
-    _check_scheme(scheme, periodic)
     f = np.asarray(values)
-    if scheme == "spectral":
-        k = 2.0 * np.pi * np.fft.fftfreq(f.size, d=dx)
-        out = np.fft.ifft(1j * k * np.fft.fft(f))
-        return out if np.iscomplexobj(f) else out.real
-
     out = np.empty_like(f, dtype=np.result_type(f, float))
     if periodic:
         out[1:-1] = f[2:] - f[:-2]
@@ -42,15 +26,9 @@ def first_derivative(values: np.ndarray, dx: float, periodic: bool, scheme: str 
     return out
 
 
-def second_derivative(values: np.ndarray, dx: float, periodic: bool, scheme: str = "central") -> np.ndarray:
+def second_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
     """d2/dx2 of ``values`` sampled with spacing ``dx``."""
-    _check_scheme(scheme, periodic)
     f = np.asarray(values)
-    if scheme == "spectral":
-        k = 2.0 * np.pi * np.fft.fftfreq(f.size, d=dx)
-        out = np.fft.ifft(-(k * k) * np.fft.fft(f))
-        return out if np.iscomplexobj(f) else out.real
-
     out = np.empty_like(f, dtype=np.result_type(f, float))
     dx2 = dx * dx
     if periodic:

@@ -153,7 +153,7 @@ class KostinPropagator:
         dt = self.dt
         if self.params.mu == 0.0:
             return -self._Vx * dt
-        fields = polar_decompose(Wavefunction(values, self.grid), self.params)
+        fields = polar_decompose(values, self.grid, self.params)
         d0 = fields.S - expectation_phase(fields)
         v_mean = float(np.sum(fields.rho * self._Vx) / np.sum(fields.rho))
         # -v_mean dt - (d0 + (V - v_mean) / mu) * decay, evaluated in place
@@ -196,13 +196,6 @@ class KostinPropagator:
         import scipy.linalg
 
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
-
-
-def kostin_step(psi: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
-                dt: float, scheme: str = "split_step_spectral") -> Wavefunction:
-    """Advance psi by one step of the dissipative nonlinear equation."""
-    prop = KostinPropagator(psi.grid, potential, params, dt, scheme=scheme)
-    return Wavefunction(prop.step(psi.values), psi.grid)
 
 
 @dataclass
@@ -256,7 +249,6 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
 
     def record(k: int) -> None:
         t = k * config.dt
-        psi = Wavefunction(values, grid)
         rho = np.abs(values) ** 2
         times[k] = t
         norms[k] = float(np.sum(rho) * grid.dx)
@@ -264,11 +256,11 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
             raise NumericalError(f"non-finite wavefunction (norm={norms[k]}) at t={t:g}",
                                  step=k)
         x_mean[k] = float(np.sum(grid.x * rho) * grid.dx)
-        fields = polar_decompose(psi, params)
+        fields = polar_decompose(values, grid, params)
         p_mean[k] = float(np.sum(fields.p * fields.rho) * grid.dx)
         s_mean[k] = expectation_phase(fields)
         dis = disruptor_field(fields.R, grid, params)
-        dis_center[k] = sample_field(dis, min(max(x_mean[k], grid.x_min), grid.x_max))
+        dis_center[k] = sample_field(dis, grid, min(max(x_mean[k], grid.x_min), grid.x_max))
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)
             snapshots.append(values.copy())

@@ -53,30 +53,35 @@ class ExperimentResult:
 
 
 def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
+    """The configured initial state; one that cannot be built is a config error."""
     init = cfg.initial
-    if init.kind == "coherent":
-        if cfg.potential["kind"] != "harmonic":
-            raise ConfigError("a coherent initial state needs a harmonic potential "
-                              "(its width is set by the trap frequency)")
-        cp = CoherentStateParams(x_t=init.x0, p_t=cfg.p0, s_t=0.0,
-                                 omega=cfg.potential["omega"])
-        return coherent_state(cp, cfg.grid)
-    if init.kind == "gaussian":
-        sigma = init.sigma
-        if sigma is None:
-            if cfg.potential["kind"] == "harmonic":
-                sigma = 1.0 / np.sqrt(2.0 * cfg.potential["omega"])
-            else:
-                sigma = 1.0
-        return gaussian_packet(cfg.grid, init.x0, p0=cfg.p0, sigma=sigma,
-                               hbar=cfg.physics.hbar)
-    # custom: tabulated (x, re, im), linearly interpolated onto the grid
-    header, rows = read_table(Path(init.path))
-    if header[:3] != ["x", "re", "im"]:
-        raise ConfigError(f"custom initial state {init.path} must have columns x,re,im")
-    xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
-    values = np.interp(cfg.grid.x, xs, re) + 1j * np.interp(cfg.grid.x, xs, im)
-    return Wavefunction(values, cfg.grid).normalized()
+    if init.kind == "coherent" and cfg.potential["kind"] != "harmonic":
+        raise ConfigError("a coherent initial state needs a harmonic potential "
+                          "(its width is set by the trap frequency)")
+    try:
+        if init.kind == "coherent":
+            cp = CoherentStateParams(x_t=init.x0, p_t=cfg.p0, s_t=0.0,
+                                     omega=cfg.potential["omega"])
+            return coherent_state(cp, cfg.grid)
+        if init.kind == "gaussian":
+            sigma = init.sigma
+            if sigma is None:
+                if cfg.potential["kind"] == "harmonic":
+                    sigma = 1.0 / np.sqrt(2.0 * cfg.potential["omega"])
+                else:
+                    sigma = 1.0
+            return gaussian_packet(cfg.grid, init.x0, p0=cfg.p0, sigma=sigma,
+                                   hbar=cfg.physics.hbar)
+        # custom: tabulated (x, re, im), linearly interpolated onto the grid
+        header, rows = read_table(Path(init.path))
+        if header[:3] != ["x", "re", "im"]:
+            raise ValueError(f"needs columns x,re,im, got {','.join(header)}")
+        xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
+        values = np.interp(cfg.grid.x, xs, re) + 1j * np.interp(cfg.grid.x, xs, im)
+        return Wavefunction(values, cfg.grid).normalized()
+    except ValueError as err:
+        source = f" from {init.path}" if init.kind == "custom" else ""
+        raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
 
 
 def _build_disruptor(cfg: ExperimentConfig):
@@ -311,12 +316,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     meta = _assemble_meta(cfg, out_dir, fmt, comp, files)
     meta["wall_time_s"] = time.perf_counter() - t0
     write_meta(out_dir / "meta.json", meta)
+    error_path = out_dir / "error.json"
     if comp.exit_code != EXIT_OK:
         report = {"exit_code": comp.exit_code, "status": meta["status"],
                   "error": comp.meta.get("error",
                                          {"type": "Divergence",
                                           "message": "trajectory left the guard region"})}
-        write_meta(out_dir / "error.json", report)
+        write_meta(error_path, report)
         files.append("error.json")
+    else:
+        # the directory describes this run only: drop an earlier run's report
+        error_path.unlink(missing_ok=True)
     return ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files + ["meta.json"])),
                             meta)

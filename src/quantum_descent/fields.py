@@ -3,7 +3,9 @@
 A complex field psi on a uniform 1-D grid is split as psi = R * exp(i S / hbar)
 into a nonnegative amplitude R and a real action-valued phase S.  From these the
 hydrodynamic fields follow: density rho = R^2, flow velocity u = dS/dx / m, and
-trajectory momentum p = m * u.  Observables are plain Riemann sums over the grid.
+trajectory momentum p = m * u.  The decomposition works on the raw complex
+array; :class:`Wavefunction` is the validated form at the package boundary.
+Observables are plain Riemann sums over the grid.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .derivatives import central_from_increments, first_derivative
+from .derivatives import central_from_increments
 from .errors import NodeDominatedError, NodeDominatedWarning
 
 logger = logging.getLogger(__name__)
@@ -123,20 +126,42 @@ class Wavefunction:
 
 @dataclass(frozen=True)
 class MadelungFields:
-    """Polar fields of a wavefunction: amplitude R, action phase S, rho, u, p."""
+    """Polar fields of a wavefunction: amplitude R, action phase S and density rho.
+
+    The velocity u and the momentum p are derived from S on first read, so a
+    caller that needs only S and rho pays nothing for them.  The arrays are
+    not frozen; treat them as read-only, since u is derived from S when read.
+    """
 
     R: np.ndarray
     S: np.ndarray
     rho: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
     grid: SpatialGrid
+    params: PhysicsParams
+    # psi at the first and the last grid point, for the periodic seam of u
+    ends: tuple = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("R", "S", "rho", "u", "p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Flow velocity dS/dx / m from a wrap-safe central stencil."""
+        grid = self.grid
+        S = self.S
+        # Unwrapped S is not periodic even for a periodic psi (nonzero winding),
+        # so the seam increment is taken from the wavefunction itself.
+        inc = np.empty(grid.n if grid.periodic else grid.n - 1)
+        np.subtract(S[1:], S[:-1], out=inc[:grid.n - 1])
+        if grid.periodic:
+            if self.rho[0] >= EPS_NODE and self.rho[-1] >= EPS_NODE:
+                first, last = self.ends
+                inc[-1] = self.params.hbar * float(np.angle(first * np.conj(last)))
+            else:
+                inc[-1] = 0.0
+        return central_from_increments(inc, grid.dx, grid.periodic) / self.params.m
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Trajectory momentum m * u."""
+        return self.params.m * self.u
 
 
 def norm(psi: Wavefunction) -> float:
@@ -167,16 +192,15 @@ def _unwrap(theta: np.ndarray, out: np.ndarray) -> None:
     np.add(theta[1:], correction.cumsum(), out=out[1:])
 
 
-def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "central") -> MadelungFields:
-    """Split psi into Madelung fields (R, S, rho, u, p).
+def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> MadelungFields:
+    """Split the complex amplitudes ``values`` on ``grid`` into Madelung fields.
 
     The phase is S = hbar * arg(psi), unwrapped left to right starting from the
     leftmost point whose density clears the node floor; neighbour jumps larger
     than pi*hbar are folded back by 2*pi*hbar.  Sub-floor points inherit the
     phase of their nearest valid neighbour, and the global constant is fixed so
-    that S = 0 at the density maximum.  u = dS/dx / m uses a wrap-safe central
-    stencil (or the spectral velocity hbar*Im(psi* dpsi)/ (m rho) on periodic
-    grids when ``scheme="spectral"``).
+    that S = 0 at the density maximum.  R, S and rho are computed here; u and
+    p when first read (see :class:`MadelungFields`).
 
     Reports node-dominated input (more than half of the grid below the node
     floor) with a warning -- a well-localized packet on a wide grid does this
@@ -185,9 +209,7 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
     """
     if params.hbar <= 0.0:
         raise ValueError("polar decomposition needs hbar > 0 (phase is undefined at hbar = 0)")
-    grid = psi.grid
-    v = psi.values
-    R = np.abs(v)
+    R = np.abs(values)
     rho = R * R
     valid = rho >= EPS_NODE
     n_valid = int(np.count_nonzero(valid))
@@ -212,7 +234,7 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
     last = grid.n - 1 - int(np.argmax(valid[::-1]))
     S = np.empty(grid.n, dtype=float)
     span = S[first:last + 1]
-    theta = np.angle(v[first:last + 1])
+    theta = np.angle(values[first:last + 1])
     if n_valid == span.size:
         _unwrap(theta, span)
     else:
@@ -232,24 +254,8 @@ def polar_decompose(psi: Wavefunction, params: PhysicsParams, scheme: str = "cen
     S *= params.hbar
     S -= S[int(np.argmax(rho))]
 
-    if scheme == "spectral":
-        dpsi = first_derivative(v, grid.dx, grid.periodic, scheme="spectral")
-        dSdx = params.hbar * np.imag(np.conj(v) * dpsi) / np.maximum(rho, EPS_NODE)
-    else:
-        # Unwrapped S is not periodic even for a periodic psi (nonzero winding),
-        # so the seam increment is taken from the wavefunction itself.
-        inc = np.empty(grid.n if grid.periodic else grid.n - 1)
-        np.subtract(S[1:], S[:-1], out=inc[:grid.n - 1])
-        if grid.periodic:
-            if valid[0] and valid[-1]:
-                inc[-1] = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
-            else:
-                inc[-1] = 0.0
-        dSdx = central_from_increments(inc, grid.dx, grid.periodic)
-
-    u = dSdx / params.m
-    p = params.m * u
-    return MadelungFields(R=R, S=S, rho=rho, u=u, p=p, grid=grid)
+    return MadelungFields(R=R, S=S, rho=rho, grid=grid, params=params,
+                          ends=(values[0], values[-1]))
 
 
 def expectation_position(psi: Wavefunction) -> float:
@@ -261,7 +267,7 @@ def expectation_position(psi: Wavefunction) -> float:
 
 def expectation_momentum(psi: Wavefunction, params: PhysicsParams) -> float:
     """Hydrodynamic momentum <p> = sum p_j rho_j dx with p = dS/dx."""
-    fields = polar_decompose(psi, params)
+    fields = polar_decompose(psi.values, psi.grid, params)
     return float(np.sum(fields.p * fields.rho) * psi.grid.dx)
 
 

@@ -11,13 +11,14 @@ and its negative gradient per unit mass is the disruptor
 the term that perturbs the discrete learning update.  Dis is computed as
 -(1/m) dQ/dx (one derivative of an already regularized field) rather than by
 three nested derivative passes; the two forms agree algebraically and the test
-suite asserts the equivalence.
+suite asserts the equivalence.  Both fields are plain float arrays on the
+grid's points, with the central stencils of :mod:`.derivatives`;
+:func:`sample_field` interpolates such an array at one position.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +27,8 @@ from .fields import EPS_NODE, PhysicsParams, SpatialGrid
 
 logger = logging.getLogger(__name__)
 
-FIELD_MEANINGS = ("quantum_potential", "disruptor", "potential", "generic")
 
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Real values on a grid plus a tag saying what they mean."""
-
-    values: np.ndarray
-    grid: SpatialGrid
-    meaning: str = "generic"
-
-    def __post_init__(self):
-        if self.meaning not in FIELD_MEANINGS:
-            raise ValueError(f"unknown field meaning {self.meaning!r}")
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"values shape {v.shape} does not match grid n={self.grid.n}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams,
-                      scheme: str = "central") -> ScalarField:
+def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
     """Q = -(hbar^2/2m) (d2R/dx2) / max(R, eps) on the grid.
 
     The amplitude in the denominator is floored at the node constant so the
@@ -57,30 +36,26 @@ def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams,
     points is logged as a diagnostic.
     """
     R = np.asarray(R, dtype=float)
-    lap = second_derivative(R, grid.dx, grid.periodic, scheme=scheme)
+    lap = second_derivative(R, grid.dx, grid.periodic)
     denom = np.maximum(R, EPS_NODE)
     n_floored = int(np.count_nonzero(R < EPS_NODE))
     if n_floored:
         logger.debug("quantum_potential: floored %d of %d amplitude points", n_floored, grid.n)
-    q = -(params.hbar**2 / (2.0 * params.m)) * lap / denom
-    return ScalarField(q, grid, meaning="quantum_potential")
+    return -(params.hbar**2 / (2.0 * params.m)) * lap / denom
 
 
-def disruptor_field(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams,
-                    scheme: str = "central") -> ScalarField:
+def disruptor_field(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
     """Dis = (hbar^2/2m^2) d/dx[(d2R/dx2)/R], evaluated as -(1/m) dQ/dx."""
-    q = quantum_potential(R, grid, params, scheme=scheme)
-    dis = -first_derivative(q.values, grid.dx, grid.periodic, scheme=scheme) / params.m
-    return ScalarField(dis, grid, meaning="disruptor")
+    q = quantum_potential(R, grid, params)
+    return -first_derivative(q, grid.dx, grid.periodic) / params.m
 
 
-def sample_field(field: ScalarField, x: float) -> float:
-    """Linear interpolation of a field value at position x.
+def sample_field(values: np.ndarray, grid: SpatialGrid, x: float) -> float:
+    """Linear interpolation at position x of a field given on the grid's points.
 
     x must lie inside [x_min, x_max]; on a periodic grid the last cell wraps
     around to the first point.
     """
-    grid = field.grid
     if not np.isfinite(x) or not grid.contains(x):
         raise ValueError(f"x={x} outside grid domain [{grid.x_min}, {grid.x_max}]")
     t = (x - grid.x_min) / grid.dx
@@ -92,5 +67,4 @@ def sample_field(field: ScalarField, x: float) -> float:
         j0 = min(max(j, 0), grid.n - 2)
         j1 = j0 + 1
     frac = t - j0
-    v = field.values
-    return float((1.0 - frac) * v[j0] + frac * v[j1])
+    return float((1.0 - frac) * values[j0] + frac * values[j1])

@@ -192,7 +192,7 @@ class FieldSampledDisruptor:
             raise
         self._require_finite()
         field = disruptor_field(np.abs(self._values), self.grid, self.params)
-        return sample_field(field, x)
+        return sample_field(field, self.grid, x)
 
     def _require_finite(self) -> None:
         bad = self._values.size - int(np.count_nonzero(np.isfinite(self._values)))

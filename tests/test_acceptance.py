@@ -56,7 +56,7 @@ def test_criterion_2_coherent_disruptor_vanishes():
         psi = coherent_state(CoherentStateParams(x_t, 0.0, 0.0, 1.0), GRID_2048)
         field = disruptor_field(np.abs(psi.values), GRID_2048,
                                 PhysicsParams(m=1.0, hbar=1.0, mu=1.0))
-        worst = max(worst, abs(sample_field(field, x_t)))
+        worst = max(worst, abs(sample_field(field, GRID_2048, x_t)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 1.0
     _report(2, ok, f"max |Dis(centre)| = {worst:.2e} (tol 1e-6), {elapsed:.2f}s")
@@ -70,10 +70,10 @@ def test_criterion_3_classical_limit_scaling():
     scaled = []
     for hbar in (1.0, 0.5, 0.1):
         field = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=hbar, mu=1.0))
-        scaled.append(sample_field(field, x_eval) / hbar**2)
+        scaled.append(sample_field(field, grid, x_eval) / hbar**2)
     rel = max(abs(s - scaled[0]) / abs(scaled[0]) for s in scaled)
     zero_field = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=0.0, mu=1.0))
-    at_zero = sample_field(zero_field, x_eval)
+    at_zero = sample_field(zero_field, grid, x_eval)
     ok = rel < 1e-10 and at_zero == 0.0
     _report(3, ok, f"max rel spread of Dis/hbar^2 = {rel:.2e} (tol 1e-10), "
                    f"Dis(hbar=0) = {at_zero!r}")
@@ -151,7 +151,7 @@ def test_criterion_7_quantum_potential_convergence():
         R = (w / np.pi) ** 0.25 * np.exp(-0.5 * w * (grid.x - a) ** 2)
         q = quantum_potential(R, grid, PhysicsParams(m=1.0, hbar=1.0, mu=1.0))
         exact = -(w**2 * (grid.x - a) ** 2 - w) / 2.0
-        errs.append(float(np.max(np.abs(q.values - exact))))
+        errs.append(float(np.max(np.abs(q - exact))))
     ratio = errs[0] / errs[1]
     ok = 3.5 <= ratio <= 4.5
     _report(7, ok, f"error {errs[0]:.2e} -> {errs[1]:.2e}, ratio {ratio:.2f} "

@@ -158,12 +158,14 @@ def test_non_finite_disruptor_field_exit_3_with_step(tmp_path, capsys):
     assert "node-dominated" not in error["message"]
 
 
+DIVERGING_LEARN = ("experiment: learn\n"
+                   "physics: {mu: 0.0}\n"
+                   "potential: {kind: polynomial, coefficients: [0, 0, -0.5]}\n"
+                   "run: {steps: 300}\n")
+
+
 def test_divergence_exit_4_with_partial_data(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.yaml",
-                 "experiment: learn\n"
-                 "physics: {mu: 0.0}\n"
-                 "potential: {kind: polynomial, coefficients: [0, 0, -0.5]}\n"
-                 "run: {steps: 300}\n")
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_LEARN)
     out = tmp_path / "div"
     assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 4
     report = json.loads(capsys.readouterr().err)
@@ -172,6 +174,45 @@ def test_divergence_exit_4_with_partial_data(tmp_path, capsys):
     assert 1 < len(rows) < 301
     assert read_meta(out / "meta.json")["outcome"] == "diverged"
     assert (out / "error.json").exists()
+
+
+def test_successful_run_removes_an_earlier_error_report(tmp_path):
+    """A directory describes the last run only: exit 0 drops a stale error.json."""
+    out = tmp_path / "same"
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_LEARN)
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert (out / "error.json").exists()
+    assert main(["learn", "--out", str(out), "--quiet"]) == 0
+    assert read_meta(out / "meta.json")["status"] == "ok"
+    assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("initial,table,message", [
+    ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.0,0.0\n0.0,0.0,0.0\n1.0,0.0,0.0\n",
+     "cannot normalize a zero wavefunction"),
+    ("{kind: coherent, x0: -19.0}", None, "too narrow for a packet at x_t=-19"),
+    ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5,0.0\n0.0,one,0.0\n1.0,0.5,0.0\n",
+     "could not convert string to float"),
+], ids=["all_zero_custom", "coherent_off_the_grid", "non_numeric_custom"])
+def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, message):
+    if table is not None:
+        path = tmp_path / "seed.csv"
+        path.write_text(table)
+        initial = initial.replace("TABLE", json.dumps(str(path)))
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: evolve\n"
+                 "grid: {x_min: -20.0, x_max: 20.0, n: 256, periodic: true}\n"
+                 "potential: {kind: harmonic, omega: 1.0}\n"
+                 f"initial: {initial}\n"
+                 "run: {t_final: 0.1, dt: 0.01}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["exit_code"] == 2
+    assert report["status"] == "config_error"
+    assert report["error"]["message"].startswith("initial:")
+    assert message in report["error"]["message"]
 
 
 def test_learner_leaving_the_grid_is_a_divergence(tmp_path, capsys):

@@ -62,28 +62,6 @@ def test_one_sided_boundaries_second_order():
     assert 3.3 < errs[0] / errs[1] < 4.7
 
 
-# --- spectral scheme ---------------------------------------------------------
-
-def test_spectral_derivative_near_machine_precision():
-    grid = _periodic_grid(256)
-    f = np.exp(np.sin(grid.x))
-    df = first_derivative(f, grid.dx, periodic=True, scheme="spectral")
-    assert np.max(np.abs(df - np.cos(grid.x) * f)) < 1e-10
-
-
-def test_spectral_second_derivative():
-    grid = _periodic_grid(256)
-    f = np.sin(3.0 * grid.x)
-    d2f = second_derivative(f, grid.dx, periodic=True, scheme="spectral")
-    assert np.max(np.abs(d2f + 9.0 * f)) < 1e-9
-
-
-def test_spectral_requires_periodic():
-    grid = build_grid(0.0, 1.0, 32)
-    with pytest.raises(ValueError):
-        first_derivative(np.ones(32), grid.dx, periodic=False, scheme="spectral")
-
-
 # --- increment-based central stencil ----------------------------------------
 
 def test_central_from_increments_matches_direct():

@@ -15,8 +15,7 @@ from scipy.integrate import quad, solve_ivp
 from quantum_descent.dynamics import (CoherentStateParams, KostinPropagator,
                                       PropagatorConfig, coherent_ode_step,
                                       coherent_state,
-                                      damped_oscillator_closed_form, evolve,
-                                      kostin_step)
+                                      damped_oscillator_closed_form, evolve)
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import (PhysicsParams, Wavefunction, build_grid,
                                     norm)
@@ -148,15 +147,6 @@ def test_propagator_config_validation():
         PropagatorConfig(scheme="dg")
     with pytest.raises(ValueError):
         PropagatorConfig(snapshot_every=0)
-
-
-def test_kostin_step_wrapper_matches_propagator():
-    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
-    psi = _coherent()
-    prop = KostinPropagator(GRID, HARMONIC, params, dt=1e-3)
-    direct = prop.step(psi.values)
-    wrapped = kostin_step(psi, HARMONIC, params, dt=1e-3)
-    assert np.array_equal(wrapped.values, direct)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])

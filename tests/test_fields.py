@@ -74,7 +74,7 @@ def test_momentum_factor_in_unit_interval(mu):
 def test_round_trip_where_density_valid():
     grid = build_grid(-20.0, 20.0, 2048, periodic=True)
     psi = gaussian_packet(grid, x0=-3.0, p0=1.7, sigma=1.2)
-    f = polar_decompose(psi, P1)
+    f = polar_decompose(psi.values, grid, P1)
     rebuilt = f.R * np.exp(1j * f.S / P1.hbar)
     ok = f.rho >= EPS_NODE
     # global phase was shifted so that S = 0 at the density max; undo it
@@ -86,14 +86,14 @@ def test_round_trip_where_density_valid():
 def test_phase_zero_at_density_max():
     grid = build_grid(-20.0, 20.0, 1024, periodic=True)
     psi = gaussian_packet(grid, x0=2.0, p0=0.8)
-    f = polar_decompose(psi, P1)
+    f = polar_decompose(psi.values, grid, P1)
     assert f.S[int(np.argmax(f.rho))] == 0.0
 
 
 def test_phase_continuity_no_wrap_jumps():
     grid = build_grid(-20.0, 20.0, 2048, periodic=True)
     psi = gaussian_packet(grid, x0=0.0, p0=3.0, sigma=1.5)
-    f = polar_decompose(psi, P1)
+    f = polar_decompose(psi.values, grid, P1)
     valid = np.flatnonzero(f.rho >= EPS_NODE)
     jumps = np.abs(np.diff(f.S[valid]))
     assert np.all(jumps < np.pi * P1.hbar)
@@ -104,9 +104,8 @@ def test_plane_wave_velocity_constant():
     grid = build_grid(0.0, 2.0 * np.pi, 128, periodic=True)
     k = 5.0  # integer winding fits the periodic box
     psi = plane_wave(grid, k)
-    for scheme in ("central", "spectral"):
-        f = polar_decompose(psi, P1, scheme=scheme)
-        assert np.allclose(f.u, k, rtol=1e-9), scheme
+    f = polar_decompose(psi.values, grid, P1)
+    assert np.allclose(f.u, k, rtol=1e-9)
 
 
 def test_moving_packet_velocity():
@@ -114,7 +113,7 @@ def test_moving_packet_velocity():
     p0, m = 2.5, 2.0
     params = PhysicsParams(m=m, hbar=1.0, mu=0.5)
     psi = gaussian_packet(grid, x0=0.0, p0=p0, sigma=1.0)
-    f = polar_decompose(psi, params)
+    f = polar_decompose(psi.values, grid, params)
     core = f.rho > 1e-4  # velocity is p0/m across the packet's core
     assert np.allclose(f.u[core], p0 / m, atol=1e-6)
     assert np.allclose(f.p[core], p0, atol=2e-6)
@@ -123,7 +122,7 @@ def test_moving_packet_velocity():
 def test_rho_and_p_consistency():
     grid = build_grid(-10.0, 10.0, 512, periodic=True)
     psi = gaussian_packet(grid, x0=1.0, p0=-0.3)
-    f = polar_decompose(psi, P1)
+    f = polar_decompose(psi.values, grid, P1)
     assert np.allclose(f.rho, f.R**2, rtol=1e-14)
     assert np.allclose(f.p, P1.m * f.u, rtol=1e-14)
 
@@ -132,7 +131,7 @@ def test_node_fill_inherits_neighbor_phase():
     grid = build_grid(-10.0, 10.0, 256, periodic=False)
     values = np.exp(-0.5 * (grid.x + 4.0) ** 2) + np.exp(-0.5 * (grid.x - 4.0) ** 2) * 1j
     psi = Wavefunction(values, grid).normalized()
-    f = polar_decompose(psi, P1)
+    f = polar_decompose(psi.values, grid, P1)
     assert np.all(np.isfinite(f.S))
     assert np.all(np.isfinite(f.u))
     # left lobe is real (phase 0), right lobe is +i (phase pi/2)
@@ -147,28 +146,28 @@ def test_node_dominated_error_when_no_phase_information():
     values = np.zeros(16, dtype=complex)
     values[3] = 1.0  # a single valid point cannot support a derivative
     with pytest.raises(NodeDominatedError):
-        polar_decompose(Wavefunction(values, grid), P1)
+        polar_decompose(values, grid, P1)
 
 
 def test_node_dominated_warning_for_localized_packet():
     grid = build_grid(-20.0, 20.0, 2048, periodic=True)
     psi = gaussian_packet(grid, x0=-5.0, sigma=0.7)
     with pytest.warns(NodeDominatedWarning):
-        polar_decompose(psi, P1)
+        polar_decompose(psi.values, grid, P1)
 
 
 def test_polar_decompose_requires_hbar():
     grid = build_grid(-5.0, 5.0, 64)
     psi = gaussian_packet(grid, x0=0.0)
     with pytest.raises(ValueError):
-        polar_decompose(psi, PhysicsParams(hbar=0.0))
+        polar_decompose(psi.values, grid, PhysicsParams(hbar=0.0))
 
 
 def test_hbar_scales_phase_action():
     grid = build_grid(-15.0, 15.0, 1024, periodic=True)
     psi = gaussian_packet(grid, x0=0.0, p0=1.0, hbar=1.0)
-    f1 = polar_decompose(psi, PhysicsParams(hbar=1.0))
-    f2 = polar_decompose(psi, PhysicsParams(hbar=0.5))
+    f1 = polar_decompose(psi.values, grid, PhysicsParams(hbar=1.0))
+    f2 = polar_decompose(psi.values, grid, PhysicsParams(hbar=0.5))
     ok = f1.rho > 1e-6
     assert np.allclose(f2.S[ok], 0.5 * f1.S[ok], rtol=1e-10, atol=1e-12)
 
@@ -207,7 +206,7 @@ def test_global_phase_leaves_velocity_unchanged(phi):
     grid = build_grid(-15.0, 15.0, 512, periodic=True)
     psi = gaussian_packet(grid, x0=1.0, p0=0.7)
     shifted = Wavefunction(psi.values * np.exp(1j * phi), grid)
-    f0 = polar_decompose(psi, P1)
-    f1 = polar_decompose(shifted, P1)
+    f0 = polar_decompose(psi.values, grid, P1)
+    f1 = polar_decompose(shifted.values, grid, P1)
     assert np.allclose(f1.u, f0.u, atol=1e-9)
     assert np.allclose(f1.rho, f0.rho, rtol=1e-14)

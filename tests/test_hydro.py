@@ -15,8 +15,8 @@ import pytest
 import sympy as sp
 
 from quantum_descent.fields import EPS_NODE, PhysicsParams, build_grid
-from quantum_descent.hydro import (ScalarField, disruptor_field,
-                                   quantum_potential, sample_field)
+from quantum_descent.hydro import (disruptor_field, quantum_potential,
+                                   sample_field)
 
 P1 = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
 
@@ -37,10 +37,9 @@ def test_gaussian_quantum_potential_closed_form():
     R = (w / np.pi) ** 0.25 * np.exp(-0.5 * w * (grid.x - a) ** 2)
     q = quantum_potential(R, grid, P1)
     exact = -(w**2 * (grid.x - a) ** 2 - w) / 2.0
-    assert q.meaning == "quantum_potential"
-    assert np.max(np.abs(q.values - exact)) < 1e-2
+    assert np.max(np.abs(q - exact)) < 1e-2
     core = np.abs(grid.x - a) < 3.0  # away from the amplified boundary error
-    assert np.max(np.abs(q.values[core] - exact[core])) < 2e-5
+    assert np.max(np.abs(q[core] - exact[core])) < 2e-5
 
 
 def test_quantum_potential_against_sympy():
@@ -54,14 +53,14 @@ def test_quantum_potential_against_sympy():
     q = quantum_potential(R, grid, PhysicsParams(m=m, hbar=hbar, mu=0.5))
     exact = sp.lambdify(x, q_expr, "numpy")(grid.x)
     core = slice(50, -50)
-    assert np.max(np.abs(q.values[core] - exact[core])) < 1e-5
+    assert np.max(np.abs(q[core] - exact[core])) < 1e-5
 
 
 def test_quantum_potential_regularized_at_nodes():
     grid = build_grid(-5.0, 5.0, 512, periodic=False)
     R = np.abs(np.sin(np.pi * grid.x / 5.0))  # hard nodes
     q = quantum_potential(R, grid, P1)
-    assert np.all(np.isfinite(q.values))
+    assert np.all(np.isfinite(q))
 
 
 def test_quantum_potential_second_order_convergence():
@@ -72,7 +71,7 @@ def test_quantum_potential_second_order_convergence():
         R = (w / np.pi) ** 0.25 * np.exp(-0.5 * w * (grid.x - a) ** 2)
         q = quantum_potential(R, grid, P1)
         exact = -(w**2 * (grid.x - a) ** 2 - w) / 2.0
-        errs.append(np.max(np.abs(q.values - exact)))
+        errs.append(np.max(np.abs(q - exact)))
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 
@@ -83,11 +82,10 @@ def test_gaussian_disruptor_closed_form():
     grid = build_grid(-6.0, 6.0, 4096, periodic=False)
     R = np.exp(-((grid.x - a) ** 2) / (2.0 * s**2))
     dis = disruptor_field(R, grid, P1)
-    assert dis.meaning == "disruptor"
     # at the packet centre the disruptor vanishes; one sigma out it is 1/s^3
-    assert abs(sample_field(dis, a)) < 1e-9
-    assert sample_field(dis, a + s) == pytest.approx(1.0 / s**3, rel=1e-5)
-    assert sample_field(dis, a - s) == pytest.approx(-1.0 / s**3, rel=1e-5)
+    assert abs(sample_field(dis, grid, a)) < 1e-9
+    assert sample_field(dis, grid, a + s) == pytest.approx(1.0 / s**3, rel=1e-5)
+    assert sample_field(dis, grid, a - s) == pytest.approx(-1.0 / s**3, rel=1e-5)
 
 
 def test_disruptor_against_sympy():
@@ -100,7 +98,7 @@ def test_disruptor_against_sympy():
     dis = disruptor_field(R, grid, PhysicsParams(m=m, hbar=hbar, mu=0.0))
     exact = sp.lambdify(x, d_expr, "numpy")(grid.x)
     core = slice(100, -100)
-    assert np.max(np.abs(dis.values[core] - exact[core])) < 1e-4
+    assert np.max(np.abs(dis[core] - exact[core])) < 1e-4
 
 
 def test_disruptor_is_minus_gradient_of_q_over_m():
@@ -112,8 +110,8 @@ def test_disruptor_is_minus_gradient_of_q_over_m():
     dis = disruptor_field(R, grid, params)
     q = quantum_potential(R, grid, params)
     from quantum_descent.derivatives import first_derivative
-    dq = first_derivative(q.values, grid.dx, periodic=False)
-    assert np.max(np.abs(dis.values + dq / m)) < 1e-8
+    dq = first_derivative(q, grid.dx, periodic=False)
+    assert np.max(np.abs(dis + dq / m)) < 1e-8
 
 
 def test_hbar_squared_scaling():
@@ -123,7 +121,7 @@ def test_hbar_squared_scaling():
     ratios = []
     for hbar in (1.0, 0.5, 0.1):
         dis = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=hbar, mu=1.0))
-        ratios.append(sample_field(dis, x_eval) / hbar**2)
+        ratios.append(sample_field(dis, grid, x_eval) / hbar**2)
     assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
 
@@ -131,37 +129,32 @@ def test_disruptor_vanishes_at_zero_hbar():
     grid = build_grid(-6.0, 6.0, 512, periodic=False)
     R = np.exp(-0.5 * grid.x**2)
     dis = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=0.0, mu=1.0))
-    assert np.all(dis.values == 0.0)
+    assert np.all(dis == 0.0)
 
 
 # --- point sampling ----------------------------------------------------------
 
 def test_sample_field_linear_interpolation_exact():
     grid = build_grid(0.0, 4.0, 9)  # dx = 0.5
-    field = ScalarField(2.0 * grid.x + 1.0, grid)
+    field = 2.0 * grid.x + 1.0
     for x in (0.0, 0.25, 1.1, 3.99, 4.0):
-        assert sample_field(field, x) == pytest.approx(2.0 * x + 1.0, abs=1e-12)
+        assert sample_field(field, grid, x) == pytest.approx(2.0 * x + 1.0, abs=1e-12)
 
 
 def test_sample_field_periodic_wrap():
     grid = build_grid(0.0, 1.0, 10, periodic=True)  # points 0.0 .. 0.9
-    field = ScalarField(np.sin(2.0 * np.pi * grid.x), grid)
+    field = np.sin(2.0 * np.pi * grid.x)
     # past the last stored point the cell wraps to x = 0
-    got = sample_field(field, 0.95)
+    got = sample_field(field, grid, 0.95)
     expected = 0.5 * (np.sin(2.0 * np.pi * 0.9) + np.sin(0.0))
     assert got == pytest.approx(expected, abs=1e-12)
-    assert sample_field(field, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert sample_field(field, grid, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sample_field_rejects_outside_domain():
     grid = build_grid(0.0, 1.0, 16)
-    field = ScalarField(np.zeros(16), grid)
+    field = np.zeros(16)
     for x in (-0.01, 1.01, np.nan):
         with pytest.raises(ValueError):
-            sample_field(field, x)
+            sample_field(field, grid, x)
 
-
-def test_scalar_field_meaning_validated():
-    grid = build_grid(0.0, 1.0, 16)
-    with pytest.raises(ValueError):
-        ScalarField(np.zeros(16), grid, meaning="entropy")

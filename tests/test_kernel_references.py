@@ -5,7 +5,8 @@ written for speed: slices instead of np.roll, a tail fill by slice assignment,
 an inlined unwrap over the valid span only, in-place arithmetic.  Each rewrite
 keeps the operations and their operand order, so its output must equal the
 plain version's to the bit.  The plain versions live here as references; the
-tests demand np.array_equal, not closeness.
+tests demand np.array_equal, not closeness.  The kernels take plain arrays and
+copy nothing on entry, so the last tests hand them read-only inputs.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from quantum_descent.dynamics import KostinPropagator
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     _unwrap, build_grid, gaussian_packet,
                                     polar_decompose)
+from quantum_descent.hydro import disruptor_field, quantum_potential, sample_field
 from quantum_descent.learner import PotentialSpec
 
 # --- references ---------------------------------------------------------------
@@ -55,10 +57,8 @@ def ref_fill_from_nearest_valid(values, valid_idx):
     return out
 
 
-def ref_polar_decompose(psi, params):
-    """(S, rho, u, p) of the central-scheme decomposition, built the plain way."""
-    grid = psi.grid
-    v = psi.values
+def ref_polar_decompose(v, grid, params):
+    """(S, rho, u, p) of the decomposition of ``v``, built the plain way."""
     R = np.abs(v)
     rho = R * R
     valid = rho >= EPS_NODE
@@ -87,7 +87,7 @@ def ref_spectral_step(values, grid, potential, params, dt):
     half_kinetic = np.exp(-1j * params.hbar * k * k * dt / (4.0 * params.m))
     Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
     out = np.fft.ifft(half_kinetic * np.fft.fft(values))
-    S, rho, _, _ = ref_polar_decompose(Wavefunction(out, grid), params)
+    S, rho, _, _ = ref_polar_decompose(out, grid, params)
     d0 = S - float(np.sum(S * rho) * grid.dx)
     v_mean = float(np.sum(rho * Vx) / np.sum(rho))
     decay = -np.expm1(-params.mu * dt)
@@ -195,8 +195,8 @@ def test_central_from_increments_equals_roll_version(d, dx, periodic):
 @settings(max_examples=400, deadline=None)
 def test_polar_decompose_equals_reference(psi, hbar, m):
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
-    fields = polar_decompose(psi, params)
-    S, rho, u, p = ref_polar_decompose(psi, params)
+    fields = polar_decompose(psi.values, psi.grid, params)
+    S, rho, u, p = ref_polar_decompose(psi.values, psi.grid, params)
     assert np.array_equal(fields.S, S)
     assert np.array_equal(fields.rho, rho)
     assert np.array_equal(fields.u, u)
@@ -263,3 +263,43 @@ def test_odd_state_has_an_interior_node():
     rho = np.abs(np.fft.ifft(half_kinetic * np.fft.fft(values))) ** 2
     valid = np.flatnonzero(rho >= EPS_NODE)
     assert valid[-1] - valid[0] + 1 > valid.size
+
+
+# --- read-only inputs ------------------------------------------------------------
+
+OPEN_GRID = build_grid(-20.0, 20.0, 1537, periodic=False)
+
+
+def _polar_fields(values, grid, params):
+    f = polar_decompose(values, grid, params)
+    return np.stack((f.R, f.S, f.rho, f.u, f.p))
+
+
+@pytest.mark.parametrize("kernel", ["polar_decompose", "quantum_potential", "disruptor_field",
+                                    "sample_field", "split_step_spectral", "crank_nicolson"])
+def test_kernels_take_read_only_input_and_leave_its_bits(kernel):
+    """Each kernel accepts a frozen input, leaves its bits as they were, and
+    returns what it returns for a writable copy of the same input."""
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
+    grid = OPEN_GRID if kernel == "crank_nicolson" else GRID
+    psi = np.array(gaussian_packet(grid, x0=-3.5, p0=0.2, sigma=0.9).values)
+    if kernel == "sample_field":
+        arg = disruptor_field(np.abs(psi), grid, params)
+    elif kernel in ("quantum_potential", "disruptor_field"):
+        arg = np.abs(psi)
+    else:
+        arg = psi
+    run = {
+        "polar_decompose": lambda a: _polar_fields(a, grid, params),
+        "quantum_potential": lambda a: quantum_potential(a, grid, params),
+        "disruptor_field": lambda a: disruptor_field(a, grid, params),
+        "sample_field": lambda a: sample_field(a, grid, -3.3),
+        "split_step_spectral": lambda a: KostinPropagator(grid, HARMONIC, params, 0.01).step(a),
+        "crank_nicolson": lambda a: KostinPropagator(grid, HARMONIC, params, 0.01,
+                                                     scheme="crank_nicolson").step(a),
+    }[kernel]
+    frozen = arg.copy()
+    frozen.setflags(write=False)
+    got = run(frozen)
+    assert frozen.tobytes() == arg.tobytes()
+    assert np.array_equal(got, run(arg.copy()))
