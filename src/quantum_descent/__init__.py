@@ -23,7 +23,7 @@ from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      Wavefunction, build_grid, expectation_momentum,
                      expectation_position, gaussian_packet, norm, plane_wave,
                      polar_decompose)
-from .hydro import disruptor_field, quantum_potential, sample_field
+from .hydro import disruptor_field, quantum_potential, sample_field, stencil_window
 from .learner import (CallbackDisruptor, FieldSampledDisruptor, LearnerRun,
                       LearnerState, PotentialSpec, ZeroDisruptor,
                       momentum_gd_step, quantum_learn_step, run_learner,
@@ -35,7 +35,7 @@ __all__ = [
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
     "build_grid", "polar_decompose", "gaussian_packet", "plane_wave", "norm",
     "expectation_position", "expectation_momentum", "EPS_NODE",
-    "quantum_potential", "disruptor_field", "sample_field",
+    "quantum_potential", "disruptor_field", "sample_field", "stencil_window",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
     "CallbackDisruptor", "FieldSampledDisruptor", "momentum_gd_step",
     "quantum_learn_step", "run_learner", "run_momentum_gd",

@@ -39,7 +39,7 @@ from .fields import (
     expectation_phase,
     polar_decompose,
 )
-from .hydro import disruptor_field, sample_field
+from .hydro import disruptor_field, sample_field, stencil_window
 from .learner import PotentialSpec
 
 SCHEMES = ("split_step_spectral", "crank_nicolson")
@@ -138,6 +138,8 @@ class KostinPropagator:
             k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
             # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
             self._half_kinetic = np.exp(-1j * params.hbar * k * k * self.dt / (4.0 * params.m))
+            # exp(i phase / hbar) of the position-space substep, rebuilt every step
+            self._rotation = np.empty(grid.n, dtype=np.complex128)
         else:
             self._kin = params.hbar**2 / (2.0 * params.m * grid.dx**2)
 
@@ -169,9 +171,22 @@ class KostinPropagator:
         return self._step_crank_nicolson(values)
 
     def _step_spectral(self, values: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(self._half_kinetic * np.fft.fft(values))
-        out *= np.exp(1j * self._substep_phase(out) / self.params.hbar)
-        return np.fft.ifft(self._half_kinetic * np.fft.fft(out))
+        hk = self._half_kinetic
+        f = np.fft.fft(values)
+        out = np.fft.ifft(np.multiply(hk, f, out=f))
+        # exp(1j * phase / hbar) as cos + i sin, to the bit: numpy's complex
+        # arithmetic makes the argument's imaginary part (phase + 0.0) * (1/hbar)
+        # (+ 0.0 turns -0.0 into 0.0), and libm's cexp of a purely imaginary
+        # number is (cos, sin) of it
+        phase = self._substep_phase(out)
+        phase += 0.0
+        phase *= 1.0 / self.params.hbar
+        rotation = self._rotation
+        np.cos(phase, out=rotation.real)
+        np.sin(phase, out=rotation.imag)
+        out *= rotation
+        f = np.fft.fft(out)
+        return np.fft.ifft(np.multiply(hk, f, out=f))
 
     def _step_crank_nicolson(self, values: np.ndarray) -> np.ndarray:
         # semi-implicit: the effective potential (including the friction
@@ -203,9 +218,9 @@ class EvolutionRecord:
     """Per-step series and periodic snapshots of a propagation run.
 
     The series are sampled after every step (index 0 is the initial state):
-    centre <x>, hydrodynamic momentum <p>, total norm, mean phase action <S>,
-    and the disruptor field evaluated at the instantaneous centre.  Snapshots
-    hold full copies of psi at the recorded times.
+    centre <x>, hydrodynamic momentum <p>, total norm, and the disruptor
+    field evaluated at the instantaneous centre.  Snapshots hold full copies
+    of psi at the recorded times.
     """
 
     grid: SpatialGrid
@@ -213,7 +228,6 @@ class EvolutionRecord:
     x_mean: np.ndarray
     p_mean: np.ndarray
     norm: np.ndarray
-    s_mean: np.ndarray
     dis_center: np.ndarray
     snapshot_times: np.ndarray
     snapshots: list
@@ -242,7 +256,6 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     x_mean = np.empty(n_steps + 1)
     p_mean = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
-    s_mean = np.empty(n_steps + 1)
     dis_center = np.empty(n_steps + 1)
     snapshot_times: list[float] = []
     snapshots: list[np.ndarray] = []
@@ -258,9 +271,11 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
         x_mean[k] = float(np.sum(grid.x * rho) * grid.dx)
         fields = polar_decompose(values, grid, params)
         p_mean[k] = float(np.sum(fields.p * fields.rho) * grid.dx)
-        s_mean[k] = expectation_phase(fields)
-        dis = disruptor_field(fields.R, grid, params)
-        dis_center[k] = sample_field(dis, grid, min(max(x_mean[k], grid.x_min), grid.x_max))
+        # Dis at <x> from the amplitudes its two interpolation nodes read
+        x = min(max(x_mean[k], grid.x_min), grid.x_max)
+        window = stencil_window(grid, x)
+        dis = disruptor_field(fields.R[window], grid, params)
+        dis_center[k] = sample_field(dis, grid, x, first=int(window[0]))
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)
             snapshots.append(values.copy())
@@ -272,7 +287,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
             record(k)
         except NumericalError as err:
             raise NumericalError(f"propagation failed at step {k}: {err}", step=k) from err
-    return EvolutionRecord(grid, times, x_mean, p_mean, norms, s_mean, dis_center,
+    return EvolutionRecord(grid, times, x_mean, p_mean, norms, dis_center,
                            np.asarray(snapshot_times), snapshots, config)
 
 

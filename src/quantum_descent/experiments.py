@@ -76,6 +76,10 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         header, rows = read_table(Path(init.path))
         if header[:3] != ["x", "re", "im"]:
             raise ValueError(f"needs columns x,re,im, got {','.join(header)}")
+        if rows.size == 0:
+            raise ValueError("has a header but no data rows")
+        if rows.ndim != 2 or rows.shape[1] < 3:
+            raise ValueError(f"needs rows of three values x,re,im, got shape {rows.shape}")
         xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
         values = np.interp(cfg.grid.x, xs, re) + 1j * np.interp(cfg.grid.x, xs, im)
         return Wavefunction(values, cfg.grid).normalized()

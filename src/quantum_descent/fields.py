@@ -176,19 +176,22 @@ def _unwrap(theta: np.ndarray, out: np.ndarray) -> None:
     The same mod/copyto/cumsum operations as numpy's unwrap with its default
     period 2*pi, without the axis handling, so the result is equal to the bit.
     numpy zeroes the correction wherever |d theta| < pi, so the mod arithmetic
-    runs on the remaining jumps only.
+    runs on the remaining jumps only, and without jumps the cumulative
+    correction is all zeros: numpy's result is then theta + 0.0.
     """
     dd = theta[1:] - theta[:-1]
-    correction = np.zeros_like(dd)
     jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
-    if jumps.size:
-        d = dd[jumps]
-        c = np.mod(d + np.pi, 2.0 * np.pi)
-        c -= np.pi
-        np.copyto(c, np.pi, where=(c == -np.pi) & (d > 0))
-        c -= d
-        correction[jumps] = c
     out[0] = theta[0]
+    if not jumps.size:
+        np.add(theta[1:], 0.0, out=out[1:])  # + 0.0 turns -0.0 into 0.0, as numpy's does
+        return
+    d = dd[jumps]
+    c = np.mod(d + np.pi, 2.0 * np.pi)
+    c -= np.pi
+    np.copyto(c, np.pi, where=(c == -np.pi) & (d > 0))
+    c -= d
+    correction = np.zeros_like(dd)
+    correction[jumps] = c
     np.add(theta[1:], correction.cumsum(), out=out[1:])
 
 
@@ -212,9 +215,9 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     R = np.abs(values)
     rho = R * R
     valid = rho >= EPS_NODE
-    n_valid = int(np.count_nonzero(valid))
-    n_invalid = grid.n - n_valid
-    if n_valid < 2:
+    kept = np.flatnonzero(valid)
+    n_invalid = grid.n - kept.size
+    if kept.size < 2:
         raise NodeDominatedError(
             f"node-dominated wavefunction: {n_invalid} of {grid.n} points below the "
             f"density floor {EPS_NODE:g}; no usable phase information"
@@ -230,22 +233,21 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
 
     # The phase is only needed between the first and the last valid point;
     # the tails outside that span take the phase of its end points.
-    first = int(np.argmax(valid))
-    last = grid.n - 1 - int(np.argmax(valid[::-1]))
+    first, last = int(kept[0]), int(kept[-1])
     S = np.empty(grid.n, dtype=float)
     span = S[first:last + 1]
-    theta = np.angle(values[first:last + 1])
-    if n_valid == span.size:
+    z = values[first:last + 1]
+    theta = np.arctan2(z.imag, z.real)  # np.angle(z)
+    if kept.size == span.size:
         _unwrap(theta, span)
     else:
         # interior nodes: unwrap across them, then give each the phase of its
         # nearest valid neighbour (ties go to the left one)
-        inside = valid[first:last + 1]
-        unwrapped = np.empty(n_valid)
-        _unwrap(theta[inside], unwrapped)
-        span[inside] = unwrapped
-        kept = np.flatnonzero(inside)
-        gaps = np.flatnonzero(~inside)
+        kept -= first
+        unwrapped = np.empty(kept.size)
+        _unwrap(theta[kept], unwrapped)
+        span[kept] = unwrapped
+        gaps = np.flatnonzero(~valid[first:last + 1])
         pos = np.searchsorted(kept, gaps)
         left, right = kept[pos - 1], kept[pos]
         span[gaps] = span[np.where(gaps - left <= right - gaps, left, right)]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NodeDominatedError, NumericalError
 from .fields import PhysicsParams, Wavefunction
-from .hydro import disruptor_field, sample_field
+from .hydro import disruptor_field, sample_field, stencil_window
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -191,8 +191,9 @@ class FieldSampledDisruptor:
             self._require_finite()
             raise
         self._require_finite()
-        field = disruptor_field(np.abs(self._values), self.grid, self.params)
-        return sample_field(field, self.grid, x)
+        window = stencil_window(self.grid, x)
+        field = disruptor_field(np.abs(self._values[window]), self.grid, self.params)
+        return sample_field(field, self.grid, x, first=int(window[0]))
 
     def _require_finite(self) -> None:
         bad = self._values.size - int(np.count_nonzero(np.isfinite(self._values)))

@@ -77,8 +77,12 @@ def read_table(path: Path) -> tuple:
     path = Path(path)
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict) or not {"header", "rows"} <= payload.keys():
+            raise ValueError(f"{path} is not a table: it needs the keys header and rows")
         return list(payload["header"]), np.asarray(payload["rows"], dtype=float)
     lines = path.read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty")
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, np.asarray(rows, dtype=float)

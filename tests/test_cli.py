@@ -193,7 +193,12 @@ def test_successful_run_removes_an_earlier_error_report(tmp_path):
     ("{kind: coherent, x0: -19.0}", None, "too narrow for a packet at x_t=-19"),
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5,0.0\n0.0,one,0.0\n1.0,0.5,0.0\n",
      "could not convert string to float"),
-], ids=["all_zero_custom", "coherent_off_the_grid", "non_numeric_custom"])
+    ("{kind: custom, path: TABLE}", "x,re,im\n", "has a header but no data rows"),
+    ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n",
+     "needs rows of three values x,re,im, got shape (3, 2)"),
+    ("{kind: custom, path: TABLE}", "", "is empty"),
+], ids=["all_zero_custom", "coherent_off_the_grid", "non_numeric_custom", "header_only_custom",
+        "two_column_custom", "empty_custom"])
 def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, message):
     if table is not None:
         path = tmp_path / "seed.csv"
@@ -212,6 +217,24 @@ def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, mess
     assert report["exit_code"] == 2
     assert report["status"] == "config_error"
     assert report["error"]["message"].startswith("initial:")
+    assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("payload,message", [
+    ('{"rows": [[-1.0, 0.5, 0.0], [1.0, 0.5, 0.0]]}', "needs the keys header and rows"),
+    ('{"header": ["x", "re", "im"], "rows": 5}', "got shape ()"),
+], ids=["no_header", "scalar_rows"])
+def test_malformed_json_initial_table_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "seed.json"
+    path.write_text(payload)
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: evolve\n"
+                 f"initial: {{kind: custom, path: {json.dumps(str(path))}}}\n"
+                 "run: {t_final: 0.01, dt: 0.01}\n"
+                 "grid: {n: 256}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["status"] == "config_error"
     assert message in report["error"]["message"]
 
 

@@ -1,12 +1,15 @@
 """The field kernels against the straightforward versions they replaced.
 
-The polar decomposition, the periodic stencils and the friction substep are
-written for speed: slices instead of np.roll, a tail fill by slice assignment,
-an inlined unwrap over the valid span only, in-place arithmetic.  Each rewrite
-keeps the operations and their operand order, so its output must equal the
-plain version's to the bit.  The plain versions live here as references; the
-tests demand np.array_equal, not closeness.  The kernels take plain arrays and
-copy nothing on entry, so the last tests hand them read-only inputs.
+The polar decomposition, the periodic stencils, the friction substep and the
+per-step record of evolve are written for speed: slices instead of np.roll, a
+tail fill by slice assignment, an inlined unwrap over the valid span only,
+in-place arithmetic, the phase rotation as cos + i sin instead of a complex
+exponential, and the disruptor at the packet centre from the six amplitudes
+its stencils read instead of the whole grid.  Each rewrite keeps the
+operations and their operand order, so its output must equal the plain
+version's to the bit.  The plain versions live here as references; the tests
+demand np.array_equal, not closeness.  The kernels take plain arrays and copy
+nothing on entry, so the last tests hand them read-only inputs.
 """
 
 import numpy as np
@@ -16,11 +19,12 @@ from hypothesis import strategies as st
 
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
-from quantum_descent.dynamics import KostinPropagator
+from quantum_descent.dynamics import KostinPropagator, PropagatorConfig, evolve
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     _unwrap, build_grid, gaussian_packet,
                                     polar_decompose)
-from quantum_descent.hydro import disruptor_field, quantum_potential, sample_field
+from quantum_descent.hydro import (disruptor_field, quantum_potential, sample_field,
+                                   stencil_window)
 from quantum_descent.learner import PotentialSpec
 
 # --- references ---------------------------------------------------------------
@@ -87,13 +91,28 @@ def ref_spectral_step(values, grid, potential, params, dt):
     half_kinetic = np.exp(-1j * params.hbar * k * k * dt / (4.0 * params.m))
     Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
     out = np.fft.ifft(half_kinetic * np.fft.fft(values))
-    S, rho, _, _ = ref_polar_decompose(out, grid, params)
-    d0 = S - float(np.sum(S * rho) * grid.dx)
-    v_mean = float(np.sum(rho * Vx) / np.sum(rho))
-    decay = -np.expm1(-params.mu * dt)
-    phase = -v_mean * dt - (d0 + (Vx - v_mean) / params.mu) * decay
+    if params.mu == 0.0:
+        phase = -Vx * dt
+    else:
+        S, rho, _, _ = ref_polar_decompose(out, grid, params)
+        d0 = S - float(np.sum(S * rho) * grid.dx)
+        v_mean = float(np.sum(rho * Vx) / np.sum(rho))
+        decay = -np.expm1(-params.mu * dt)
+        phase = -v_mean * dt - (d0 + (Vx - v_mean) / params.mu) * decay
     out *= np.exp(1j * phase / params.hbar)
     return np.fft.ifft(half_kinetic * np.fft.fft(out))
+
+
+def ref_record(values, grid, params):
+    """(norm, <x>, <p>, Dis at <x>) of one state: full-grid fields, then a sample."""
+    rho = np.abs(values) ** 2
+    norm = float(np.sum(rho) * grid.dx)
+    x_mean = float(np.sum(grid.x * rho) * grid.dx)
+    fields = polar_decompose(values, grid, params)
+    p_mean = float(np.sum(fields.p * fields.rho) * grid.dx)
+    dis = disruptor_field(fields.R, grid, params)
+    x = min(max(x_mean, grid.x_min), grid.x_max)
+    return norm, x_mean, p_mean, sample_field(dis, grid, x)
 
 
 # --- generated inputs ------------------------------------------------------------
@@ -156,7 +175,8 @@ def wavefunctions(draw):
 # --- unwrap and stencils ---------------------------------------------------------
 
 
-@given(theta=st.lists(st.one_of(st.sampled_from((0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2)),
+@given(theta=st.lists(st.one_of(st.sampled_from((0.0, -0.0, np.pi, -np.pi, np.pi / 2,
+                                                   -np.pi / 2)),
                                 st.floats(-20.0, 20.0, allow_nan=False)),
                       min_size=2, max_size=64))
 @settings(max_examples=300, deadline=None)
@@ -164,7 +184,7 @@ def test_unwrap_equals_numpy(theta):
     theta = np.array(theta)
     out = np.empty_like(theta)
     _unwrap(theta, out)
-    assert np.array_equal(out, np.unwrap(theta))
+    assert out.tobytes() == np.unwrap(theta).tobytes()  # signed zeros included
 
 
 @given(values=st.lists(finite, min_size=4, max_size=64),
@@ -230,20 +250,32 @@ GRID = build_grid(-20.0, 20.0, 2048, periodic=True)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
-@pytest.mark.parametrize("initial", ["breathing", "odd"])
-def test_propagator_steps_equal_reference_steps(initial):
+def _initial(kind, hbar=1.0):
+    if kind == "odd":
+        values = GRID.x * np.exp(-0.5 * GRID.x**2)
+        return Wavefunction(values, GRID).normalized().values
+    p0 = 6.0 if kind == "fast" else 0.2
+    return gaussian_packet(GRID, x0=-3.5, p0=p0, sigma=0.9, hbar=hbar).values
+
+
+@pytest.mark.parametrize("initial,m,hbar,mu", [
+    ("breathing", 1.0, 1.0, 0.45),
+    ("odd", 1.0, 1.0, 0.45),
+    ("breathing", 1.5, 0.7, 0.45),
+    ("breathing", 1.0, 1.0, 0.0),
+    ("fast", 1.0, 1.0, 0.45),
+], ids=["breathing", "odd", "hbar_0.7_m_1.5", "bare_potential_phase", "fast"])
+def test_propagator_steps_equal_reference_steps(initial, m, hbar, mu):
     """200 steps, each equal to the bit to a step built from the references.
 
     The breathing packet has one contiguous valid span; the odd state keeps
     a node at x = 0 on this grid, so most of its friction substeps fill an
-    interior gap.
+    interior gap.  hbar = 0.7 scales the rotation by 1/hbar, mu = 0 rotates
+    by the bare potential phase, and the fast packet's phase wraps inside the
+    span, so its unwrap corrects jumps.
     """
-    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
-    if initial == "breathing":
-        values = gaussian_packet(GRID, x0=-3.5, p0=0.2, sigma=0.9).values
-    else:
-        values = GRID.x * np.exp(-0.5 * GRID.x**2)
-        values = Wavefunction(values, GRID).normalized().values
+    params = PhysicsParams(m=m, hbar=hbar, mu=mu)
+    values = _initial(initial, hbar)
     dt = 0.01
     prop = KostinPropagator(GRID, HARMONIC, params, dt)
     ours = np.array(values)
@@ -254,10 +286,16 @@ def test_propagator_steps_equal_reference_steps(initial):
         assert np.array_equal(ours, ref), f"step {k + 1} differs"
 
 
+def test_fast_packet_wraps_its_phase_inside_the_span():
+    """Guard for the test above: the fast packet's unwrap has jumps to correct."""
+    values = _initial("fast")
+    theta = np.angle(values[np.abs(values) ** 2 >= EPS_NODE])
+    assert np.count_nonzero(np.abs(np.diff(theta)) >= np.pi) > 5
+
+
 def test_odd_state_has_an_interior_node():
     """Guard for the test above: the first substep of the odd state has a gap."""
-    values = GRID.x * np.exp(-0.5 * GRID.x**2)
-    values = Wavefunction(values, GRID).normalized().values
+    values = _initial("odd")
     k = 2.0 * np.pi * np.fft.fftfreq(GRID.n, d=GRID.dx)
     half_kinetic = np.exp(-1j * k * k * 0.01 / 4.0)
     rho = np.abs(np.fft.ifft(half_kinetic * np.fft.fft(values))) ** 2
@@ -265,9 +303,93 @@ def test_odd_state_has_an_interior_node():
     assert valid[-1] - valid[0] + 1 > valid.size
 
 
-# --- read-only inputs ------------------------------------------------------------
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_rotation_equals_the_complex_exponential_to_the_bit(hbar):
+    """cos + i sin equals np.exp(1j * phase / hbar) bit for bit, signed zeros
+    included: with mu = 0 the phase is -V dt, which is -0.0 where V = 0."""
+    params = PhysicsParams(m=1.0, hbar=hbar, mu=0.0)
+    prop = KostinPropagator(GRID, HARMONIC, params, 0.01)
+    prop.step(_initial("breathing", hbar))
+    phase = -np.asarray(HARMONIC.evaluate(GRID.x)) * 0.01
+    assert np.signbit(phase[GRID.n // 2]) and phase[GRID.n // 2] == 0.0
+    assert prop._rotation.tobytes() == np.exp(1j * phase / hbar).tobytes()
 
+
+# --- the per-step record -----------------------------------------------------------
+
+SMALL_GRID = build_grid(-20.0, 20.0, 256, periodic=True)
 OPEN_GRID = build_grid(-20.0, 20.0, 1537, periodic=False)
+
+
+def _assert_record_equals_reference(rec, values, prop, params, steps):
+    for k in range(steps + 1):
+        norm, x_mean, p_mean, dis = ref_record(values, rec.grid, params)
+        assert rec.norm[k] == norm, f"norm differs at step {k}"
+        assert rec.x_mean[k] == x_mean, f"x_mean differs at step {k}"
+        assert rec.p_mean[k] == p_mean, f"p_mean differs at step {k}"
+        assert rec.dis_center[k] == dis, f"dis_center differs at step {k}"
+        values = prop.step(values)
+
+
+def test_record_in_the_seam_cell_equals_reference():
+    """A packet near x_max whose <x> sits in the last cell [x_{n-1}, x_max):
+    the disruptor's nodes are n-1 and 0, and its amplitudes wrap the seam."""
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
+    grid = SMALL_GRID
+    values = gaussian_packet(grid, x0=17.0, sigma=0.8).values
+    # scale the norm so that <x> lands in the middle of the seam cell
+    x_mean = float(np.sum(grid.x * np.abs(values) ** 2) * grid.dx)
+    values = values * np.sqrt((grid.x[-1] + 0.5 * grid.dx) / x_mean)
+    steps = 40
+    rec = evolve(Wavefunction(values, grid), HARMONIC, params,
+                 PropagatorConfig(dt=1e-3, t_final=steps * 1e-3, snapshot_every=10))
+    cells = np.floor((rec.x_mean - grid.x_min) / grid.dx)
+    assert np.all(cells == grid.n - 1)
+    _assert_record_equals_reference(rec, values, KostinPropagator(grid, HARMONIC, params, 1e-3),
+                                    params, steps)
+
+
+def test_crank_nicolson_record_equals_reference():
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
+    values = gaussian_packet(OPEN_GRID, x0=-3.5, p0=0.2, sigma=0.9).values
+    steps = 60
+    rec = evolve(Wavefunction(values, OPEN_GRID), HARMONIC, params,
+                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=20,
+                                  scheme="crank_nicolson"))
+    prop = KostinPropagator(OPEN_GRID, HARMONIC, params, 0.01, scheme="crank_nicolson")
+    _assert_record_equals_reference(rec, values, prop, params, steps)
+
+
+@given(n=st.integers(8, 48), periodic=st.booleans(),
+       cell=st.sampled_from(("0", "1", "2", "n-3", "n-2", "n-1")),
+       frac=st.floats(0.0, 1.0, exclude_max=True),
+       amplitudes=st.lists(st.one_of(st.floats(1e-3, 3.0), st.sampled_from((0.0, 1e-13))),
+                           min_size=48, max_size=48),
+       hbar=st.sampled_from((1.0, 0.7)), m=st.sampled_from((1.0, 1.5)))
+@settings(max_examples=400, deadline=None)
+def test_windowed_disruptor_equals_full_grid(n, periodic, cell, frac, amplitudes, hbar, m):
+    """Dis from the six amplitudes of stencil_window equals the full-grid field
+    at both interpolation nodes and at x, next to the seam and the ends too."""
+    grid = build_grid(-3.0, 3.0, n, periodic=periodic)
+    params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
+    R = np.array(amplitudes[:n])
+    j0 = {"0": 0, "1": 1, "2": 2, "n-3": n - 3, "n-2": n - 2, "n-1": n - 1}[cell]
+    if periodic or j0 < n - 1:
+        x = min(grid.x[j0] + frac * grid.dx, grid.x_max)
+    else:
+        x = grid.x_max  # a non-periodic grid has no cell n-1: x_max closes cell n-2
+    window = stencil_window(grid, x)
+    full = disruptor_field(R, grid, params)
+    local = disruptor_field(R[window], grid, params)
+    first = int(window[0])
+    assert sample_field(local, grid, x, first=first) == sample_field(full, grid, x)
+    t = (x - grid.x_min) / grid.dx
+    k0 = min(int(np.floor(t)), n - 1 if periodic else n - 2)
+    for j in (k0, (k0 + 1) % n):
+        assert local[(j - first) % n] == full[j], f"node {j} of {n}"
+
+
+# --- read-only inputs ------------------------------------------------------------
 
 
 def _polar_fields(values, grid, params):
