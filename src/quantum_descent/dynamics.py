@@ -37,7 +37,9 @@ from .fields import (
     SpatialGrid,
     Wavefunction,
     expectation_phase,
+    momentum_weights,
     polar_decompose,
+    spectral_momentum,
 )
 from .hydro import disruptor_field, sample_field, stencil_window
 from .learner import PotentialSpec
@@ -108,7 +110,8 @@ class KostinPropagator:
 
     Precomputes what it can (kinetic phases, the potential on the grid) and
     re-extracts the phase action only when mu != 0.  One instance owns one
-    evolution; step() consumes and returns raw complex arrays.
+    evolution; step() consumes and returns raw complex arrays, and leaves the
+    DFT of the array it returned in ``spectrum`` (None before the first step).
     """
 
     def __init__(self, grid: SpatialGrid, potential: PotentialSpec, params: PhysicsParams,
@@ -134,6 +137,7 @@ class KostinPropagator:
         self.scheme = scheme
         self._Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
         self._decay = -np.expm1(-params.mu * self.dt)  # 1 - e^{-mu dt}
+        self.spectrum = None
         if scheme == "split_step_spectral":
             k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
             # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
@@ -186,7 +190,10 @@ class KostinPropagator:
         np.sin(phase, out=rotation.imag)
         out *= rotation
         f = np.fft.fft(out)
-        return np.fft.ifft(np.multiply(hk, f, out=f))
+        # the last half kinetic step is taken in frequency space: keep it as
+        # the spectrum of the state this step returns
+        self.spectrum = np.multiply(hk, f, out=f)
+        return np.fft.ifft(f)
 
     def _step_crank_nicolson(self, values: np.ndarray) -> np.ndarray:
         # semi-implicit: the effective potential (including the friction
@@ -210,7 +217,9 @@ class KostinPropagator:
         # rest of the package, and only this scheme uses it
         import scipy.linalg
 
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        result = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        self.spectrum = np.fft.fft(result)
+        return result
 
 
 @dataclass
@@ -218,9 +227,11 @@ class EvolutionRecord:
     """Per-step series and periodic snapshots of a propagation run.
 
     The series are sampled after every step (index 0 is the initial state):
-    centre <x>, hydrodynamic momentum <p>, total norm, and the disruptor
-    field evaluated at the instantaneous centre.  Snapshots hold full copies
-    of psi at the recorded times.
+    centre <x>, momentum <p> = <psi| -i hbar d/dx |psi> from the DFT of psi
+    (equal to the hydrodynamic sum rho S' dx, see
+    :func:`~quantum_descent.fields.expectation_momentum`), total norm, and the
+    disruptor field evaluated at the instantaneous centre.  Snapshots hold
+    full copies of psi at the recorded times.
     """
 
     grid: SpatialGrid
@@ -259,8 +270,9 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     dis_center = np.empty(n_steps + 1)
     snapshot_times: list[float] = []
     snapshots: list[np.ndarray] = []
+    weights = momentum_weights(grid, params)
 
-    def record(k: int) -> None:
+    def record(k: int, spectrum: np.ndarray) -> None:
         t = k * config.dt
         rho = np.abs(values) ** 2
         times[k] = t
@@ -269,22 +281,21 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
             raise NumericalError(f"non-finite wavefunction (norm={norms[k]}) at t={t:g}",
                                  step=k)
         x_mean[k] = float(np.sum(grid.x * rho) * grid.dx)
-        fields = polar_decompose(values, grid, params)
-        p_mean[k] = float(np.sum(fields.p * fields.rho) * grid.dx)
+        p_mean[k] = spectral_momentum(spectrum, weights)
         # Dis at <x> from the amplitudes its two interpolation nodes read
         x = min(max(x_mean[k], grid.x_min), grid.x_max)
         window = stencil_window(grid, x)
-        dis = disruptor_field(fields.R[window], grid, params)
+        dis = disruptor_field(np.abs(values[window]), grid, params)
         dis_center[k] = sample_field(dis, grid, x, first=int(window[0]))
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)
             snapshots.append(values.copy())
 
-    record(0)
+    record(0, np.fft.fft(values))
     for k in range(1, n_steps + 1):
         try:
             values = prop.step(values)
-            record(k)
+            record(k, prop.spectrum)
         except NumericalError as err:
             raise NumericalError(f"propagation failed at step {k}: {err}", step=k) from err
     return EvolutionRecord(grid, times, x_mean, p_mean, norms, dis_center,

@@ -307,6 +307,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {fmt!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the directory describes this run only: drop an earlier run's reports
+    # first, so that a run failing before it writes them leaves none behind
+    meta_path, error_path = out_dir / "meta.json", out_dir / "error.json"
+    meta_path.unlink(missing_ok=True)
+    error_path.unlink(missing_ok=True)
 
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
@@ -319,8 +324,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         files.append(path.name)
     meta = _assemble_meta(cfg, out_dir, fmt, comp, files)
     meta["wall_time_s"] = time.perf_counter() - t0
-    write_meta(out_dir / "meta.json", meta)
-    error_path = out_dir / "error.json"
+    write_meta(meta_path, meta)
     if comp.exit_code != EXIT_OK:
         report = {"exit_code": comp.exit_code, "status": meta["status"],
                   "error": comp.meta.get("error",
@@ -328,8 +332,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                                           "message": "trajectory left the guard region"})}
         write_meta(error_path, report)
         files.append("error.json")
-    else:
-        # the directory describes this run only: drop an earlier run's report
-        error_path.unlink(missing_ok=True)
     return ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files + ["meta.json"])),
                             meta)

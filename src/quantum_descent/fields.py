@@ -267,10 +267,35 @@ def expectation_position(psi: Wavefunction) -> float:
     return float(np.sum(psi.grid.x * rho) * psi.grid.dx)
 
 
+def momentum_weights(grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
+    """Weights w with <p> = sum_k w_k |F_k|^2 for the DFT F = fft(psi) on ``grid``.
+
+    w_k = (hbar dx / n) k_k with k = 2 pi fftfreq(n, dx): Parseval's form of
+    <psi| -i hbar d/dx |psi> with the spectral derivative.  For even n the
+    Nyquist bin gets weight 0, the odd-derivative convention: the derivative
+    then maps a real psi to a real one, so a real psi has <p> = 0 even where
+    the periodic seam cuts it.
+    """
+    if params.hbar <= 0.0:
+        raise ValueError("momentum weights need hbar > 0")
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    if grid.n % 2 == 0:
+        k[grid.n // 2] = 0.0
+    return k * (params.hbar * grid.dx / grid.n)
+
+
+def spectral_momentum(spectrum: np.ndarray, weights: np.ndarray) -> float:
+    """<p> = sum_k w_k |F_k|^2 from a state's DFT and :func:`momentum_weights`."""
+    return float(np.vdot(spectrum, weights * spectrum).real)
+
+
 def expectation_momentum(psi: Wavefunction, params: PhysicsParams) -> float:
-    """Hydrodynamic momentum <p> = sum p_j rho_j dx with p = dS/dx."""
-    fields = polar_decompose(psi.values, psi.grid, params)
-    return float(np.sum(fields.p * fields.rho) * psi.grid.dx)
+    """<p> = <psi| -i hbar d/dx |psi> from the DFT of psi.
+
+    Since Im(psi* psi') = R^2 S' / hbar, this equals the hydrodynamic momentum
+    sum rho_j S'_j dx of the polar fields, with a spectral derivative.
+    """
+    return spectral_momentum(np.fft.fft(psi.values), momentum_weights(psi.grid, params))
 
 
 def expectation_phase(fields: MadelungFields) -> float:

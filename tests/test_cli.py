@@ -187,6 +187,25 @@ def test_successful_run_removes_an_earlier_error_report(tmp_path):
     assert not (out / "error.json").exists()
 
 
+def test_config_error_leaves_no_report_of_an_earlier_run(tmp_path, capsys):
+    """A run that fails to build its initial state (exit 2) writes no report,
+    and leaves none from the run before it in the same directory."""
+    out = tmp_path / "same"
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_LEARN)
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert (out / "meta.json").exists() and (out / "error.json").exists()
+    table = tmp_path / "zero.csv"
+    table.write_text("x,re,im\n-1.0,0.0,0.0\n1.0,0.0,0.0\n")
+    cfg = _write(tmp_path, "z.yaml",
+                 "experiment: learn\n"
+                 f"initial: {{kind: custom, path: {json.dumps(str(table))}}}\n"
+                 "disruptor: {kind: field_sampled}\n")
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["status"] == "config_error"
+    assert not (out / "meta.json").exists()
+    assert not (out / "error.json").exists()
+
+
 @pytest.mark.parametrize("initial,table,message", [
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.0,0.0\n0.0,0.0,0.0\n1.0,0.0,0.0\n",
      "cannot normalize a zero wavefunction"),

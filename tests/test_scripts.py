@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantum_descent
+from quantum_descent.output import write_meta, write_table
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -44,6 +46,38 @@ def test_output_digest_hashes_every_data_file(tmp_path):
     assert all(re.fullmatch("[0-9a-f]{64}", sums[k]) for k in files)
     assert all(sums[f"{run}/exit_code"] == 0 for run in runs)
     assert "relax/density.csv" in sums and "descent_sweep/sweep_summary.csv" in sums
+
+
+def test_compare_outputs_reports_a_perturbed_column(tmp_path):
+    """One column moved in one table: that column carries the difference,
+    the rest read 0 and the untouched files read identical; a file on one
+    side only makes the exit code 1."""
+    rows = np.column_stack([np.linspace(0.0, 1.0, 5), np.linspace(-2.0, 2.0, 5)])
+    moved = rows.copy()
+    moved[3, 1] += 1e-9
+    for tree, table in (("a", rows), ("b", moved)):
+        run = tmp_path / tree / "relax"
+        run.mkdir(parents=True)
+        write_table(run, "trajectory", ["t", "u"], table, "csv")
+        write_table(run, "density", ["x", "rho_t0"], rows, "csv")
+        write_meta(run / "meta.json", {"wall_time_s": len(tree)})
+    argv = [sys.executable, str(SCRIPTS / "compare_outputs.py"),
+            str(tmp_path / "a"), str(tmp_path / "b")]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["only_in_a"] == report["only_in_b"] == []
+    assert report["files"]["relax/density.csv"] == {"identical": True}
+    columns = report["files"]["relax/trajectory.csv"]["columns"]
+    assert columns["t"] == {"max_abs": 0.0, "max_rel": 0.0}
+    assert columns["u"]["max_abs"] == abs(moved[3, 1] - rows[3, 1])
+    assert columns["u"]["max_rel"] == columns["u"]["max_abs"] / 2.0
+    assert "relax/meta.json" not in report["files"]
+
+    (tmp_path / "b" / "relax" / "density.csv").unlink()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["only_in_a"] == ["relax/density.csv"]
 
 
 def test_all_names_resolve_without_duplicates():
