@@ -2,7 +2,10 @@
 
 All stencils are 2nd-order central differences: periodic grids wrap the
 stencil, non-periodic grids fall back to one-sided 2nd-order stencils at the
-two boundary points.
+two boundary points.  :func:`first_derivative` and :func:`second_derivative`
+slice along axis 0 only, so a 2-D array is differentiated column by column,
+each column to the bits of the call on that column alone; the disruptor of
+a block of stencil windows relies on this.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import numpy as np
 
 
 def first_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    """d/dx of ``values`` sampled with spacing ``dx``."""
+    """d/dx of ``values`` sampled with spacing ``dx`` along axis 0."""
     f = np.asarray(values)
     out = np.empty_like(f, dtype=np.result_type(f, float))
     if periodic:
@@ -27,7 +30,7 @@ def first_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarra
 
 
 def second_derivative(values: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    """d2/dx2 of ``values`` sampled with spacing ``dx``."""
+    """d2/dx2 of ``values`` sampled with spacing ``dx`` along axis 0."""
     f = np.asarray(values)
     out = np.empty_like(f, dtype=np.result_type(f, float))
     dx2 = dx * dx

@@ -41,7 +41,7 @@ from .fields import (
     polar_decompose,
     spectral_momentum,
 )
-from .hydro import disruptor_field, sample_field, stencil_window
+from .hydro import WINDOW, disruptor_field, interpolate, locate_window
 from .learner import PotentialSpec
 
 SCHEMES = ("split_step_spectral", "crank_nicolson")
@@ -161,7 +161,7 @@ class KostinPropagator:
             return -self._Vx * dt
         fields = polar_decompose(values, self.grid, self.params)
         d0 = fields.S - expectation_phase(fields)
-        v_mean = float(np.sum(fields.rho * self._Vx) / np.sum(fields.rho))
+        v_mean = float((fields.rho * self._Vx).sum() / fields.rho.sum())
         # -v_mean dt - (d0 + (V - v_mean) / mu) * decay, evaluated in place
         phase = self._Vx - v_mean
         phase /= self.params.mu
@@ -230,8 +230,10 @@ class EvolutionRecord:
     centre <x>, momentum <p> = <psi| -i hbar d/dx |psi> from the DFT of psi
     (equal to the hydrodynamic sum rho S' dx, see
     :func:`~quantum_descent.fields.expectation_momentum`), total norm, and the
-    disruptor field evaluated at the instantaneous centre.  Snapshots hold
-    full copies of psi at the recorded times.
+    disruptor field evaluated at the instantaneous centre.  ``evolve`` fills
+    ``dis_center`` a block of steps at a time (see :data:`DIS_BLOCK`), with
+    the same bits as one evaluation per step.  Snapshots hold full copies of
+    psi at the recorded times.
     """
 
     grid: SpatialGrid
@@ -250,6 +252,10 @@ class EvolutionRecord:
         return np.column_stack([np.abs(s) ** 2 for s in self.snapshots])
 
 
+# recorded steps whose centre disruptor evolve evaluates in one call
+DIS_BLOCK = 512
+
+
 def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
            config: PropagatorConfig) -> EvolutionRecord:
     """Propagate psi0 to t_final, recording series every step.
@@ -257,6 +263,12 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     The step count is ceil(t_final/dt), so the final time is within one dt of
     (and not less than dt below) the requested horizon.  Numerical failures are
     re-raised with the failing step index attached.
+
+    Dis at <x> reads the six amplitudes of :func:`~quantum_descent.hydro.stencil_window`
+    only.  Each recorded step keeps those amplitudes and where <x> sits among
+    them; one :func:`~quantum_descent.hydro.disruptor_field` call on the
+    stacked windows of up to :data:`DIS_BLOCK` steps then fills their
+    ``dis_center``, so the extra memory is one block whatever the step count.
     """
     grid = psi0.grid
     n_steps = max(0, math.ceil(config.t_final / config.dt - 1e-12))
@@ -271,25 +283,40 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     snapshot_times: list[float] = []
     snapshots: list[np.ndarray] = []
     weights = momentum_weights(grid, params)
+    # per step of the block being filled: the six amplitudes of its window,
+    # the place of <x>'s first node in that window and <x>'s fraction of the
+    # cell (the block is evaluated when full, so its memory is bounded)
+    windows = np.empty((DIS_BLOCK, WINDOW), dtype=np.complex128)
+    places = np.empty(DIS_BLOCK, dtype=np.intp)
+    fracs = np.empty(DIS_BLOCK)
+    columns = np.arange(DIS_BLOCK)
+
+    def fill_dis(k: int) -> None:
+        """Dis at <x> of the block of steps that ends at step k."""
+        size = k % DIS_BLOCK + 1
+        dis = disruptor_field(np.abs(windows[:size]).T, grid, params)
+        cols, i0 = columns[:size], places[:size]
+        dis_center[k + 1 - size:k + 1] = interpolate(dis[i0, cols], dis[i0 + 1, cols],
+                                                     fracs[:size])
 
     def record(k: int, spectrum: np.ndarray) -> None:
         t = k * config.dt
         rho = np.abs(values) ** 2
         times[k] = t
-        norms[k] = float(np.sum(rho) * grid.dx)
-        if not np.isfinite(norms[k]):
-            raise NumericalError(f"non-finite wavefunction (norm={norms[k]}) at t={t:g}",
-                                 step=k)
-        x_mean[k] = float(np.sum(grid.x * rho) * grid.dx)
+        norm = float(rho.sum() * grid.dx)
+        norms[k] = norm
+        if not math.isfinite(norm):
+            raise NumericalError(f"non-finite wavefunction (norm={norm}) at t={t:g}", step=k)
+        x_mean[k] = xm = float((grid.x * rho).sum() * grid.dx)
         p_mean[k] = spectral_momentum(spectrum, weights)
-        # Dis at <x> from the amplitudes its two interpolation nodes read
-        x = min(max(x_mean[k], grid.x_min), grid.x_max)
-        window = stencil_window(grid, x)
-        dis = disruptor_field(np.abs(values[window]), grid, params)
-        dis_center[k] = sample_field(dis, grid, x, first=int(window[0]))
+        b = k % DIS_BLOCK
+        window, places[b], fracs[b] = locate_window(grid, min(max(xm, grid.x_min), grid.x_max))
+        windows[b] = values[window]
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)
             snapshots.append(values.copy())
+        if b == DIS_BLOCK - 1 or k == n_steps:
+            fill_dis(k)
 
     record(0, np.fft.fft(values))
     for k in range(1, n_steps + 1):

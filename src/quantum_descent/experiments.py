@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
                       run_learner, run_momentum_gd)
-from .output import read_table, write_meta, write_table
+from .output import read_meta, read_table, write_meta, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -293,6 +293,23 @@ def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,
     }
 
 
+def _earlier_tables(meta_path: Path) -> list:
+    """The table files an earlier run's meta.json lists under ``files``.
+
+    Only plain ``.csv`` and ``.json`` file names count, so nothing outside
+    the directory or in a subdirectory is named; a missing or unreadable
+    meta.json names nothing.
+    """
+    try:
+        files = read_meta(meta_path)["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    if not isinstance(files, list):
+        return []
+    return [name for name in files if isinstance(name, str) and Path(name).name == name
+            and Path(name).suffix in (".csv", ".json") and name != "meta.json"]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    fmt: str | None = None) -> ExperimentResult:
     """Run one configured experiment and persist its artifacts.
@@ -307,9 +324,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {fmt!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the directory describes this run only: drop an earlier run's reports
-    # first, so that a run failing before it writes them leaves none behind
+    # the directory describes this run only: drop an earlier run's data files
+    # and reports first, so that a run failing before it writes them leaves
+    # none behind
     meta_path, error_path = out_dir / "meta.json", out_dir / "error.json"
+    for name in _earlier_tables(meta_path):
+        (out_dir / name).unlink(missing_ok=True)
     meta_path.unlink(missing_ok=True)
     error_path.unlink(missing_ok=True)
 

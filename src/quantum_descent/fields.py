@@ -117,8 +117,10 @@ class Wavefunction:
         object.__setattr__(self, "values", v)
 
     def normalized(self) -> "Wavefunction":
-        """Rescale so that sum |psi|^2 dx = 1."""
+        """Rescale so that sum |psi|^2 dx = 1; the norm must be finite and positive."""
         total = norm(self)
+        if not np.isfinite(total):
+            raise ValueError(f"cannot normalize a wavefunction of non-finite norm {total}")
         if total <= 0.0:
             raise ValueError("cannot normalize a zero wavefunction")
         return Wavefunction(self.values / np.sqrt(total), self.grid)
@@ -251,10 +253,12 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
         pos = np.searchsorted(kept, gaps)
         left, right = kept[pos - 1], kept[pos]
         span[gaps] = span[np.where(gaps - left <= right - gaps, left, right)]
-    S[:first] = S[first]
-    S[last + 1:] = S[last]
-    S *= params.hbar
-    S -= S[int(np.argmax(rho))]
+    # scale and anchor the span, then fill the tails: the density maximum
+    # lies inside the span (and is its first occurrence there too)
+    span *= params.hbar
+    span -= span[int(np.argmax(rho[first:last + 1]))]
+    S[:first] = span[0]
+    S[last + 1:] = span[-1]
 
     return MadelungFields(R=R, S=S, rho=rho, grid=grid, params=params,
                           ends=(values[0], values[-1]))
@@ -300,7 +304,7 @@ def expectation_momentum(psi: Wavefunction, params: PhysicsParams) -> float:
 
 def expectation_phase(fields: MadelungFields) -> float:
     """Density-weighted mean action <S> = sum S_j rho_j dx."""
-    return float(np.sum(fields.S * fields.rho) * fields.grid.dx)
+    return float((fields.S * fields.rho).sum() * fields.grid.dx)
 
 
 def gaussian_packet(grid: SpatialGrid, x0: float, p0: float = 0.0, sigma: float = 1.0,

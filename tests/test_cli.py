@@ -119,13 +119,17 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["status"] == "config_error"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN seed divides by NaN norm
+# V = 1e307 x^2 is finite at the learner's start but overflows to inf on the
+# grid beyond |x| = 4.24, so the first propagator step turns the state NaN
+OVERFLOWING_POTENTIAL = "potential: {kind: polynomial, coefficients: [0.0, 0.0, 1.0e+307]}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf potential: overflow, inf - inf
 def test_numerical_failure_exit_3(tmp_path, capsys):
-    table = tmp_path / "seed.csv"
-    table.write_text("x,re,im\n-1.0,nan,0.0\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: evolve\n"
-                 f"initial: {{kind: custom, path: {json.dumps(str(table))}}}\n"
+                 + OVERFLOWING_POTENTIAL
+                 + "initial: {kind: gaussian, x0: 0.0}\n"
                  "run: {t_final: 0.1, dt: 0.01}\n"
                  "grid: {n: 256}\n")
     out = tmp_path / "nf"
@@ -136,15 +140,15 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert error["status"] == "numerical_failure"
     meta = read_meta(out / "meta.json")
     assert meta["status"] == "numerical_failure"
-    assert meta["error"]["step"] == 0
+    assert meta["error"]["step"] == 1  # the first state after a step
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_disruptor_field_exit_3_with_step(tmp_path, capsys):
-    table = tmp_path / "seed.csv"
-    table.write_text("x,re,im\n-1.0,nan,0.0\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: learn\n"
-                 f"initial: {{kind: custom, path: {json.dumps(str(table))}}}\n"
+                 + OVERFLOWING_POTENTIAL
+                 + "initial: {kind: gaussian, x0: 0.0}\n"
                  "disruptor: {kind: field_sampled, pde_dt: 0.1}\n"
                  "run: {steps: 5}\n"
                  "grid: {n: 256}\n")
@@ -206,9 +210,51 @@ def test_config_error_leaves_no_report_of_an_earlier_run(tmp_path, capsys):
     assert not (out / "error.json").exists()
 
 
+def test_failed_run_removes_an_earlier_runs_data_files(tmp_path, capsys):
+    """A run that fails before it writes anything (exit 2) leaves none of the
+    data files an earlier run listed in its meta.json; files that list does
+    not name stay."""
+    out = tmp_path / "same"
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_LEARN)
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert read_meta(out / "meta.json")["files"] == ["trajectory.csv"]
+    (out / "notes.txt").write_text("kept\n")
+    (out / "point_000").mkdir()
+    table = tmp_path / "zero.csv"
+    table.write_text("x,re,im\n-1.0,0.0,0.0\n1.0,0.0,0.0\n")
+    cfg = _write(tmp_path, "z.yaml",
+                 "experiment: learn\n"
+                 f"initial: {{kind: custom, path: {json.dumps(str(table))}}}\n"
+                 "disruptor: {kind: field_sampled}\n")
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "point_000"]
+
+
+def test_earlier_meta_names_only_files_inside_the_directory(tmp_path):
+    """Names in an earlier meta.json that are not plain table file names are
+    left alone; an unreadable meta.json is simply replaced."""
+    out = tmp_path / "same"
+    out.mkdir()
+    (tmp_path / "outside.csv").write_text("kept\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "inner.csv").write_text("kept\n")
+    (out / "notes.txt").write_text("kept\n")
+    (out / "meta.json").write_text(json.dumps(
+        {"files": ["../outside.csv", "sub/inner.csv", "notes.txt", "..", 7]}))
+    assert main(["learn", "--out", str(out), "--quiet"]) == 0
+    assert (tmp_path / "outside.csv").exists() and (out / "sub" / "inner.csv").exists()
+    assert (out / "notes.txt").exists()
+    (out / "meta.json").write_text("{not json")
+    assert main(["learn", "--out", str(out), "--quiet"]) == 0
+    assert read_meta(out / "meta.json")["status"] == "ok"
+
+
 @pytest.mark.parametrize("initial,table,message", [
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.0,0.0\n0.0,0.0,0.0\n1.0,0.0,0.0\n",
      "cannot normalize a zero wavefunction"),
+    ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,nan,0.0\n0.0,1.0,0.0\n1.0,0.5,0.0\n",
+     "cannot normalize a wavefunction of non-finite norm nan"),
     ("{kind: coherent, x0: -19.0}", None, "too narrow for a packet at x_t=-19"),
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5,0.0\n0.0,one,0.0\n1.0,0.5,0.0\n",
      "could not convert string to float"),
@@ -216,8 +262,8 @@ def test_config_error_leaves_no_report_of_an_earlier_run(tmp_path, capsys):
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n",
      "needs rows of three values x,re,im, got shape (3, 2)"),
     ("{kind: custom, path: TABLE}", "", "is empty"),
-], ids=["all_zero_custom", "coherent_off_the_grid", "non_numeric_custom", "header_only_custom",
-        "two_column_custom", "empty_custom"])
+], ids=["all_zero_custom", "nan_custom", "coherent_off_the_grid", "non_numeric_custom",
+        "header_only_custom", "two_column_custom", "empty_custom"])
 def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, message):
     if table is not None:
         path = tmp_path / "seed.csv"

@@ -101,3 +101,18 @@ def test_derivative_linearity(a, b):
     rhs = a * first_derivative(f, grid.dx, periodic=True) \
         + b * first_derivative(g, grid.dx, periodic=True)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@given(columns=st.integers(1, 6), periodic=st.booleans(),
+       values=st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=48, max_size=48))
+@settings(max_examples=50, deadline=None)
+def test_stencils_act_along_axis_0(columns, periodic, values):
+    """A 2-D array is differentiated column by column, each column to the bits
+    of the call on that column alone: the disruptor of a block of stencil
+    windows relies on it."""
+    rows = 48 // columns
+    f = np.array(values[:rows * columns]).reshape(columns, rows).T
+    for op in (first_derivative, second_derivative):
+        out = op(f, 0.3, periodic)
+        for c in range(columns):
+            assert np.array_equal(out[:, c], op(f[:, c].copy(), 0.3, periodic))

@@ -8,11 +8,14 @@ Gaussian.  The Crank-Nicolson scheme cross-checks the spectral one on a
 different grid type with different boundary handling.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from quantum_descent.dynamics import (CoherentStateParams, KostinPropagator,
+from quantum_descent import dynamics
+from quantum_descent.dynamics import (DIS_BLOCK, CoherentStateParams, KostinPropagator,
                                       PropagatorConfig, coherent_ode_step,
                                       coherent_state,
                                       damped_oscillator_closed_form, evolve)
@@ -257,6 +260,27 @@ def test_evolve_zero_horizon_records_initial_state():
                  PropagatorConfig(dt=0.01, t_final=0.0))
     assert len(rec.times) == 1
     assert list(rec.snapshot_times) == [0.0]
+
+
+def test_evolve_evaluates_the_disruptor_once_per_block(monkeypatch):
+    """A relax-shaped run (2000 steps, 2001 records) makes ceil(2001 / DIS_BLOCK)
+    disruptor_field calls, each on a (6, block) stack of windows."""
+    shapes = []
+    disruptor_field = dynamics.disruptor_field
+
+    def counting(R, grid, params):
+        shapes.append(R.shape)
+        return disruptor_field(R, grid, params)
+
+    monkeypatch.setattr(dynamics, "disruptor_field", counting)
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.55)
+    rec = evolve(_coherent(x0=-4.5, p0=0.2), HARMONIC, params,
+                 PropagatorConfig(dt=1e-3, t_final=2.0, snapshot_every=200))
+    records = rec.times.size
+    assert records == 2001
+    assert len(shapes) == math.ceil(records / DIS_BLOCK)
+    assert shapes[:-1] == [(6, DIS_BLOCK)] * (len(shapes) - 1)
+    assert shapes[-1] == (6, records - DIS_BLOCK * (len(shapes) - 1))
 
 
 def test_non_finite_state_raises_with_step_index():

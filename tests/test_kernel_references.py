@@ -5,7 +5,8 @@ per-step record of evolve are written for speed: slices instead of np.roll, a
 tail fill by slice assignment, an inlined unwrap over the valid span only,
 in-place arithmetic, the phase rotation as cos + i sin instead of a complex
 exponential, and the disruptor at the packet centre from the six amplitudes
-its stencils read instead of the whole grid.  Each rewrite keeps the
+its stencils read instead of the whole grid, evaluated for a block of
+recorded steps in one call.  Each rewrite keeps the
 operations and their operand order, so its output must equal the plain
 version's to the bit.  The plain versions live here as references; the tests
 demand np.array_equal, not closeness.  The one exception is the record's <p>:
@@ -24,12 +25,12 @@ from hypothesis import strategies as st
 
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
-from quantum_descent.dynamics import KostinPropagator, PropagatorConfig, evolve
+from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, PropagatorConfig, evolve
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     _unwrap, build_grid, gaussian_packet,
                                     polar_decompose)
-from quantum_descent.hydro import (disruptor_field, quantum_potential, sample_field,
-                                   stencil_window)
+from quantum_descent.hydro import (disruptor_field, interpolate, locate_window,
+                                   quantum_potential, sample_field, stencil_window)
 from quantum_descent.learner import PotentialSpec
 
 # --- references ---------------------------------------------------------------
@@ -405,6 +406,53 @@ def test_split_step_record_of_a_resolved_packet_equals_reference():
     _assert_record_equals_reference(rec, values, prop, params, steps, hydro_tol=1e-11)
 
 
+@pytest.mark.parametrize("steps", [0, 40, DIS_BLOCK - 1, 2 * DIS_BLOCK + 43],
+                         ids=["t_final_0", "shorter_than_a_block", "one_full_block",
+                              "blocks_and_a_rest"])
+def test_block_record_equals_reference(steps):
+    """evolve fills dis_center a block of DIS_BLOCK records at a time; each
+    entry equals the per-step reference, at the block edges and in a last
+    partial block too."""
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
+    values = _initial("breathing")
+    rec = evolve(Wavefunction(values, GRID), HARMONIC, params,
+                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=50))
+    assert rec.dis_center.size == steps + 1
+    _assert_record_equals_reference(rec, values, KostinPropagator(GRID, HARMONIC, params, 0.01),
+                                    params, steps)
+
+
+def test_crank_nicolson_block_record_equals_reference():
+    """A Crank-Nicolson run on a non-periodic grid that spans a block edge."""
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
+    values = gaussian_packet(OPEN_GRID, x0=-3.5, p0=0.2, sigma=0.9).values
+    steps = DIS_BLOCK + 20
+    rec = evolve(Wavefunction(values, OPEN_GRID), HARMONIC, params,
+                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=100,
+                                  scheme="crank_nicolson"))
+    prop = KostinPropagator(OPEN_GRID, HARMONIC, params, 0.01, scheme="crank_nicolson")
+    _assert_record_equals_reference(rec, values, prop, params, steps)
+
+
+@given(periodic=st.booleans(), columns=st.integers(1, 8),
+       amplitudes=st.lists(st.one_of(st.floats(1e-3, 3.0), st.sampled_from((0.0, 1e-13))),
+                           min_size=48, max_size=48),
+       hbar=st.sampled_from((1.0, 0.7)), m=st.sampled_from((1.0, 1.5)))
+@settings(max_examples=200, deadline=None)
+def test_stacked_windows_equal_one_call_per_window(periodic, columns, amplitudes, hbar, m):
+    """disruptor_field of a (6, K) stack of windows equals, column by column,
+    the call on each window alone: as evolve passes it (a transposed view)
+    and as a contiguous array."""
+    grid = build_grid(-3.0, 3.0, 16, periodic=periodic)
+    params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
+    windows = np.array(amplitudes[:6 * columns]).reshape(columns, 6)
+    for stack in (windows.T, np.ascontiguousarray(windows.T)):
+        dis = disruptor_field(stack, grid, params)
+        assert dis.shape == (6, columns)
+        for c in range(columns):
+            assert np.array_equal(dis[:, c], disruptor_field(windows[c], grid, params))
+
+
 @given(n=st.integers(8, 48), periodic=st.booleans(),
        cell=st.sampled_from(("0", "1", "2", "n-3", "n-2", "n-1")),
        frac=st.floats(0.0, 1.0, exclude_max=True),
@@ -424,10 +472,15 @@ def test_windowed_disruptor_equals_full_grid(n, periodic, cell, frac, amplitudes
     else:
         x = grid.x_max  # a non-periodic grid has no cell n-1: x_max closes cell n-2
     window = stencil_window(grid, x)
+    assert window.size == 6
     full = disruptor_field(R, grid, params)
     local = disruptor_field(R[window], grid, params)
     first = int(window[0])
     assert sample_field(local, grid, x, first=first) == sample_field(full, grid, x)
+    # the block path of evolve: the nodes' place in the window and interpolate
+    located, i0, frac = locate_window(grid, x)
+    assert np.array_equal(located, window)
+    assert interpolate(local[i0], local[i0 + 1], frac) == sample_field(full, grid, x)
     t = (x - grid.x_min) / grid.dx
     k0 = min(int(np.floor(t)), n - 1 if periodic else n - 2)
     for j in (k0, (k0 + 1) % n):

@@ -4,6 +4,7 @@ The scripts import the package's field layer directly, so an API change that
 breaks them shows here rather than on the next manual run.
 """
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -78,6 +79,59 @@ def test_compare_outputs_reports_a_perturbed_column(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=600)
     assert done.returncode == 1
     assert json.loads(done.stdout)["only_in_a"] == ["relax/density.csv"]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch, capsys):
+    """Canned benchmark results instead of runs: the pairs alternate which
+    side goes first, and the summary gives each side's median and IQR and
+    the change's wins in the declared direction."""
+    ab = _load_script("ab_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"}, {"name": "units_per_s", "better": "higher"}]}))
+    canned = {"parent": iter([(1.0, 100.0), (1.2, 90.0), (1.1, 95.0), (1.3, 80.0)]),
+              "change": iter([(0.9, 110.0), (1.0, 105.0), (1.2, 90.0), (0.8, 120.0)])}
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        wall, units = next(canned[checkout.name])
+        return {"wall_s": wall, "units_per_s": units}
+
+    monkeypatch.setattr(ab, "run_side", run_side)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "relax",
+            "--seed", "7", "--pairs", "4", "--seconds", "2"]
+    assert ab.main(argv) == 0
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert set(c[1:] for c in calls) == {("relax", 7, 2.0)}
+    report = json.loads(capsys.readouterr().out)
+    assert [p["first"] for p in report["pairs"]] == ["parent", "change"] * 2
+    assert report["pairs"][1]["parent"] == {"wall_s": 1.2, "units_per_s": 90.0}
+    wall, units = report["summary"]["wall_s"], report["summary"]["units_per_s"]
+    assert wall["change_wins"] == 3 and units["change_wins"] == 3
+    assert wall["parent"]["median"] == pytest.approx(1.15)
+    assert wall["parent"]["iqr"] == pytest.approx(1.225 - 1.075)
+    assert units["change"]["median"] == pytest.approx(107.5)
+    assert units["better"] == "higher" and units["pairs"] == 4
+
+
+def test_ab_pairs_reads_the_last_line_and_rejects_failed_runs():
+    ab = _load_script("ab_pairs")
+    good = {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {"wall_s": {"value": 1.5, "unit": "s"}}}
+    assert ab.parse_result("[relax] progress\n" + json.dumps(good) + "\n") == {"wall_s": 1.5}
+    with pytest.raises(ValueError, match="1 of 3 runs failed"):
+        ab.parse_result(json.dumps({**good, "correct": False, "failed": 1}))
+    with pytest.raises(ValueError, match="no result"):
+        ab.parse_result("")
 
 
 def test_all_names_resolve_without_duplicates():
