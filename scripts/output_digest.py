@@ -4,8 +4,9 @@
 The set covers each experiment kind and both propagator schemes: a relaxing
 coherent packet recorded every step, a learner driven by a field-sampled
 disruptor, a threaded sweep of zero-disruptor twins, the default learn,
-evolve, compare and figure1 runs, a Crank-Nicolson evolve, and a
-field-sampled learn with hbar = 0.7 and time_scale = 0.5.  Each run writes
+evolve, compare and figure1 runs, a Crank-Nicolson evolve, a split-step
+evolve without friction (mu = 0), and a field-sampled learn with hbar = 0.7
+and time_scale = 0.5.  Each run writes
 into its own directory under --out; meta.json is left out because it holds
 the wall time.  A change meant to leave the output unchanged to the bit is
 checked by running this on both commits and comparing the two documents:
@@ -60,6 +61,13 @@ CONFIGS = {
         "potential: {kind: harmonic, omega: 1.0}\n"
         "initial: {kind: coherent, x0: -4.0, u0: 0.0}\n"
         "run: {dt: 0.001, t_final: 1.0, snapshot_every: 250, scheme: crank_nicolson}\n"
+    ),
+    "frictionless": (
+        "experiment: evolve\n" + GRID
+        + "physics: {m: 1.0, hbar: 1.0, mu: 0.0}\n"
+        "potential: {kind: harmonic, omega: 1.0}\n"
+        "initial: {kind: gaussian, x0: -3.0, u0: 0.4, sigma: 1.2}\n"
+        "run: {dt: 0.002, t_final: 1.0, snapshot_every: 100}\n"
     ),
     "field_sampled_hbar": (
         "experiment: learn\n" + GRID

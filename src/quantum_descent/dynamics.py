@@ -12,6 +12,28 @@ splitting (half kinetic step in frequency space, full potential-plus-friction
 phase step with S re-extracted at the midpoint, half kinetic step); a
 Crank-Nicolson scheme is available as a cross-check on non-periodic grids.
 
+The position-space substep i hbar dpsi/dt = [V + mu (S - <S>)] psi freezes
+the density, so it is solved in closed form (solving it exactly rather than
+freezing S over the step is what keeps the Strang composition second order):
+<S> drifts by -<V> dt and the centred phase relaxes toward -(V - <V>)/mu at
+rate mu.  With d = 1 - exp(-mu dt) and the density-weighted means
+S_bar = <S>, v_bar = <V> at its start, it rotates psi by exp(i phi / hbar) with
+
+    phi = -v_bar dt - (S - S_bar + (V - v_bar)/mu) d
+        = [d S_bar + v_bar (d/mu - dt)]  -  d S  -  (d/mu) V.
+
+The split step applies it as three factors: the scalar exp(i alpha) with
+alpha = [d S_bar + v_bar (d/mu - dt)] / hbar, the phase factor
+exp(-i d S / hbar), and the potential factor P_V = exp(-i (d/mu) V / hbar).
+P_V is the same on every step, so it is computed once per propagator.  Its
+phase is -(d/mu) V and not -V dt because of that relaxation: over one
+substep V turns the phase by (d/mu) V, which tends to V dt only as mu -> 0
+(and is exactly -V dt at mu = 0, where d/mu is taken as dt and the substep
+is P_V alone).  The phase factor needs
+trigonometry only where S varies: :func:`~quantum_descent.fields.polar_decompose`
+makes S constant outside the packet's valid span, so cos and sin run on that
+span and each tail is multiplied by the factor of its span end as a scalar.
+
 For a harmonic trap the fixed-width Gaussian packet
 
     psi(x, t) = (omega/pi)^(1/4) exp(-(omega/2)(x - x_t)^2 + i p_t (x - x_t) + i s_t)
@@ -105,10 +127,43 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def check_propagation(grid: SpatialGrid, params: PhysicsParams, scheme: str) -> None:
+    """Raise ValueError unless :class:`KostinPropagator` can run ``scheme`` on
+    ``grid`` with ``params``; a bad hbar is reported first."""
+    if params.hbar <= 0:
+        raise ValueError("the wave propagator needs hbar > 0")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme == "split_step_spectral":
+        if not grid.periodic:
+            raise ValueError("split_step_spectral needs a periodic grid")
+        if not _is_power_of_two(grid.n):
+            raise ValueError(f"split_step_spectral needs a power-of-two grid, got n={grid.n}")
+    elif grid.periodic:
+        raise ValueError("crank_nicolson runs on non-periodic grids "
+                         "(use split_step_spectral for periodic ones)")
+
+
+def _unit_phasor(phase: np.ndarray, hbar: float) -> np.ndarray:
+    """np.exp(1j * phase / hbar) as cos + i sin, to the bit.
+
+    numpy's complex arithmetic gives the exponent the imaginary part
+    (phase + 0.0) * (1/hbar) (+ 0.0 turns -0.0 into 0.0), and libm's cexp of
+    a purely imaginary number is (cos, sin) of it.
+    """
+    arg = phase + 0.0
+    arg *= 1.0 / hbar
+    out = np.empty(arg.size, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 class KostinPropagator:
     """Steps a wavefunction through the dissipative nonlinear equation.
 
-    Precomputes what it can (kinetic phases, the potential on the grid) and
+    Precomputes what it can (kinetic phases, the potential on the grid and,
+    for the split step, the potential factor of the friction substep) and
     re-extracts the phase action only when mu != 0.  One instance owns one
     evolution; step() consumes and returns raw complex arrays, and leaves the
     DFT of the array it returned in ``spectrum`` (None before the first step).
@@ -116,21 +171,9 @@ class KostinPropagator:
 
     def __init__(self, grid: SpatialGrid, potential: PotentialSpec, params: PhysicsParams,
                  dt: float, scheme: str = "split_step_spectral"):
-        if params.hbar <= 0:
-            raise ValueError("the wave propagator needs hbar > 0")
+        check_propagation(grid, params, scheme)
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-        if scheme == "split_step_spectral":
-            if not grid.periodic:
-                raise ValueError("split_step_spectral needs a periodic grid")
-            if not _is_power_of_two(grid.n):
-                raise ValueError(f"split_step_spectral needs a power-of-two grid, got n={grid.n}")
-        else:
-            if grid.periodic:
-                raise ValueError("crank_nicolson runs on non-periodic grids "
-                                 "(use split_step_spectral for periodic ones)")
         self.grid = grid
         self.params = params
         self.dt = float(dt)
@@ -142,32 +185,18 @@ class KostinPropagator:
             k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
             # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
             self._half_kinetic = np.exp(-1j * params.hbar * k * k * self.dt / (4.0 * params.m))
-            # exp(i phase / hbar) of the position-space substep, rebuilt every step
-            self._rotation = np.empty(grid.n, dtype=np.complex128)
+            # P_V = exp(-i (d/mu) V / hbar), with d/mu = dt at mu = 0
+            scale = self.dt if params.mu == 0.0 else self._decay / params.mu
+            self._potential_factor = _unit_phasor(-self._Vx * scale, params.hbar)
         else:
             self._kin = params.hbar**2 / (2.0 * params.m * grid.dx**2)
 
-    def _substep_phase(self, values: np.ndarray) -> np.ndarray:
-        """Exact phase action increment of the position-space substep.
-
-        Under i hbar dpsi/dt = [V + mu (S - <S>)] psi the density is frozen,
-        <S> drifts by -<V> dt, and the centered phase relaxes toward
-        -(V - <V>)/mu at rate mu, all in closed form.  Solving the substep
-        exactly (rather than freezing S over the step) is what keeps the
-        Strang composition second order.
-        """
-        dt = self.dt
-        if self.params.mu == 0.0:
-            return -self._Vx * dt
+    def _friction_means(self, values: np.ndarray) -> tuple:
+        """(fields, <S>, <V>): the polar fields of ``values`` and the
+        density-weighted means the friction substep starts from."""
         fields = polar_decompose(values, self.grid, self.params)
-        d0 = fields.S - expectation_phase(fields)
         v_mean = float((fields.rho * self._Vx).sum() / fields.rho.sum())
-        # -v_mean dt - (d0 + (V - v_mean) / mu) * decay, evaluated in place
-        phase = self._Vx - v_mean
-        phase /= self.params.mu
-        np.add(d0, phase, out=phase)
-        phase *= self._decay
-        return np.subtract(-v_mean * dt, phase, out=phase)
+        return fields, expectation_phase(fields), v_mean
 
     def step(self, values: np.ndarray) -> np.ndarray:
         if self.scheme == "split_step_spectral":
@@ -178,29 +207,57 @@ class KostinPropagator:
         hk = self._half_kinetic
         f = np.fft.fft(values)
         out = np.fft.ifft(np.multiply(hk, f, out=f))
-        # exp(1j * phase / hbar) as cos + i sin, to the bit: numpy's complex
-        # arithmetic makes the argument's imaginary part (phase + 0.0) * (1/hbar)
-        # (+ 0.0 turns -0.0 into 0.0), and libm's cexp of a purely imaginary
-        # number is (cos, sin) of it
-        phase = self._substep_phase(out)
-        phase += 0.0
-        phase *= 1.0 / self.params.hbar
-        rotation = self._rotation
-        np.cos(phase, out=rotation.real)
-        np.sin(phase, out=rotation.imag)
-        out *= rotation
+        if self.params.mu == 0.0:
+            out *= self._potential_factor
+        else:
+            self._rotate_with_friction(out)
         f = np.fft.fft(out)
         # the last half kinetic step is taken in frequency space: keep it as
         # the spectrum of the state this step returns
         self.spectrum = np.multiply(hk, f, out=f)
         return np.fft.ifft(f)
 
+    def _rotate_with_friction(self, out: np.ndarray) -> None:
+        """Apply the friction substep to ``out`` in place, element by element
+        (out * P_V) * (exp(1j * (-d * S) / hbar) * exp(1j * alpha)).
+
+        Outside the valid span S is constant, so each tail takes the factor
+        of its span end as a scalar: numpy's array-times-scalar product has
+        the bits of its array-times-array one, so this is the full-grid
+        product.  The scalar is read from the span's array product, because
+        numpy's product of two complex scalars need not round like its array
+        loop.
+        """
+        fields, s_mean, v_mean = self._friction_means(out)
+        hbar, d, dt = self.params.hbar, self._decay, self.dt
+        alpha = (d * s_mean + v_mean * (d / self.params.mu - dt)) / hbar
+        first, last = fields.span
+        rotation = _unit_phasor(-d * fields.S[first:last + 1], hbar)
+        rotation *= np.exp(1j * alpha)
+        out *= self._potential_factor
+        out[first:last + 1] *= rotation
+        out[:first] *= rotation[0]
+        out[last + 1:] *= rotation[-1]
+
     def _step_crank_nicolson(self, values: np.ndarray) -> np.ndarray:
         # semi-implicit: the effective potential (including the friction
         # term's relaxation) is frozen at the current state for one step,
         # so this scheme is first order in the friction coupling; it serves
         # as an independent cross-check of the spectral propagator
-        w = -self._substep_phase(values) / self.dt
+        dt = self.dt
+        if self.params.mu == 0.0:
+            phase = -self._Vx * dt
+        else:
+            # the substep's phase in closed form (see the module docstring),
+            # evaluated in place
+            fields, s_mean, v_mean = self._friction_means(values)
+            d0 = fields.S - s_mean
+            phase = self._Vx - v_mean
+            phase /= self.params.mu
+            np.add(d0, phase, out=phase)
+            phase *= self._decay
+            phase = np.subtract(-v_mean * dt, phase, out=phase)
+        w = -phase / dt
         n = self.grid.n
         diag = 2.0 * self._kin + w
         off = -self._kin

@@ -9,6 +9,7 @@ between identical runs.
 from __future__ import annotations
 
 import platform
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ import scipy
 from ._version import __version__
 from .config import ExperimentConfig
 from .dynamics import (CoherentStateParams, EvolutionRecord, PropagatorConfig,
-                       coherent_state, evolve)
+                       check_propagation, coherent_state, evolve)
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
@@ -33,6 +34,7 @@ EXIT_NUMERICAL = 3
 EXIT_DIVERGED = 4
 
 TRAJECTORY_HEADER = ["t", "x", "u", "V", "dis"]
+POINT_DIR = re.compile(r"point_[0-9]{3,}")
 
 
 @dataclass
@@ -86,6 +88,23 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
     except ValueError as err:
         source = f" from {init.path}" if init.kind == "custom" else ""
         raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
+
+
+def _check_propagation(cfg: ExperimentConfig) -> None:
+    """Reject, naming the key, settings the wave propagator cannot run with.
+
+    evolve and figure1 propagate a wavefunction, and so does a field-sampled
+    disruptor unless hbar = 0 (its prefactor then vanishes and nothing is
+    propagated, so learner-only runs keep hbar = 0).
+    """
+    if not (cfg.experiment in ("evolve", "figure1")
+            or (cfg.disruptor.kind == "field_sampled" and cfg.physics.hbar > 0.0)):
+        return
+    try:
+        check_propagation(cfg.grid, cfg.physics, cfg.run.scheme)
+    except ValueError as err:
+        key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "run.scheme"
+        raise ConfigError(f"'{key}': {err}") from err
 
 
 def _build_disruptor(cfg: ExperimentConfig):
@@ -236,6 +255,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     sub_base = replace(cfg, experiment=sweep.experiment, sweep=None)
     # validate every point before computing any of them
     points = [_set_sweep_value(sub_base, sweep.parameter, v) for v in sweep.values]
+    for point in points:
+        _check_propagation(point)
 
     if len(points) > 1:
         with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
@@ -293,21 +314,64 @@ def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,
     }
 
 
-def _earlier_tables(meta_path: Path) -> list:
+def _earlier_meta(meta_path: Path) -> dict:
+    """An earlier run's meta.json; a missing or unreadable one is empty."""
+    try:
+        meta = read_meta(meta_path)
+    except (OSError, ValueError):
+        return {}
+    return meta if isinstance(meta, dict) else {}
+
+
+def _earlier_tables(meta: dict) -> list:
     """The table files an earlier run's meta.json lists under ``files``.
 
     Only plain ``.csv`` and ``.json`` file names count, so nothing outside
-    the directory or in a subdirectory is named; a missing or unreadable
-    meta.json names nothing.
+    the directory or in a subdirectory is named.
     """
-    try:
-        files = read_meta(meta_path)["files"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return []
+    files = meta.get("files")
     if not isinstance(files, list):
         return []
     return [name for name in files if isinstance(name, str) and Path(name).name == name
             and Path(name).suffix in (".csv", ".json") and name != "meta.json"]
+
+
+def _earlier_points(meta: dict) -> list:
+    """The point directories an earlier sweep's meta.json lists: plain
+    ``point_NNN`` names only, so nothing but a direct subdirectory is named."""
+    points = meta.get("points")
+    if not isinstance(points, list):
+        return []
+    names = (point.get("directory") for point in points if isinstance(point, dict))
+    return [name for name in names if isinstance(name, str) and POINT_DIR.fullmatch(name)]
+
+
+def _remove_earlier_run(out_dir: Path) -> None:
+    """Delete what the run before this one says it wrote into ``out_dir``.
+
+    That is the tables and point directories its meta.json lists, then that
+    meta.json and any error.json.  A point directory loses the tables its own
+    meta.json lists and that meta.json; it is removed only if that leaves it
+    empty, so files the runs did not write stay.
+    """
+    meta_path = out_dir / "meta.json"
+    meta = _earlier_meta(meta_path)
+    for name in _earlier_tables(meta):
+        (out_dir / name).unlink(missing_ok=True)
+    for name in _earlier_points(meta):
+        point_dir = out_dir / name
+        if point_dir.is_symlink() or not point_dir.is_dir():
+            continue
+        point_meta = point_dir / "meta.json"
+        for table in _earlier_tables(_earlier_meta(point_meta)):
+            (point_dir / table).unlink(missing_ok=True)
+        point_meta.unlink(missing_ok=True)
+        try:
+            point_dir.rmdir()
+        except OSError:
+            pass  # it holds files no run listed
+    meta_path.unlink(missing_ok=True)
+    (out_dir / "error.json").unlink(missing_ok=True)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
@@ -327,15 +391,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # the directory describes this run only: drop an earlier run's data files
     # and reports first, so that a run failing before it writes them leaves
     # none behind
+    _remove_earlier_run(out_dir)
     meta_path, error_path = out_dir / "meta.json", out_dir / "error.json"
-    for name in _earlier_tables(meta_path):
-        (out_dir / name).unlink(missing_ok=True)
-    meta_path.unlink(missing_ok=True)
-    error_path.unlink(missing_ok=True)
 
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
     else:
+        _check_propagation(cfg)
         comp = _compute_point(cfg)
 
     files = []

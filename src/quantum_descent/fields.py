@@ -133,6 +133,9 @@ class MadelungFields:
     The velocity u and the momentum p are derived from S on first read, so a
     caller that needs only S and rho pays nothing for them.  The arrays are
     not frozen; treat them as read-only, since u is derived from S when read.
+    ``span`` is (first, last), the first and the last point whose density
+    clears the node floor: outside it S is constant, S[:first] = S[first]
+    and S[last + 1:] = S[last].
     """
 
     R: np.ndarray
@@ -142,6 +145,7 @@ class MadelungFields:
     params: PhysicsParams
     # psi at the first and the last grid point, for the periodic seam of u
     ends: tuple = field(repr=False)
+    span: tuple = field(repr=False)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -261,7 +265,7 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     S[last + 1:] = span[-1]
 
     return MadelungFields(R=R, S=S, rho=rho, grid=grid, params=params,
-                          ends=(values[0], values[-1]))
+                          ends=(values[0], values[-1]), span=(first, last))
 
 
 def expectation_position(psi: Wavefunction) -> float:

@@ -250,6 +250,43 @@ def test_earlier_meta_names_only_files_inside_the_directory(tmp_path):
     assert read_meta(out / "meta.json")["status"] == "ok"
 
 
+@pytest.mark.parametrize("experiment,config,key", [
+    ("evolve", "run: {scheme: crank_nicolson, t_final: 0.01}\n", "'run.scheme'"),
+    ("learn", "disruptor: {kind: field_sampled}\nrun: {scheme: crank_nicolson, steps: 3}\n",
+     "'run.scheme'"),
+    ("evolve", "physics: {hbar: 0.0}\nrun: {t_final: 0.01}\n", "'physics.hbar'"),
+    ("evolve", "grid: {n: 1000}\nrun: {t_final: 0.01}\n", "'run.scheme'"),
+    ("sweep", "run: {t_final: 0.01}\n"
+     "sweep: {parameter: physics.hbar, values: [1.0, 0.0], experiment: evolve}\n",
+     "'physics.hbar'"),
+], ids=["crank_nicolson_periodic_evolve", "crank_nicolson_field_sampled_learn",
+        "hbar_0_evolve", "split_step_non_power_of_two", "hbar_0_sweep_point"])
+def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment, config,
+                                                     key):
+    """Settings the propagator cannot run with are config errors naming the
+    key, found before any point computes."""
+    cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n{config}")
+    out = tmp_path / "o"
+    assert main([experiment, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert (report["exit_code"], report["status"]) == (2, "config_error")
+    assert key in report["error"]["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_learner_only_run_keeps_hbar_0(tmp_path):
+    """hbar = 0 switches a field-sampled disruptor off; nothing is propagated."""
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: learn\nphysics: {hbar: 0.0}\n"
+                 "disruptor: {kind: field_sampled}\nrun: {steps: 20}\n")
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, rows = read_table(out / "trajectory.csv")
+    assert np.all(rows[:, 4] == 0.0)
+
+
 @pytest.mark.parametrize("initial,table,message", [
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.0,0.0\n0.0,0.0,0.0\n1.0,0.0,0.0\n",
      "cannot normalize a zero wavefunction"),
@@ -380,6 +417,26 @@ def test_sweep_layout_and_ordering(tmp_path):
         assert (point / "trajectory.csv").exists()
         meta = read_meta(point / "meta.json")
         assert meta["effective_config"]["physics"]["mu"] == mu
+
+
+def test_sweep_removes_an_earlier_sweeps_extra_points(tmp_path):
+    """A 2-point sweep after a 4-point one into the same directory leaves no
+    point_002 or point_003 behind.  A point directory holding a file no run
+    wrote loses only what its meta.json lists, and stays."""
+    out = tmp_path / "sw"
+    for values in ("[0.003, 0.006, 0.009, 0.012]", "[0.5, 1.0]"):
+        cfg = _write(tmp_path, "c.yaml",
+                     "experiment: sweep\nrun: {steps: 30}\n"
+                     f"sweep: {{parameter: physics.mu, values: {values}, "
+                     "experiment: compare}\n")
+        if values == "[0.5, 1.0]":
+            (out / "point_003" / "notes.txt").write_text("kept\n")
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(read_meta(out / "meta.json")["points"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "meta.json", "point_000", "point_001", "point_003", "sweep_summary.csv"]
+    assert [p.name for p in (out / "point_003").iterdir()] == ["notes.txt"]
+    assert read_meta(out / "point_001" / "meta.json")["effective_config"]["physics"]["mu"] == 1.0
 
 
 def test_sweep_summary_json_integer_columns(tmp_path):

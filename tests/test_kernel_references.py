@@ -13,9 +13,17 @@ demand np.array_equal, not closeness.  The one exception is the record's <p>:
 it is read from the DFT the step already holds instead of from a second polar
 decomposition, a different sum for the same quantity, so it is held within
 roundoff of a spectral reference and, where the state is resolved, within the
-stencil's error of the hydrodynamic sum rho S' dx.  The kernels take plain
-arrays and copy nothing on entry, so the last tests hand them read-only
-inputs.
+stencil's error of the hydrodynamic sum rho S' dx.  The second exception
+is the friction substep's rotation with mu > 0.  The split step applies it
+as the potential factor P_V = exp(-i (d/mu) V / hbar), fixed for the run,
+times exp(-i d S / hbar) times the scalar exp(i alpha), with trigonometry
+over the packet's valid span only.  That is the same rotation as the one
+expression exp(i phase / hbar) with different rounding.  So each step equals
+a plain full-grid product of the three factors to the bit, and stays within
+1e-13 relative of the one-expression step.  With mu = 0 the rotation is P_V
+alone and still equals the one-expression step to the bit.  The kernels take
+plain arrays and copy nothing on entry, so the last tests hand them
+read-only inputs.
 """
 
 import numpy as np
@@ -106,6 +114,26 @@ def ref_spectral_step(values, grid, potential, params, dt):
         decay = -np.expm1(-params.mu * dt)
         phase = -v_mean * dt - (d0 + (Vx - v_mean) / params.mu) * decay
     out *= np.exp(1j * phase / params.hbar)
+    return np.fft.ifft(half_kinetic * np.fft.fft(out))
+
+
+def ref_factored_step(values, grid, potential, params, dt):
+    """One Strang step with the friction substep's rotation as the product of
+    its three factors on the full grid: P_V = exp(-i (d/mu) V / hbar),
+    exp(-i d S / hbar) and exp(i alpha), with d = 1 - exp(-mu dt) and
+    alpha = [d <S> + <V> (d/mu - dt)] / hbar (mu > 0)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    half_kinetic = np.exp(-1j * params.hbar * k * k * dt / (4.0 * params.m))
+    Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
+    out = np.fft.ifft(half_kinetic * np.fft.fft(values))
+    S, rho, _, _ = ref_polar_decompose(out, grid, params)
+    s_mean = float(np.sum(S * rho) * grid.dx)
+    v_mean = float(np.sum(rho * Vx) / np.sum(rho))
+    decay = -np.expm1(-params.mu * dt)
+    alpha = (decay * s_mean + v_mean * (decay / params.mu - dt)) / params.hbar
+    potential_factor = np.exp(1j * (-Vx * (decay / params.mu)) / params.hbar)
+    friction = np.exp(1j * (-decay * S) / params.hbar) * np.exp(1j * alpha)
+    out = out * potential_factor * friction
     return np.fft.ifft(half_kinetic * np.fft.fft(out))
 
 
@@ -288,6 +316,9 @@ def _initial(kind, hbar=1.0):
 def test_propagator_steps_equal_reference_steps(initial, m, hbar, mu):
     """200 steps, each equal to the bit to a step built from the references.
 
+    With mu > 0 the reference is the factored rotation on the full grid, and
+    the steps also stay within 1e-13 relative of the one-expression step,
+    run alongside; with mu = 0 the one-expression step is the reference.
     The breathing packet has one contiguous valid span; the odd state keeps
     a node at x = 0 on this grid, so most of its friction substeps fill an
     interior gap.  hbar = 0.7 scales the rotation by 1/hbar, mu = 0 rotates
@@ -300,10 +331,18 @@ def test_propagator_steps_equal_reference_steps(initial, m, hbar, mu):
     prop = KostinPropagator(GRID, HARMONIC, params, dt)
     ours = np.array(values)
     ref = np.array(values)
+    plain = np.array(values)
     for k in range(200):
         ours = prop.step(ours)
-        ref = ref_spectral_step(ref, GRID, HARMONIC, params, dt)
+        plain = ref_spectral_step(plain, GRID, HARMONIC, params, dt)
+        if mu == 0.0:
+            assert np.array_equal(ours, plain), f"step {k + 1} differs"
+            continue
+        ref = ref_factored_step(ref, GRID, HARMONIC, params, dt)
         assert np.array_equal(ours, ref), f"step {k + 1} differs"
+        # the two rotations differ by roundoff only (measured 5e-15)
+        gap = np.max(np.abs(ours - plain)) / np.max(np.abs(plain))
+        assert gap <= 1e-13, f"step {k + 1} is {gap:.2e} from the one-expression step"
 
 
 def test_fast_packet_wraps_its_phase_inside_the_span():
@@ -325,14 +364,17 @@ def test_odd_state_has_an_interior_node():
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_rotation_equals_the_complex_exponential_to_the_bit(hbar):
-    """cos + i sin equals np.exp(1j * phase / hbar) bit for bit, signed zeros
-    included: with mu = 0 the phase is -V dt, which is -0.0 where V = 0."""
-    params = PhysicsParams(m=1.0, hbar=hbar, mu=0.0)
-    prop = KostinPropagator(GRID, HARMONIC, params, 0.01)
-    prop.step(_initial("breathing", hbar))
-    phase = -np.asarray(HARMONIC.evaluate(GRID.x)) * 0.01
-    assert np.signbit(phase[GRID.n // 2]) and phase[GRID.n // 2] == 0.0
-    assert prop._rotation.tobytes() == np.exp(1j * phase / hbar).tobytes()
+    """The precomputed potential factor, cos + i sin, equals
+    np.exp(1j * phase / hbar) bit for bit, signed zeros included: with mu = 0
+    the phase is -V dt, and with mu > 0 it is -V (d/mu); both are -0.0 where
+    V = 0."""
+    for mu in (0.0, 0.45):
+        params = PhysicsParams(m=1.0, hbar=hbar, mu=mu)
+        prop = KostinPropagator(GRID, HARMONIC, params, 0.01)
+        scale = 0.01 if mu == 0.0 else -np.expm1(-mu * 0.01) / mu
+        phase = -np.asarray(HARMONIC.evaluate(GRID.x)) * scale
+        assert np.signbit(phase[GRID.n // 2]) and phase[GRID.n // 2] == 0.0
+        assert prop._potential_factor.tobytes() == np.exp(1j * phase / hbar).tobytes()
 
 
 # --- the per-step record -----------------------------------------------------------
