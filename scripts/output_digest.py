@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Print the sha256 of every data file of a fixed set of runs, as JSON.
 
-The set covers each experiment kind and both propagator schemes: a relaxing
-coherent packet recorded every step, a learner driven by a field-sampled
-disruptor, a threaded sweep of zero-disruptor twins, the default learn,
-evolve, compare and figure1 runs, a Crank-Nicolson evolve, a split-step
-evolve without friction (mu = 0), and a field-sampled learn with hbar = 0.7
-and time_scale = 0.5.  Each run writes
+The set covers each experiment kind: a relaxing coherent packet recorded
+every step, a learner driven by a field-sampled disruptor, a threaded sweep
+of zero-disruptor twins, the default learn, evolve, compare and figure1
+runs, an evolve without friction (mu = 0), and a field-sampled learn with
+hbar = 0.7 and time_scale = 0.5.  Each run writes
 into its own directory under --out; meta.json is left out because it holds
 the wall time.  A change meant to leave the output unchanged to the bit is
 checked by running this on both commits and comparing the two documents:
@@ -53,14 +52,6 @@ CONFIGS = {
         "run: {steps: 12000, stop_tol: 1.0e-200}\n"
         "sweep: {parameter: physics.mu, values: [0.003, 0.006, 0.009, 0.012], "
         "experiment: compare}\n"
-    ),
-    "crank_nicolson": (
-        "experiment: evolve\n"
-        "grid: {x_min: -20.0, x_max: 20.0, n: 1537, periodic: false}\n"
-        "physics: {m: 1.0, hbar: 1.0, mu: 0.5}\n"
-        "potential: {kind: harmonic, omega: 1.0}\n"
-        "initial: {kind: coherent, x0: -4.0, u0: 0.0}\n"
-        "run: {dt: 0.001, t_final: 1.0, snapshot_every: 250, scheme: crank_nicolson}\n"
     ),
     "frictionless": (
         "experiment: evolve\n" + GRID

@@ -5,8 +5,9 @@ A 1-D hydrodynamic view of dissipative quantum mechanics: the polar
 velocity, and a quantum potential; the trajectory of the density's centre
 follows a momentum gradient-descent update whose learning rate and momentum
 factor are set by the particle mass and friction, disrupted by an
-hbar-dependent field.  A dissipative nonlinear Schrodinger propagator and
-closed-form damped-oscillator solutions provide independent cross-checks.
+hbar-dependent field.  A split-step propagator of the dissipative nonlinear
+Schrodinger equation and closed-form damped-oscillator solutions provide
+independent cross-checks.
 """
 
 from ._version import __version__
@@ -14,7 +15,7 @@ from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
                      OutputConfig, RunConfig, SweepConfig, default_config,
                      load_config, parse_config)
 from .dynamics import (CoherentStateParams, EvolutionRecord, KostinPropagator,
-                       PropagatorConfig, coherent_ode_step, coherent_state,
+                       PropagatorConfig, coherent_state,
                        damped_oscillator_closed_form, evolve)
 from .errors import (ConfigError, NodeDominatedError, NodeDominatedWarning,
                      NumericalError)
@@ -24,10 +25,8 @@ from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      expectation_position, gaussian_packet, norm, plane_wave,
                      polar_decompose)
 from .hydro import disruptor_field, quantum_potential, sample_field, stencil_window
-from .learner import (CallbackDisruptor, FieldSampledDisruptor, LearnerRun,
-                      LearnerState, PotentialSpec, ZeroDisruptor,
-                      momentum_gd_step, quantum_learn_step, run_learner,
-                      run_momentum_gd)
+from .learner import (FieldSampledDisruptor, LearnerRun, LearnerState,
+                      PotentialSpec, ZeroDisruptor, run_learner, run_momentum_gd)
 
 __all__ = [
     "__version__",
@@ -37,11 +36,10 @@ __all__ = [
     "expectation_position", "expectation_momentum", "EPS_NODE",
     "quantum_potential", "disruptor_field", "sample_field", "stencil_window",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
-    "CallbackDisruptor", "FieldSampledDisruptor", "momentum_gd_step",
-    "quantum_learn_step", "run_learner", "run_momentum_gd",
+    "FieldSampledDisruptor", "run_learner", "run_momentum_gd",
     "PropagatorConfig", "CoherentStateParams", "KostinPropagator",
     "EvolutionRecord", "coherent_state", "evolve",
-    "coherent_ode_step", "damped_oscillator_closed_form",
+    "damped_oscillator_closed_form",
     "ExperimentConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
     "OutputConfig", "SweepConfig", "parse_config", "load_config",
     "default_config", "ExperimentResult", "run_experiment",

@@ -40,7 +40,6 @@ _RUN_DEFAULTS = {
     "t_final": 20.0,
     "dt": 0.02,
     "snapshot_every": 100,
-    "scheme": "split_step_spectral",
     "time_scale": 1.0,
 }
 _RUN_OVERRIDES = {
@@ -55,7 +54,10 @@ _POTENTIAL_KEYS = {
 }
 _INITIAL_KEYS = {"kind", "x0", "u0", "p0", "sigma", "path"}
 _DISRUPTOR_KEYS = {"kind", "pde_dt"}
-_RUN_KEYS = set(_RUN_DEFAULTS)
+# run.scheme is still accepted because existing configs (the benchmark's relax
+# config among them) name it; its one legal value is the split step, and
+# nothing after the parser reads it
+_RUN_KEYS = set(_RUN_DEFAULTS) | {"scheme"}
 _OUTPUT_KEYS = {"directory", "format"}
 _SWEEP_KEYS = {"parameter", "values", "experiment"}
 _TOP_KEYS = {"experiment", "grid", "physics", "potential", "initial",
@@ -90,7 +92,6 @@ class RunConfig:
     t_final: float = 20.0
     dt: float = 0.02
     snapshot_every: int = 100
-    scheme: str = "split_step_spectral"
     time_scale: float = 1.0
 
 
@@ -143,7 +144,7 @@ class ExperimentConfig:
             "run": {"steps": self.run.steps, "stop_tol": self.run.stop_tol,
                     "t_final": self.run.t_final, "dt": self.run.dt,
                     "snapshot_every": self.run.snapshot_every,
-                    "scheme": self.run.scheme, "time_scale": self.run.time_scale},
+                    "time_scale": self.run.time_scale},
             "output": {"directory": self.output.directory, "format": self.output.format},
         }
         if self.sweep is not None:
@@ -332,13 +333,17 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     snapshot_every = _as_int(run_sec["snapshot_every"], "run.snapshot_every")
     if snapshot_every < 1:
         raise ConfigError(f"'run.snapshot_every' must be >= 1, got {snapshot_every}")
-    scheme = _as_str(run_sec["scheme"], "run.scheme",
-                     ("split_step_spectral", "crank_nicolson"))
+    if "scheme" in run_sec:
+        scheme = _as_str(run_sec["scheme"], "run.scheme")
+        if scheme != "split_step_spectral":
+            raise ConfigError(f"'run.scheme' must be 'split_step_spectral', got {scheme!r}: "
+                              "the split step is the only propagator, and the "
+                              "Crank-Nicolson scheme is no longer in the package")
     time_scale = _as_float(run_sec["time_scale"], "run.time_scale")
     if time_scale <= 0:
         raise ConfigError(f"'run.time_scale' must be positive, got {time_scale}")
     run = RunConfig(steps=steps, stop_tol=stop_tol, t_final=t_final, dt=dt,
-                    snapshot_every=snapshot_every, scheme=scheme, time_scale=time_scale)
+                    snapshot_every=snapshot_every, time_scale=time_scale)
 
     out_sec = {**_OUTPUT_DEFAULTS, **_require_mapping(raw.get("output"), "output")}
     _reject_unknown(out_sec, _OUTPUT_KEYS, "output")

@@ -7,10 +7,10 @@ proportional to the fluctuating part of the phase action,
 
 where S = hbar arg(psi) and <S> is its density-weighted mean.  Since the
 friction term is real it only rotates local phases, so the propagation is norm
-preserving by construction.  The default integrator is 2nd-order Strang
-splitting (half kinetic step in frequency space, full potential-plus-friction
-phase step with S re-extracted at the midpoint, half kinetic step); a
-Crank-Nicolson scheme is available as a cross-check on non-periodic grids.
+preserving by construction.  The integrator is 2nd-order Strang splitting
+(half kinetic step in frequency space, full potential-plus-friction phase
+step with S re-extracted at the midpoint, half kinetic step), so it runs on
+periodic grids of a power-of-two number of points.
 
 The position-space substep i hbar dpsi/dt = [V + mu (S - <S>)] psi freezes
 the density, so it is solved in closed form (solving it exactly rather than
@@ -49,7 +49,7 @@ doubles as an independent oracle for the PDE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +66,12 @@ from .fields import (
 from .hydro import WINDOW, disruptor_field, interpolate, locate_window
 from .learner import PotentialSpec
 
-SCHEMES = ("split_step_spectral", "crank_nicolson")
-
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Time-stepping parameters for :func:`evolve`."""
 
     dt: float = 1e-3
-    scheme: str = "split_step_spectral"
     t_final: float = 10.0
     snapshot_every: int = 100
 
@@ -85,8 +82,6 @@ class PropagatorConfig:
             raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -127,21 +122,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def check_propagation(grid: SpatialGrid, params: PhysicsParams, scheme: str) -> None:
-    """Raise ValueError unless :class:`KostinPropagator` can run ``scheme`` on
-    ``grid`` with ``params``; a bad hbar is reported first."""
+def check_propagation(grid: SpatialGrid, params: PhysicsParams) -> None:
+    """Raise ValueError unless :class:`KostinPropagator` can run on ``grid``
+    with ``params``; a bad hbar is reported first, then a non-periodic grid."""
     if params.hbar <= 0:
         raise ValueError("the wave propagator needs hbar > 0")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if scheme == "split_step_spectral":
-        if not grid.periodic:
-            raise ValueError("split_step_spectral needs a periodic grid")
-        if not _is_power_of_two(grid.n):
-            raise ValueError(f"split_step_spectral needs a power-of-two grid, got n={grid.n}")
-    elif grid.periodic:
-        raise ValueError("crank_nicolson runs on non-periodic grids "
-                         "(use split_step_spectral for periodic ones)")
+    if not grid.periodic:
+        raise ValueError("the wave propagator needs a periodic grid")
+    if not _is_power_of_two(grid.n):
+        raise ValueError(f"the wave propagator needs a power-of-two number of points, "
+                         f"got n={grid.n}")
 
 
 def _unit_phasor(phase: np.ndarray, hbar: float) -> np.ndarray:
@@ -162,48 +152,33 @@ def _unit_phasor(phase: np.ndarray, hbar: float) -> np.ndarray:
 class KostinPropagator:
     """Steps a wavefunction through the dissipative nonlinear equation.
 
-    Precomputes what it can (kinetic phases, the potential on the grid and,
-    for the split step, the potential factor of the friction substep) and
-    re-extracts the phase action only when mu != 0.  One instance owns one
-    evolution; step() consumes and returns raw complex arrays, and leaves the
-    DFT of the array it returned in ``spectrum`` (None before the first step).
+    Precomputes what it can (kinetic phases, the potential on the grid and
+    the potential factor of the friction substep) and re-extracts the phase
+    action only when mu != 0.  One instance owns one evolution; step()
+    consumes and returns raw complex arrays, and leaves the DFT of the array
+    it returned in ``spectrum`` (None before the first step).
     """
 
     def __init__(self, grid: SpatialGrid, potential: PotentialSpec, params: PhysicsParams,
-                 dt: float, scheme: str = "split_step_spectral"):
-        check_propagation(grid, params, scheme)
+                 dt: float):
+        check_propagation(grid, params)
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.params = params
         self.dt = float(dt)
-        self.scheme = scheme
         self._Vx = np.asarray(potential.evaluate(grid.x), dtype=float)
         self._decay = -np.expm1(-params.mu * self.dt)  # 1 - e^{-mu dt}
         self.spectrum = None
-        if scheme == "split_step_spectral":
-            k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-            # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
-            self._half_kinetic = np.exp(-1j * params.hbar * k * k * self.dt / (4.0 * params.m))
-            # P_V = exp(-i (d/mu) V / hbar), with d/mu = dt at mu = 0
-            scale = self.dt if params.mu == 0.0 else self._decay / params.mu
-            self._potential_factor = _unit_phasor(-self._Vx * scale, params.hbar)
-        else:
-            self._kin = params.hbar**2 / (2.0 * params.m * grid.dx**2)
-
-    def _friction_means(self, values: np.ndarray) -> tuple:
-        """(fields, <S>, <V>): the polar fields of ``values`` and the
-        density-weighted means the friction substep starts from."""
-        fields = polar_decompose(values, self.grid, self.params)
-        v_mean = float((fields.rho * self._Vx).sum() / fields.rho.sum())
-        return fields, expectation_phase(fields), v_mean
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+        # half step of exp(-i T dt / hbar) with T = hbar^2 k^2 / 2m
+        self._half_kinetic = np.exp(-1j * params.hbar * k * k * self.dt / (4.0 * params.m))
+        # P_V = exp(-i (d/mu) V / hbar), with d/mu = dt at mu = 0
+        scale = self.dt if params.mu == 0.0 else self._decay / params.mu
+        self._potential_factor = _unit_phasor(-self._Vx * scale, params.hbar)
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        if self.scheme == "split_step_spectral":
-            return self._step_spectral(values)
-        return self._step_crank_nicolson(values)
-
-    def _step_spectral(self, values: np.ndarray) -> np.ndarray:
+        """One Strang step of dt: half kinetic, friction substep, half kinetic."""
         hk = self._half_kinetic
         f = np.fft.fft(values)
         out = np.fft.ifft(np.multiply(hk, f, out=f))
@@ -221,16 +196,18 @@ class KostinPropagator:
         """Apply the friction substep to ``out`` in place, element by element
         (out * P_V) * (exp(1j * (-d * S) / hbar) * exp(1j * alpha)).
 
-        Outside the valid span S is constant, so each tail takes the factor
-        of its span end as a scalar: numpy's array-times-scalar product has
-        the bits of its array-times-array one, so this is the full-grid
-        product.  The scalar is read from the span's array product, because
-        numpy's product of two complex scalars need not round like its array
-        loop.
+        S and the density-weighted means <S> and <V> that alpha reads come
+        from the polar fields of ``out``.  Outside the valid span S is
+        constant, so each tail takes the factor of its span end as a scalar:
+        numpy's array-times-scalar product has the bits of its
+        array-times-array one, so this is the full-grid product.  The scalar
+        is read from the span's array product, because numpy's product of two
+        complex scalars need not round like its array loop.
         """
-        fields, s_mean, v_mean = self._friction_means(out)
+        fields = polar_decompose(out, self.grid, self.params)
+        v_mean = float((fields.rho * self._Vx).sum() / fields.rho.sum())
         hbar, d, dt = self.params.hbar, self._decay, self.dt
-        alpha = (d * s_mean + v_mean * (d / self.params.mu - dt)) / hbar
+        alpha = (d * expectation_phase(fields) + v_mean * (d / self.params.mu - dt)) / hbar
         first, last = fields.span
         rotation = _unit_phasor(-d * fields.S[first:last + 1], hbar)
         rotation *= np.exp(1j * alpha)
@@ -238,45 +215,6 @@ class KostinPropagator:
         out[first:last + 1] *= rotation
         out[:first] *= rotation[0]
         out[last + 1:] *= rotation[-1]
-
-    def _step_crank_nicolson(self, values: np.ndarray) -> np.ndarray:
-        # semi-implicit: the effective potential (including the friction
-        # term's relaxation) is frozen at the current state for one step,
-        # so this scheme is first order in the friction coupling; it serves
-        # as an independent cross-check of the spectral propagator
-        dt = self.dt
-        if self.params.mu == 0.0:
-            phase = -self._Vx * dt
-        else:
-            # the substep's phase in closed form (see the module docstring),
-            # evaluated in place
-            fields, s_mean, v_mean = self._friction_means(values)
-            d0 = fields.S - s_mean
-            phase = self._Vx - v_mean
-            phase /= self.params.mu
-            np.add(d0, phase, out=phase)
-            phase *= self._decay
-            phase = np.subtract(-v_mean * dt, phase, out=phase)
-        w = -phase / dt
-        n = self.grid.n
-        diag = 2.0 * self._kin + w
-        off = -self._kin
-        c = 1j * self.dt / (2.0 * self.params.hbar)
-        # rhs = (I - c H) psi with Dirichlet ends
-        rhs = (1.0 - c * diag) * values
-        rhs[:-1] -= c * off * values[1:]
-        rhs[1:] -= c * off * values[:-1]
-        ab = np.zeros((3, n), dtype=np.complex128)
-        ab[0, 1:] = c * off
-        ab[1, :] = 1.0 + c * diag
-        ab[2, :-1] = c * off
-        # imported here: scipy.linalg takes about as long to import as the
-        # rest of the package, and only this scheme uses it
-        import scipy.linalg
-
-        result = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        self.spectrum = np.fft.fft(result)
-        return result
 
 
 @dataclass
@@ -329,7 +267,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     """
     grid = psi0.grid
     n_steps = max(0, math.ceil(config.t_final / config.dt - 1e-12))
-    prop = KostinPropagator(grid, potential, params, config.dt, scheme=config.scheme)
+    prop = KostinPropagator(grid, potential, params, config.dt)
     values = np.array(psi0.values, dtype=np.complex128)
 
     times = np.empty(n_steps + 1)
@@ -384,32 +322,6 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
             raise NumericalError(f"propagation failed at step {k}: {err}", step=k) from err
     return EvolutionRecord(grid, times, x_mean, p_mean, norms, dis_center,
                            np.asarray(snapshot_times), snapshots, config)
-
-
-def coherent_ode_step(cp: CoherentStateParams, params: PhysicsParams,
-                      dt: float) -> CoherentStateParams:
-    """One RK4 step of the packet-centre equations.
-
-    dx/dt = p / m, dp/dt = -omega^2 x - mu p, ds/dt = p^2/2 - omega^2 x^2/2 - omega/2.
-    The phase rate uses the hbar = m = 1 convention of the coherent ansatz.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    w2 = cp.omega**2
-    mu = params.mu
-    m = params.m
-
-    def rhs(x, p):
-        return p / m, -w2 * x - mu * p, 0.5 * p * p - 0.5 * w2 * x * x - 0.5 * cp.omega
-
-    k1 = rhs(cp.x_t, cp.p_t)
-    k2 = rhs(cp.x_t + 0.5 * dt * k1[0], cp.p_t + 0.5 * dt * k1[1])
-    k3 = rhs(cp.x_t + 0.5 * dt * k2[0], cp.p_t + 0.5 * dt * k2[1])
-    k4 = rhs(cp.x_t + dt * k3[0], cp.p_t + dt * k3[1])
-    x_new = cp.x_t + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    p_new = cp.p_t + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    s_new = cp.s_t + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return replace(cp, x_t=x_new, p_t=p_new, s_t=s_new)
 
 
 def damped_oscillator_closed_form(x0: float, p0: float, mu: float, omega: float,

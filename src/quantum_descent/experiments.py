@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from .config import ExperimentConfig
@@ -94,27 +93,30 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
     """Reject, naming the key, settings the wave propagator cannot run with.
 
     evolve and figure1 propagate a wavefunction, and so does a field-sampled
-    disruptor unless hbar = 0 (its prefactor then vanishes and nothing is
-    propagated, so learner-only runs keep hbar = 0).
+    disruptor unless hbar = 0 (it is then the zero disruptor, see
+    :func:`_build_disruptor`, so learner-only runs keep hbar = 0 and any grid).
+    The key named is the first that :func:`check_propagation` rejects.
     """
     if not (cfg.experiment in ("evolve", "figure1")
             or (cfg.disruptor.kind == "field_sampled" and cfg.physics.hbar > 0.0)):
         return
     try:
-        check_propagation(cfg.grid, cfg.physics, cfg.run.scheme)
+        check_propagation(cfg.grid, cfg.physics)
     except ValueError as err:
-        key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "run.scheme"
+        key = ("physics.hbar" if cfg.physics.hbar <= 0.0
+               else "grid.periodic" if not cfg.grid.periodic else "grid.n")
         raise ConfigError(f"'{key}': {err}") from err
 
 
 def _build_disruptor(cfg: ExperimentConfig):
-    if cfg.disruptor.kind == "zero":
+    """The configured disruptor; at hbar = 0 a field-sampled one vanishes
+    identically, so it is the zero disruptor and no wave is built."""
+    if cfg.disruptor.kind == "zero" or cfg.physics.hbar == 0.0:
         return ZeroDisruptor()
     psi0 = _initial_wavefunction(cfg)
     pde_dt = cfg.disruptor.pde_dt if cfg.disruptor.pde_dt is not None else 0.01
     return FieldSampledDisruptor(psi0, cfg.build_potential(), cfg.physics,
-                                 pde_dt=pde_dt, macro_time=cfg.run.time_scale,
-                                 scheme=cfg.run.scheme)
+                                 pde_dt=pde_dt, macro_time=cfg.run.time_scale)
 
 
 def _learner_meta(run: LearnerRun) -> dict:
@@ -160,8 +162,7 @@ def _compute_learn(cfg: ExperimentConfig) -> ComputedRun:
 
 def _compute_evolve(cfg: ExperimentConfig) -> ComputedRun:
     psi0 = _initial_wavefunction(cfg)
-    prop_cfg = PropagatorConfig(dt=cfg.run.dt, scheme=cfg.run.scheme,
-                                t_final=cfg.run.t_final,
+    prop_cfg = PropagatorConfig(dt=cfg.run.dt, t_final=cfg.run.t_final,
                                 snapshot_every=cfg.run.snapshot_every)
     rec = evolve(psi0, cfg.build_potential(), cfg.physics, prop_cfg)
     tables = {
@@ -307,7 +308,6 @@ def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,
         "versions": {
             "quantum_descent": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         **comp.meta,

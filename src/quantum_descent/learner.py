@@ -9,7 +9,9 @@ with beta = 1 - mu and lam = 1/m.  The gradient is always evaluated at the
 current position and the position then moves by the freshly updated velocity;
 this ordering makes the mu = 1 harmonic case converge in a single update and is
 the convention used everywhere in this package.  With a zero disruptor the two
-updates are arithmetically identical.
+updates are arithmetically identical.  Both run in one loop on plain floats,
+:func:`run_learner` and :func:`run_momentum_gd`; the test suite keeps one-update
+versions of each as references they must equal to the bit.
 
 The update's unit time step is 1; ``time_scale`` rescales the gradient and
 disruptor contributions together when a finer notional step is wanted.
@@ -136,52 +138,33 @@ class ZeroDisruptor:
         return True
 
 
-class CallbackDisruptor:
-    """Disruptor values supplied by an arbitrary callable of position."""
-
-    kind = "callback"
-
-    def __init__(self, fn: Callable[[float], float]):
-        self._fn = fn
-
-    def sample(self, x: float) -> float:
-        return float(self._fn(x))
-
-    def contains(self, x: float) -> bool:
-        return True
-
-
 class FieldSampledDisruptor:
     """Disruptor sampled from a wavefunction evolved alongside the learner.
 
     Each ``sample`` call advances the underlying dissipative propagation by one
     macro-step (the learner's unit of time) before evaluating the disruptor
     field at the query point.  The source is stateful and must be owned by
-    exactly one run.  At hbar = 0 the disruptor prefactor vanishes identically,
-    so the field is neither propagated nor evaluated.
+    exactly one run.  It needs what its propagator needs: hbar > 0 and a
+    periodic power-of-two grid (at hbar = 0 the disruptor vanishes
+    identically, and :class:`ZeroDisruptor` is that limit).
     """
 
     kind = "field_sampled"
 
     def __init__(self, psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
-                 pde_dt: float = 0.01, macro_time: float = 1.0,
-                 scheme: str = "split_step_spectral"):
+                 pde_dt: float = 0.01, macro_time: float = 1.0):
+        from .dynamics import KostinPropagator  # deferred: avoids import cycle
+
         if pde_dt <= 0 or macro_time <= 0:
             raise ValueError("pde_dt and macro_time must be positive")
         self.params = params
         self.grid = psi0.grid
         self._values = np.array(psi0.values, dtype=np.complex128)
         self._substeps = max(1, round(macro_time / pde_dt))
-        self._propagator = None
-        if params.hbar > 0.0:
-            from .dynamics import KostinPropagator  # deferred: avoids import cycle
-
-            self._propagator = KostinPropagator(self.grid, potential, params,
-                                                dt=macro_time / self._substeps, scheme=scheme)
+        self._propagator = KostinPropagator(self.grid, potential, params,
+                                            dt=macro_time / self._substeps)
 
     def sample(self, x: float) -> float:
-        if self.params.hbar == 0.0:
-            return 0.0
         try:
             for _ in range(self._substeps):
                 self._values = self._propagator.step(self._values)
@@ -203,46 +186,7 @@ class FieldSampledDisruptor:
 
     def contains(self, x: float) -> bool:
         """Whether ``sample`` can be evaluated at x: the field lives on the grid."""
-        return self.params.hbar == 0.0 or self.grid.contains(x)
-
-
-def _check_momentum(alpha: float, beta: float) -> None:
-    if alpha <= 0:
-        raise ValueError(f"learning rate must be positive, got alpha={alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"momentum factor must satisfy 0 <= beta <= 1, got beta={beta}")
-
-
-def momentum_gd_step(state: LearnerState, objective: PotentialSpec,
-                     alpha: float, beta: float) -> LearnerState:
-    """One heavy-ball update: u' = beta u - alpha dV/dx(x), x' = x + u'."""
-    _check_momentum(alpha, beta)
-    g = float(objective.gradient(state.x))
-    if not np.isfinite(g):
-        raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
-    u_new = beta * state.u - alpha * g
-    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=0.0)
-
-
-def quantum_learn_step(state: LearnerState, potential: PotentialSpec,
-                       dis: "ZeroDisruptor | CallbackDisruptor | FieldSampledDisruptor",
-                       params: PhysicsParams, time_scale: float = 1.0) -> LearnerState:
-    """One disrupted learning update: u' = beta u - lam dV/dx(x) + Dis(x), x' = x + u'.
-
-    With ``time_scale`` != 1 the gradient and disruptor terms are rescaled
-    together; the default reproduces the unit-step update exactly, so a zero
-    disruptor makes this bit-for-bit identical to ``momentum_gd_step`` with
-    alpha = 1/m and beta = 1 - mu.
-    """
-    g = float(potential.gradient(state.x))
-    if not np.isfinite(g):
-        raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
-    d = float(dis.sample(state.x))
-    if time_scale == 1.0:
-        u_new = params.beta * state.u - params.lam * g + d
-    else:
-        u_new = params.beta * state.u + time_scale * (d - params.lam * g)
-    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=d)
+        return self.grid.contains(x)
 
 
 @dataclass
@@ -309,15 +253,15 @@ def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
 
 
 def run_learner(x0: float, u0: float, potential: PotentialSpec,
-                dis: "ZeroDisruptor | CallbackDisruptor | FieldSampledDisruptor",
+                dis: "ZeroDisruptor | FieldSampledDisruptor",
                 params: PhysicsParams, steps: int, stop_tol: float = 1e-8,
                 time_scale: float = 1.0) -> LearnerRun:
     """Iterate the quantum learning update from (x0, u0).
 
     Stops early once |dV/dx| and |u| both drop below ``stop_tol``; flags
     divergence when |x| exceeds the guard, or leaves the domain of the
-    disruptor (the grid of a field-sampled one), instead of raising.  The
-    update is :func:`quantum_learn_step`'s arithmetic.
+    disruptor (the grid of a field-sampled one), instead of raising.  Any
+    object with ``sample(x)`` and ``contains(x)`` serves as ``dis``.
     """
     beta, lam, sample = params.beta, params.lam, dis.sample
     if time_scale == 1.0:
@@ -333,8 +277,12 @@ def run_learner(x0: float, u0: float, potential: PotentialSpec,
 
 def run_momentum_gd(x0: float, u0: float, objective: PotentialSpec, alpha: float,
                     beta: float, steps: int, stop_tol: float = 1e-8) -> LearnerRun:
-    """Classical twin of :func:`run_learner`, with :func:`momentum_gd_step`'s arithmetic."""
-    _check_momentum(alpha, beta)
+    """Classical twin of :func:`run_learner`: the heavy-ball update with a
+    learning rate ``alpha`` and a momentum factor ``beta``."""
+    if alpha <= 0:
+        raise ValueError(f"learning rate must be positive, got alpha={alpha}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"momentum factor must satisfy 0 <= beta <= 1, got beta={beta}")
 
     def update(x, u, g):
         return beta * u - alpha * g, 0.0

@@ -195,8 +195,7 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     psi0 = coherent_state(CoherentStateParams(cfg.initial.x0, cfg.p0, 0.0,
                                               cfg.potential["omega"]), cfg.grid)
     rec = evolve(psi0, cfg.build_potential(), cfg.physics,
-                 PropagatorConfig(dt=cfg.run.dt, scheme=cfg.run.scheme,
-                                  t_final=cfg.run.t_final,
+                 PropagatorConfig(dt=cfg.run.dt, t_final=cfg.run.t_final,
                                   snapshot_every=cfg.run.snapshot_every))
     _, dens = read_table(tmp_path / "r1" / "density.csv")
     round_trip = (np.array_equal(traj, run.rows)

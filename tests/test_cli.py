@@ -255,18 +255,24 @@ def test_earlier_meta_names_only_files_inside_the_directory(tmp_path):
     ("learn", "disruptor: {kind: field_sampled}\nrun: {scheme: crank_nicolson, steps: 3}\n",
      "'run.scheme'"),
     ("evolve", "physics: {hbar: 0.0}\nrun: {t_final: 0.01}\n", "'physics.hbar'"),
-    ("evolve", "grid: {n: 1000}\nrun: {t_final: 0.01}\n", "'run.scheme'"),
+    ("evolve", "grid: {n: 1000}\nrun: {t_final: 0.01}\n", "'grid.n'"),
+    ("evolve", "grid: {periodic: false}\nrun: {t_final: 0.01}\n", "'grid.periodic'"),
     ("sweep", "run: {t_final: 0.01}\n"
      "sweep: {parameter: physics.hbar, values: [1.0, 0.0], experiment: evolve}\n",
      "'physics.hbar'"),
 ], ids=["crank_nicolson_periodic_evolve", "crank_nicolson_field_sampled_learn",
-        "hbar_0_evolve", "split_step_non_power_of_two", "hbar_0_sweep_point"])
+        "hbar_0_evolve", "split_step_non_power_of_two", "non_periodic_evolve",
+        "hbar_0_sweep_point"])
 def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment, config,
                                                      key):
     """Settings the propagator cannot run with are config errors naming the
-    key, found before any point computes."""
+    key, found before any point computes.  A scheme other than the split
+    step is rejected when the config is parsed, the others when the run
+    starts; the output directory is made first so that both can be seen to
+    leave it empty."""
     cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n{config}")
     out = tmp_path / "o"
+    out.mkdir()
     assert main([experiment, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -274,6 +280,13 @@ def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment
     assert (report["exit_code"], report["status"]) == (2, "config_error")
     assert key in report["error"]["message"]
     assert list(out.iterdir()) == []
+
+
+def test_rejected_scheme_says_it_is_gone(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.yaml", "run: {scheme: crank_nicolson}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "'run.scheme'" in message and "no longer in the package" in message
 
 
 def test_learner_only_run_keeps_hbar_0(tmp_path):
@@ -285,6 +298,21 @@ def test_learner_only_run_keeps_hbar_0(tmp_path):
     assert main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     _, rows = read_table(out / "trajectory.csv")
     assert np.all(rows[:, 4] == 0.0)
+
+
+def test_field_sampled_at_hbar_0_is_the_zero_disruptor_run(tmp_path):
+    """At hbar = 0 a field-sampled learn builds no wave, so an initial state
+    that needs hbar > 0 (a gaussian's phase) does not stop it, and its
+    trajectory equals the zero-disruptor run's byte for byte."""
+    base = ("experiment: learn\nphysics: {hbar: 0.0, mu: 0.4}\n"
+            "initial: {kind: gaussian, x0: -3.0, u0: 0.2}\nrun: {steps: 40}\n")
+    for kind in ("field_sampled", "zero"):
+        cfg = _write(tmp_path, f"{kind}.yaml", base + f"disruptor: {{kind: {kind}}}\n")
+        assert main(["learn", "--config", cfg, "--out", str(tmp_path / kind), "--quiet"]) == 0
+    _, rows = read_table(tmp_path / "field_sampled" / "trajectory.csv")
+    assert np.all(rows[:, 4] == 0.0)
+    assert (tmp_path / "field_sampled" / "trajectory.csv").read_bytes() == \
+           (tmp_path / "zero" / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("initial,table,message", [
@@ -483,8 +511,37 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    code = "import sys, quantum_descent.cli; print('scipy.linalg' in sys.modules)"
+    """Importing the CLI loads no scipy module at all, scipy.linalg included."""
+    code = ("import sys, quantum_descent.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with its import made to fail, each
+    subcommand, and a field-sampled learn, still exits 0."""
+    grid = "grid: {x_min: -10.0, x_max: 10.0, n: 256, periodic: true}\n"
+    runs = {
+        "learn": "run: {steps: 20}\n",
+        "evolve": grid + "run: {t_final: 0.05, dt: 0.01, snapshot_every: 2}\n",
+        "compare": "run: {steps: 20}\n",
+        "figure1": grid + "run: {t_final: 0.1, dt: 0.02, steps: 20}\n",
+        "field_sampled": grid + "disruptor: {kind: field_sampled, pde_dt: 0.1}\n"
+                                "initial: {kind: gaussian, x0: -2.0}\nrun: {steps: 5}\n",
+    }
+    argvs = []
+    for name, text in runs.items():
+        command = "learn" if name == "field_sampled" else name
+        cfg = _write(tmp_path, f"{name}.yaml", text)
+        argvs.append([command, "--config", cfg, "--out", str(tmp_path / name), "--quiet"])
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from quantum_descent.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr

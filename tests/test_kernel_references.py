@@ -21,9 +21,11 @@ over the packet's valid span only.  That is the same rotation as the one
 expression exp(i phase / hbar) with different rounding.  So each step equals
 a plain full-grid product of the three factors to the bit, and stays within
 1e-13 relative of the one-expression step.  With mu = 0 the rotation is P_V
-alone and still equals the one-expression step to the bit.  The kernels take
-plain arrays and copy nothing on entry, so the last tests hand them
-read-only inputs.
+alone and still equals the one-expression step to the bit.  The split step is
+the package's only propagator, so every record below runs on a periodic
+grid; the stencils' non-periodic ends are checked by the stencil,
+decomposition and window tests.  The kernels take plain arrays and copy
+nothing on entry, so the last tests hand them read-only inputs.
 """
 
 import numpy as np
@@ -380,7 +382,6 @@ def test_rotation_equals_the_complex_exponential_to_the_bit(hbar):
 # --- the per-step record -----------------------------------------------------------
 
 SMALL_GRID = build_grid(-20.0, 20.0, 256, periodic=True)
-OPEN_GRID = build_grid(-20.0, 20.0, 1537, periodic=False)
 
 # The record takes <p> from the DFT the step already holds, not from the state
 # it returns, and sums over frequencies instead of positions: the same number
@@ -424,18 +425,6 @@ def test_record_in_the_seam_cell_equals_reference():
                                     params, steps)
 
 
-def test_crank_nicolson_record_equals_reference():
-    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
-    values = gaussian_packet(OPEN_GRID, x0=-3.5, p0=0.2, sigma=0.9).values
-    steps = 60
-    rec = evolve(Wavefunction(values, OPEN_GRID), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=20,
-                                  scheme="crank_nicolson"))
-    prop = KostinPropagator(OPEN_GRID, HARMONIC, params, 0.01, scheme="crank_nicolson")
-    # the stencil's O(dx^2) error on this grid and state: measured 1.1e-7
-    _assert_record_equals_reference(rec, values, prop, params, steps, hydro_tol=5e-7)
-
-
 def test_split_step_record_of_a_resolved_packet_equals_reference():
     """A moving packet well inside the grid: <p> also equals sum rho S' dx."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
@@ -462,18 +451,6 @@ def test_block_record_equals_reference(steps):
     assert rec.dis_center.size == steps + 1
     _assert_record_equals_reference(rec, values, KostinPropagator(GRID, HARMONIC, params, 0.01),
                                     params, steps)
-
-
-def test_crank_nicolson_block_record_equals_reference():
-    """A Crank-Nicolson run on a non-periodic grid that spans a block edge."""
-    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
-    values = gaussian_packet(OPEN_GRID, x0=-3.5, p0=0.2, sigma=0.9).values
-    steps = DIS_BLOCK + 20
-    rec = evolve(Wavefunction(values, OPEN_GRID), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=100,
-                                  scheme="crank_nicolson"))
-    prop = KostinPropagator(OPEN_GRID, HARMONIC, params, 0.01, scheme="crank_nicolson")
-    _assert_record_equals_reference(rec, values, prop, params, steps)
 
 
 @given(periodic=st.booleans(), columns=st.integers(1, 8),
@@ -538,27 +515,24 @@ def _polar_fields(values, grid, params):
 
 
 @pytest.mark.parametrize("kernel", ["polar_decompose", "quantum_potential", "disruptor_field",
-                                    "sample_field", "split_step_spectral", "crank_nicolson"])
+                                    "sample_field", "split_step_spectral"])
 def test_kernels_take_read_only_input_and_leave_its_bits(kernel):
     """Each kernel accepts a frozen input, leaves its bits as they were, and
     returns what it returns for a writable copy of the same input."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
-    grid = OPEN_GRID if kernel == "crank_nicolson" else GRID
-    psi = np.array(gaussian_packet(grid, x0=-3.5, p0=0.2, sigma=0.9).values)
+    psi = np.array(gaussian_packet(GRID, x0=-3.5, p0=0.2, sigma=0.9).values)
     if kernel == "sample_field":
-        arg = disruptor_field(np.abs(psi), grid, params)
+        arg = disruptor_field(np.abs(psi), GRID, params)
     elif kernel in ("quantum_potential", "disruptor_field"):
         arg = np.abs(psi)
     else:
         arg = psi
     run = {
-        "polar_decompose": lambda a: _polar_fields(a, grid, params),
-        "quantum_potential": lambda a: quantum_potential(a, grid, params),
-        "disruptor_field": lambda a: disruptor_field(a, grid, params),
-        "sample_field": lambda a: sample_field(a, grid, -3.3),
-        "split_step_spectral": lambda a: KostinPropagator(grid, HARMONIC, params, 0.01).step(a),
-        "crank_nicolson": lambda a: KostinPropagator(grid, HARMONIC, params, 0.01,
-                                                     scheme="crank_nicolson").step(a),
+        "polar_decompose": lambda a: _polar_fields(a, GRID, params),
+        "quantum_potential": lambda a: quantum_potential(a, GRID, params),
+        "disruptor_field": lambda a: disruptor_field(a, GRID, params),
+        "sample_field": lambda a: sample_field(a, GRID, -3.3),
+        "split_step_spectral": lambda a: KostinPropagator(GRID, HARMONIC, params, 0.01).step(a),
     }[kernel]
     frozen = arg.copy()
     frozen.setflags(write=False)

@@ -7,7 +7,10 @@ finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order; tables are formatted one row at a time with one format
 string.  None of this changes an operation or its order, so every row,
 outcome and written byte must equal what the plain versions give.  The plain
-versions live here as references; the tests compare bits, not closeness.
+versions live here as references, down to one update of each twin
+(``quantum_learn_step``, ``momentum_gd_step``) and a disruptor read from any
+callable (``CallbackDisruptor``), which test_learner.py uses too; the tests
+compare bits, not closeness.
 """
 
 import json
@@ -20,10 +23,8 @@ from hypothesis import strategies as st
 
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
-from quantum_descent.learner import (DIVERGENCE_LIMIT, CallbackDisruptor,
-                                     FieldSampledDisruptor, LearnerState,
-                                     PotentialSpec, ZeroDisruptor,
-                                     momentum_gd_step, quantum_learn_step,
+from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
+                                     LearnerState, PotentialSpec, ZeroDisruptor,
                                      run_learner, run_momentum_gd)
 from quantum_descent.output import write_table
 
@@ -31,6 +32,53 @@ polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
 
 # --- references ---------------------------------------------------------------
+
+
+class CallbackDisruptor:
+    """Disruptor values supplied by an arbitrary callable of position."""
+
+    kind = "callback"
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def sample(self, x):
+        return float(self._fn(x))
+
+    def contains(self, x):
+        return True
+
+
+def momentum_gd_step(state, objective, alpha, beta):
+    """One heavy-ball update: u' = beta u - alpha dV/dx(x), x' = x + u'."""
+    if alpha <= 0:
+        raise ValueError(f"learning rate must be positive, got alpha={alpha}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"momentum factor must satisfy 0 <= beta <= 1, got beta={beta}")
+    g = float(objective.gradient(state.x))
+    if not np.isfinite(g):
+        raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
+    u_new = beta * state.u - alpha * g
+    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=0.0)
+
+
+def quantum_learn_step(state, potential, dis, params, time_scale=1.0):
+    """One disrupted learning update: u' = beta u - lam dV/dx(x) + Dis(x), x' = x + u'.
+
+    With ``time_scale`` != 1 the gradient and disruptor terms are rescaled
+    together; the default reproduces the unit-step update exactly, so a zero
+    disruptor makes this bit-for-bit identical to ``momentum_gd_step`` with
+    alpha = 1/m and beta = 1 - mu.
+    """
+    g = float(potential.gradient(state.x))
+    if not np.isfinite(g):
+        raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
+    d = float(dis.sample(state.x))
+    if time_scale == 1.0:
+        u_new = params.beta * state.u - params.lam * g + d
+    else:
+        u_new = params.beta * state.u + time_scale * (d - params.lam * g)
+    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=d)
 
 
 def ref_polynomial(coefficients):
