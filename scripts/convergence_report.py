@@ -4,9 +4,11 @@
 Part 1 propagates the damped coherent state at a sequence of halved time steps
 and reports the max |<x>(t) - x_ode(t)| error against the closed-form damped
 oscillator; the ratio between consecutive rows should sit near 4 (2nd-order
-splitting).  Part 2 evaluates the quantum potential of a Gaussian amplitude on
-doubling grids against its closed form; the error ratio should also approach 4
-(2nd-order stencils).
+splitting).  Part 2 evaluates the quantum potential of the periodic amplitude
+R = exp(kappa cos(k x)), k = 2 pi / L, on doubling grids against its closed
+form Q = -(hbar^2/2m) k^2 (kappa^2 sin^2(k x) - kappa cos(k x)) over the whole
+grid, seam included; the error ratio should also approach 4 (2nd-order
+stencils).
 """
 
 import argparse
@@ -26,7 +28,7 @@ from quantum_descent.learner import PotentialSpec
 
 
 def propagator_errors(dts, t_final=5.0, mu=1.0, omega=1.0, n=2048):
-    grid = build_grid(-20.0, 20.0, n, periodic=True)
+    grid = build_grid(-20.0, 20.0, n)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=mu)
     potential = PotentialSpec.harmonic(omega)
     psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, omega), grid)
@@ -40,14 +42,16 @@ def propagator_errors(dts, t_final=5.0, mu=1.0, omega=1.0, n=2048):
     return errors
 
 
-def quantum_potential_errors(sizes, omega=1.0, a=0.3):
+def quantum_potential_errors(sizes, kappa=1.5, length=12.0):
     errors = []
-    params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
+    params = PhysicsParams(m=1.3, hbar=0.7, mu=1.0)
+    k = 2.0 * np.pi / length
     for n in sizes:
-        grid = build_grid(-6.0, 6.0, n, periodic=False)
-        R = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * (grid.x - a) ** 2)
-        q = quantum_potential(R, grid, params)
-        exact = -(omega ** 2 * (grid.x - a) ** 2 - omega) / 2.0
+        grid = build_grid(-0.5 * length, 0.5 * length, n)
+        y = k * grid.x
+        q = quantum_potential(np.exp(kappa * np.cos(y)), grid, params)
+        exact = -(params.hbar ** 2 / (2.0 * params.m)) * k ** 2 * (
+            kappa ** 2 * np.sin(y) ** 2 - kappa * np.cos(y))
         errors.append(float(np.max(np.abs(q - exact))))
     return errors
 
@@ -71,7 +75,7 @@ def main() -> int:
            dts, propagator_errors(dts))
 
     sizes = [256 * 2 ** k for k in range(args.levels)]
-    report("quantum potential vs Gaussian closed form (doubling n)",
+    report("quantum potential vs periodic-amplitude closed form (doubling n)",
            sizes, quantum_potential_errors(sizes))
     return 0
 

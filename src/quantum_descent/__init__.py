@@ -24,7 +24,7 @@ from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      Wavefunction, build_grid, expectation_momentum,
                      expectation_position, gaussian_packet, norm, plane_wave,
                      polar_decompose)
-from .hydro import disruptor_field, quantum_potential, sample_field, stencil_window
+from .hydro import disruptor_field, quantum_potential, sample_field
 from .learner import (FieldSampledDisruptor, LearnerRun, LearnerState,
                       PotentialSpec, ZeroDisruptor, run_learner, run_momentum_gd)
 
@@ -34,7 +34,7 @@ __all__ = [
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
     "build_grid", "polar_decompose", "gaussian_packet", "plane_wave", "norm",
     "expectation_position", "expectation_momentum", "EPS_NODE",
-    "quantum_potential", "disruptor_field", "sample_field", "stencil_window",
+    "quantum_potential", "disruptor_field", "sample_field",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
     "FieldSampledDisruptor", "run_learner", "run_momentum_gd",
     "PropagatorConfig", "CoherentStateParams", "KostinPropagator",

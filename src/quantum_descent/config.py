@@ -25,7 +25,7 @@ INITIAL_KINDS = ("gaussian", "coherent", "custom")
 DISRUPTOR_KINDS = ("zero", "field_sampled")
 OUTPUT_FORMATS = ("csv", "json")
 
-_GRID_DEFAULTS = {"x_min": -20.0, "x_max": 20.0, "n": 2048, "periodic": True}
+_GRID_DEFAULTS = {"x_min": -20.0, "x_max": 20.0, "n": 2048}
 _PHYSICS_DEFAULTS = {"m": 1.0, "hbar": 1.0, "mu": 1.0}
 _POTENTIAL_DEFAULTS = {"kind": "harmonic"}
 _INITIAL_DEFAULTS = {"kind": "coherent", "x0": -5.0, "u0": 0.0}
@@ -54,9 +54,10 @@ _POTENTIAL_KEYS = {
 }
 _INITIAL_KEYS = {"kind", "x0", "u0", "p0", "sigma", "path"}
 _DISRUPTOR_KEYS = {"kind", "pde_dt"}
-# run.scheme is still accepted because existing configs (the benchmark's relax
-# config among them) name it; its one legal value is the split step, and
-# nothing after the parser reads it
+# grid.periodic and run.scheme are still accepted because existing configs
+# (the benchmark's among them) name them; each has one legal value (a periodic
+# grid, the split step), and nothing after the parser reads them
+_GRID_KEYS = set(_GRID_DEFAULTS) | {"periodic"}
 _RUN_KEYS = set(_RUN_DEFAULTS) | {"scheme"}
 _OUTPUT_KEYS = {"directory", "format"}
 _SWEEP_KEYS = {"parameter", "values", "experiment"}
@@ -133,7 +134,7 @@ class ExperimentConfig:
         out = {
             "experiment": self.experiment,
             "grid": {"x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                     "n": self.grid.n, "periodic": self.grid.periodic},
+                     "n": self.grid.n},
             "physics": {"m": self.physics.m, "hbar": self.physics.hbar,
                         "mu": self.physics.mu},
             "potential": dict(self.potential),
@@ -181,12 +182,6 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{where}' must be an integer, got {value!r}")
     return int(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{where}' must be true/false, got {value!r}")
-    return value
 
 
 def _as_str(value, where: str, choices: tuple | None = None) -> str:
@@ -257,12 +252,14 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config experiment '{tag}' contradicts requested '{experiment}'")
 
     grid_sec = {**_GRID_DEFAULTS, **_require_mapping(raw.get("grid"), "grid")}
-    _reject_unknown(grid_sec, set(_GRID_DEFAULTS), "grid")
+    _reject_unknown(grid_sec, _GRID_KEYS, "grid")
+    if grid_sec.get("periodic", True) is not True:
+        raise ConfigError(f"'grid.periodic' must be true, got {grid_sec['periodic']!r}: the "
+                          "grid is periodic, and open grids are no longer in the package")
     try:
         grid = build_grid(_as_float(grid_sec["x_min"], "grid.x_min"),
                           _as_float(grid_sec["x_max"], "grid.x_max"),
-                          _as_int(grid_sec["n"], "grid.n"),
-                          _as_bool(grid_sec["periodic"], "grid.periodic"))
+                          _as_int(grid_sec["n"], "grid.n"))
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 

@@ -10,7 +10,7 @@ friction term is real it only rotates local phases, so the propagation is norm
 preserving by construction.  The integrator is 2nd-order Strang splitting
 (half kinetic step in frequency space, full potential-plus-friction phase
 step with S re-extracted at the midpoint, half kinetic step), so it runs on
-periodic grids of a power-of-two number of points.
+grids of a power-of-two number of points.
 
 The position-space substep i hbar dpsi/dt = [V + mu (S - <S>)] psi freezes
 the density, so it is solved in closed form (solving it exactly rather than
@@ -124,11 +124,9 @@ def _is_power_of_two(n: int) -> bool:
 
 def check_propagation(grid: SpatialGrid, params: PhysicsParams) -> None:
     """Raise ValueError unless :class:`KostinPropagator` can run on ``grid``
-    with ``params``; a bad hbar is reported first, then a non-periodic grid."""
+    with ``params``; a bad hbar is reported first, then the grid size."""
     if params.hbar <= 0:
         raise ValueError("the wave propagator needs hbar > 0")
-    if not grid.periodic:
-        raise ValueError("the wave propagator needs a periodic grid")
     if not _is_power_of_two(grid.n):
         raise ValueError(f"the wave propagator needs a power-of-two number of points, "
                          f"got n={grid.n}")
@@ -259,7 +257,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     (and not less than dt below) the requested horizon.  Numerical failures are
     re-raised with the failing step index attached.
 
-    Dis at <x> reads the six amplitudes of :func:`~quantum_descent.hydro.stencil_window`
+    Dis at <x> reads the six amplitudes of :func:`~quantum_descent.hydro.locate_window`
     only.  Each recorded step keeps those amplitudes and where <x> sits among
     them; one :func:`~quantum_descent.hydro.disruptor_field` call on the
     stacked windows of up to :data:`DIS_BLOCK` steps then fills their

@@ -94,7 +94,8 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
 
     evolve and figure1 propagate a wavefunction, and so does a field-sampled
     disruptor unless hbar = 0 (it is then the zero disruptor, see
-    :func:`_build_disruptor`, so learner-only runs keep hbar = 0 and any grid).
+    :func:`_build_disruptor`, so learner-only runs keep hbar = 0 and any
+    grid size).
     The key named is the first that :func:`check_propagation` rejects.
     """
     if not (cfg.experiment in ("evolve", "figure1")
@@ -103,8 +104,7 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
     try:
         check_propagation(cfg.grid, cfg.physics)
     except ValueError as err:
-        key = ("physics.hbar" if cfg.physics.hbar <= 0.0
-               else "grid.periodic" if not cfg.grid.periodic else "grid.n")
+        key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "grid.n"
         raise ConfigError(f"'{key}': {err}") from err
 
 

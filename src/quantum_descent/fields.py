@@ -1,11 +1,15 @@
 """Spatial grid, wavefunction storage, and the polar (Madelung) decomposition.
 
-A complex field psi on a uniform 1-D grid is split as psi = R * exp(i S / hbar)
-into a nonnegative amplitude R and a real action-valued phase S.  From these the
-hydrodynamic fields follow: density rho = R^2, flow velocity u = dS/dx / m, and
-trajectory momentum p = m * u.  The decomposition works on the raw complex
-array; :class:`Wavefunction` is the validated form at the package boundary.
-Observables are plain Riemann sums over the grid.
+The grid is uniform and periodic: n points from x_min with spacing
+(x_max - x_min) / n, x_max being the seam where it wraps back to x_min.  The
+wave propagator's FFTs and the wrapped stencils of :mod:`.derivatives` both
+rely on that.  A complex field psi on the grid is split as
+psi = R * exp(i S / hbar) into a nonnegative amplitude R and a real
+action-valued phase S.  From these the hydrodynamic fields follow: density
+rho = R^2, flow velocity u = dS/dx / m, and trajectory momentum p = m * u.
+The decomposition works on the raw complex array; :class:`Wavefunction` is
+the validated form at the package boundary.  Observables are plain Riemann
+sums over the grid.
 """
 
 from __future__ import annotations
@@ -31,21 +35,19 @@ MIN_GRID_POINTS = 8
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform 1-D position grid, x_j = x_min + j * dx.
+    """Uniform periodic 1-D position grid, x_j = x_min + j * dx.
 
-    Periodic grids exclude x_max (spacing L/n); non-periodic grids include both
-    endpoints (spacing L/(n-1)).
+    The n points exclude x_max, the seam that wraps back to x_min, so the
+    spacing is dx = (x_max - x_min) / n.
     """
 
     x_min: float
     x_max: float
     n: int
-    periodic: bool = False
     dx: float = field(init=False)
 
     def __post_init__(self):
-        length = self.x_max - self.x_min
-        dx = length / self.n if self.periodic else length / (self.n - 1)
+        dx = (self.x_max - self.x_min) / self.n
         object.__setattr__(self, "dx", dx)
         xs = self.x_min + dx * np.arange(self.n)
         xs.setflags(write=False)
@@ -60,7 +62,7 @@ class SpatialGrid:
         return self.x_min <= x <= self.x_max
 
 
-def build_grid(x_min: float, x_max: float, n: int, periodic: bool = False) -> SpatialGrid:
+def build_grid(x_min: float, x_max: float, n: int) -> SpatialGrid:
     """Validate and construct a :class:`SpatialGrid`."""
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise ValueError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
@@ -69,7 +71,7 @@ def build_grid(x_min: float, x_max: float, n: int, periodic: bool = False) -> Sp
     n = int(n)
     if n < MIN_GRID_POINTS:
         raise ValueError(f"grid needs at least {MIN_GRID_POINTS} points, got {n}")
-    return SpatialGrid(float(x_min), float(x_max), n, bool(periodic))
+    return SpatialGrid(float(x_min), float(x_max), n)
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class MadelungFields:
     rho: np.ndarray
     grid: SpatialGrid
     params: PhysicsParams
-    # psi at the first and the last grid point, for the periodic seam of u
+    # psi at the first and the last grid point, for the seam increment of u
     ends: tuple = field(repr=False)
     span: tuple = field(repr=False)
 
@@ -154,15 +156,14 @@ class MadelungFields:
         S = self.S
         # Unwrapped S is not periodic even for a periodic psi (nonzero winding),
         # so the seam increment is taken from the wavefunction itself.
-        inc = np.empty(grid.n if grid.periodic else grid.n - 1)
-        np.subtract(S[1:], S[:-1], out=inc[:grid.n - 1])
-        if grid.periodic:
-            if self.rho[0] >= EPS_NODE and self.rho[-1] >= EPS_NODE:
-                first, last = self.ends
-                inc[-1] = self.params.hbar * float(np.angle(first * np.conj(last)))
-            else:
-                inc[-1] = 0.0
-        return central_from_increments(inc, grid.dx, grid.periodic) / self.params.m
+        inc = np.empty(grid.n)
+        np.subtract(S[1:], S[:-1], out=inc[:-1])
+        if self.rho[0] >= EPS_NODE and self.rho[-1] >= EPS_NODE:
+            first, last = self.ends
+            inc[-1] = self.params.hbar * float(np.angle(first * np.conj(last)))
+        else:
+            inc[-1] = 0.0
+        return central_from_increments(inc, grid.dx) / self.params.m
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -324,8 +325,6 @@ def gaussian_packet(grid: SpatialGrid, x0: float, p0: float = 0.0, sigma: float 
 
 
 def plane_wave(grid: SpatialGrid, k: float) -> Wavefunction:
-    """exp(i k x) / sqrt(L) on a periodic grid."""
-    if not grid.periodic:
-        raise ValueError("plane waves need a periodic grid")
+    """exp(i k x) / sqrt(L) on the grid."""
     length = grid.x_max - grid.x_min
     return Wavefunction(np.exp(1j * k * grid.x) / np.sqrt(length), grid)

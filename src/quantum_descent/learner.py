@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NodeDominatedError, NumericalError
 from .fields import PhysicsParams, Wavefunction
-from .hydro import disruptor_field, sample_field, stencil_window
+from .hydro import disruptor_field, interpolate, locate_window
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -145,7 +145,7 @@ class FieldSampledDisruptor:
     macro-step (the learner's unit of time) before evaluating the disruptor
     field at the query point.  The source is stateful and must be owned by
     exactly one run.  It needs what its propagator needs: hbar > 0 and a
-    periodic power-of-two grid (at hbar = 0 the disruptor vanishes
+    power-of-two number of grid points (at hbar = 0 the disruptor vanishes
     identically, and :class:`ZeroDisruptor` is that limit).
     """
 
@@ -174,9 +174,9 @@ class FieldSampledDisruptor:
             self._require_finite()
             raise
         self._require_finite()
-        window = stencil_window(self.grid, x)
-        field = disruptor_field(np.abs(self._values[window]), self.grid, self.params)
-        return sample_field(field, self.grid, x, first=int(window[0]))
+        window, i0, frac = locate_window(self.grid, x)
+        dis = disruptor_field(np.abs(self._values[window]), self.grid, self.params)
+        return float(interpolate(dis[i0], dis[i0 + 1], frac))
 
     def _require_finite(self) -> None:
         bad = self._values.size - int(np.count_nonzero(np.isfinite(self._values)))

@@ -20,7 +20,7 @@ from quantum_descent.learner import (PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.output import read_table
 
-GRID_2048 = build_grid(-20.0, 20.0, 2048, periodic=True)
+GRID_2048 = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_coherent_disruptor_vanishes():
 
 def test_criterion_3_classical_limit_scaling():
     """Dis/hbar^2 constant to rel. 1e-10 across hbar; Dis(hbar=0) == 0."""
-    grid = build_grid(-6.0, 6.0, 1024, periodic=False)
+    grid = build_grid(-6.0, 6.0, 1024)
     R = np.exp(-0.5 * grid.x**2)
     x_eval = 0.7
     scaled = []
@@ -143,14 +143,18 @@ def test_criterion_6_norm_conservation():
 
 
 def test_criterion_7_quantum_potential_convergence():
-    """Against Q = -(w^2 (x-a)^2 - w)/2: 2nd-order error decay when n doubles."""
-    w, a = 1.0, 0.3
+    """Against the exact Q of the periodic amplitude R = exp(kappa cos(k x)),
+    k = 2 pi / L, over the whole grid: Q = -(hbar^2/2m) k^2 (kappa^2 sin^2(k x)
+    - kappa cos(k x)).  2nd-order error decay when n doubles."""
+    kappa, k = 1.5, 2.0 * np.pi / 12.0
+    params = PhysicsParams(m=1.3, hbar=0.7, mu=1.0)
     errs = []
     for n in (1024, 2048):
-        grid = build_grid(-6.0, 6.0, n, periodic=False)
-        R = (w / np.pi) ** 0.25 * np.exp(-0.5 * w * (grid.x - a) ** 2)
-        q = quantum_potential(R, grid, PhysicsParams(m=1.0, hbar=1.0, mu=1.0))
-        exact = -(w**2 * (grid.x - a) ** 2 - w) / 2.0
+        grid = build_grid(-6.0, 6.0, n)
+        y = k * grid.x
+        q = quantum_potential(np.exp(kappa * np.cos(y)), grid, params)
+        exact = -(params.hbar**2 / (2.0 * params.m)) * k**2 * (
+            kappa**2 * np.sin(y) ** 2 - kappa * np.cos(y))
         errs.append(float(np.max(np.abs(q - exact))))
     ratio = errs[0] / errs[1]
     ok = 3.5 <= ratio <= 4.5

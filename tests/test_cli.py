@@ -257,19 +257,20 @@ def test_earlier_meta_names_only_files_inside_the_directory(tmp_path):
     ("evolve", "physics: {hbar: 0.0}\nrun: {t_final: 0.01}\n", "'physics.hbar'"),
     ("evolve", "grid: {n: 1000}\nrun: {t_final: 0.01}\n", "'grid.n'"),
     ("evolve", "grid: {periodic: false}\nrun: {t_final: 0.01}\n", "'grid.periodic'"),
+    ("learn", "grid: {periodic: false}\ndisruptor: {kind: zero}\n", "'grid.periodic'"),
     ("sweep", "run: {t_final: 0.01}\n"
      "sweep: {parameter: physics.hbar, values: [1.0, 0.0], experiment: evolve}\n",
      "'physics.hbar'"),
 ], ids=["crank_nicolson_periodic_evolve", "crank_nicolson_field_sampled_learn",
         "hbar_0_evolve", "split_step_non_power_of_two", "non_periodic_evolve",
-        "hbar_0_sweep_point"])
+        "non_periodic_learn", "hbar_0_sweep_point"])
 def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment, config,
                                                      key):
     """Settings the propagator cannot run with are config errors naming the
     key, found before any point computes.  A scheme other than the split
-    step is rejected when the config is parsed, the others when the run
-    starts; the output directory is made first so that both can be seen to
-    leave it empty."""
+    step and an open grid are rejected when the config is parsed, for every
+    experiment, the others when the run starts; the output directory is made
+    first so that both can be seen to leave it empty."""
     cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n{config}")
     out = tmp_path / "o"
     out.mkdir()
@@ -287,6 +288,14 @@ def test_rejected_scheme_says_it_is_gone(tmp_path, capsys):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert "'run.scheme'" in message and "no longer in the package" in message
+
+
+def test_rejected_open_grid_says_it_is_gone(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.yaml", "grid: {periodic: false}\n")
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "'grid.periodic'" in message and "the grid is periodic" in message
+    assert "open grids are no longer in the package" in message
 
 
 def test_learner_only_run_keeps_hbar_0(tmp_path):

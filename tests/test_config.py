@@ -17,7 +17,6 @@ def test_minimal_figure1_fills_documented_defaults():
     assert cfg.initial.x0 == -5.0
     assert cfg.initial.u0 == 0.0
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n) == (-20.0, 20.0, 2048)
-    assert cfg.grid.periodic
     assert cfg.run.steps == 200
     assert cfg.run.stop_tol == 1e-8
     assert cfg.run.dt == 0.02

@@ -6,8 +6,8 @@ here as a reference, is checked against the closed form; the split-step
 propagator is checked against both, plus norm conservation and the
 fixed-width (coherent) property of the damped Gaussian.  A Crank-Nicolson
 step, also kept here as a reference (the package has one propagator), cross-
-checks the split step on a different grid type with different boundary
-handling.
+checks the split step with a different scheme, a finer spacing and different
+boundary handling: Dirichlet ends instead of the periodic wrap.
 """
 
 import math
@@ -30,7 +30,7 @@ from quantum_descent.fields import (PhysicsParams, Wavefunction, build_grid,
                                     polar_decompose)
 from quantum_descent.learner import PotentialSpec
 
-GRID = build_grid(-20.0, 20.0, 2048, periodic=True)
+GRID = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
@@ -63,7 +63,10 @@ def coherent_ode_step(cp, params, dt):
 
 
 def crank_nicolson_step(values, grid, potential, params, dt):
-    """One Crank-Nicolson step on a non-periodic grid with Dirichlet ends.
+    """One Crank-Nicolson step on the points of ``grid`` with Dirichlet ends.
+
+    The three-point stencil does not wrap: the points beyond the first and
+    the last are held at zero, so the packet must stay far from both ends.
 
     Semi-implicit: the phase of the friction substep (in closed form, see
     :mod:`quantum_descent.dynamics`) is frozen at the current state and acts
@@ -181,7 +184,7 @@ def test_coherent_state_is_normalized_with_fixed_width():
 
 
 def test_coherent_state_must_fit_grid():
-    small = build_grid(-2.0, 2.0, 64, periodic=True)
+    small = build_grid(-2.0, 2.0, 64)
     with pytest.raises(ValueError):
         coherent_state(CoherentStateParams(x_t=-1.9, p_t=0.0, s_t=0.0, omega=1.0), small)
 
@@ -189,11 +192,8 @@ def test_coherent_state_must_fit_grid():
 # --- propagator stepping ------------------------------------------------------
 
 def test_scheme_grid_compatibility():
-    open_grid = build_grid(-20.0, 20.0, 2048, periodic=False)
-    odd_grid = build_grid(-20.0, 20.0, 1000, periodic=True)
+    odd_grid = build_grid(-20.0, 20.0, 1000)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
-    with pytest.raises(ValueError):
-        KostinPropagator(open_grid, HARMONIC, params, dt=1e-3)  # not periodic
     with pytest.raises(ValueError):
         KostinPropagator(odd_grid, HARMONIC, params, dt=1e-3)   # not a power of two
     with pytest.raises(ValueError):
@@ -224,14 +224,14 @@ def test_spectral_norm_preserved(mu):
 
 
 def test_crank_nicolson_norm_preserved():
-    open_grid = build_grid(-20.0, 20.0, 1537, periodic=False)
+    grid = build_grid(-20.0, 20.0, 1536)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
-    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), open_grid)
+    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), grid)
     values = psi0.values
-    n0 = np.sum(np.abs(values) ** 2) * open_grid.dx
+    n0 = np.sum(np.abs(values) ** 2) * grid.dx
     for _ in range(500):
-        values = crank_nicolson_step(values, open_grid, HARMONIC, params, 2e-3)
-    n1 = np.sum(np.abs(values) ** 2) * open_grid.dx
+        values = crank_nicolson_step(values, grid, HARMONIC, params, 2e-3)
+    n1 = np.sum(np.abs(values) ** 2) * grid.dx
     assert abs(n1 - n0) < 1e-10
 
 
@@ -335,17 +335,18 @@ def test_breathing_packet_dissipates_energy_at_the_kostin_rate(mu, sigma, x0):
 
 
 def test_crank_nicolson_cross_checks_spectral():
-    """Same physics, different scheme, grid type, and boundary handling."""
+    """Same physics, different scheme, spacing and boundary handling: the
+    packet stays more than 10 widths from the Dirichlet ends."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
     cfg = PropagatorConfig(dt=1e-3, t_final=2.0, snapshot_every=10**9)
     rec_s = evolve(_coherent(), HARMONIC, params, cfg)
 
-    open_grid = build_grid(-20.0, 20.0, 4001, periodic=False)
-    values = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), open_grid).values
-    x_mean_cn = [float(np.sum(open_grid.x * np.abs(values) ** 2) * open_grid.dx)]
+    grid = build_grid(-20.0, 20.0, 4000)  # dx = 0.01
+    values = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), grid).values
+    x_mean_cn = [float(np.sum(grid.x * np.abs(values) ** 2) * grid.dx)]
     for _ in range(rec_s.times.size - 1):
-        values = crank_nicolson_step(values, open_grid, HARMONIC, params, 1e-3)
-        x_mean_cn.append(float(np.sum(open_grid.x * np.abs(values) ** 2) * open_grid.dx))
+        values = crank_nicolson_step(values, grid, HARMONIC, params, 1e-3)
+        x_mean_cn.append(float(np.sum(grid.x * np.abs(values) ** 2) * grid.dx))
     # measured: ~5e-4, dominated by the CN dx^2 truncation at this resolution
     assert np.max(np.abs(rec_s.x_mean - np.array(x_mean_cn))) < 1e-3
 

@@ -25,12 +25,9 @@ P1 = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
 # --- grids -------------------------------------------------------------------
 
 def test_grid_spacing_conventions():
-    periodic = build_grid(0.0, 1.0, 10, periodic=True)
-    open_ended = build_grid(0.0, 1.0, 10, periodic=False)
-    assert periodic.dx == pytest.approx(0.1)
-    assert open_ended.dx == pytest.approx(1.0 / 9.0)
-    assert periodic.x[-1] == pytest.approx(0.9)     # excludes the seam point
-    assert open_ended.x[-1] == pytest.approx(1.0)   # includes both endpoints
+    grid = build_grid(0.0, 1.0, 10)
+    assert grid.dx == pytest.approx(0.1)
+    assert grid.x[-1] == pytest.approx(0.9)     # excludes the seam point
 
 
 @pytest.mark.parametrize("args", [
@@ -74,7 +71,7 @@ def test_momentum_factor_in_unit_interval(mu):
 # --- polar decomposition -----------------------------------------------------
 
 def test_round_trip_where_density_valid():
-    grid = build_grid(-20.0, 20.0, 2048, periodic=True)
+    grid = build_grid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=-3.0, p0=1.7, sigma=1.2)
     f = polar_decompose(psi.values, grid, P1)
     rebuilt = f.R * np.exp(1j * f.S / P1.hbar)
@@ -86,14 +83,14 @@ def test_round_trip_where_density_valid():
 
 
 def test_phase_zero_at_density_max():
-    grid = build_grid(-20.0, 20.0, 1024, periodic=True)
+    grid = build_grid(-20.0, 20.0, 1024)
     psi = gaussian_packet(grid, x0=2.0, p0=0.8)
     f = polar_decompose(psi.values, grid, P1)
     assert f.S[int(np.argmax(f.rho))] == 0.0
 
 
 def test_phase_continuity_no_wrap_jumps():
-    grid = build_grid(-20.0, 20.0, 2048, periodic=True)
+    grid = build_grid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=0.0, p0=3.0, sigma=1.5)
     f = polar_decompose(psi.values, grid, P1)
     valid = np.flatnonzero(f.rho >= EPS_NODE)
@@ -103,7 +100,7 @@ def test_phase_continuity_no_wrap_jumps():
 
 def test_plane_wave_velocity_constant():
     """e^{ikx} on a periodic grid: u = hbar k / m everywhere, seam included."""
-    grid = build_grid(0.0, 2.0 * np.pi, 128, periodic=True)
+    grid = build_grid(0.0, 2.0 * np.pi, 128)
     k = 5.0  # integer winding fits the periodic box
     psi = plane_wave(grid, k)
     f = polar_decompose(psi.values, grid, P1)
@@ -111,7 +108,7 @@ def test_plane_wave_velocity_constant():
 
 
 def test_moving_packet_velocity():
-    grid = build_grid(-20.0, 20.0, 2048, periodic=True)
+    grid = build_grid(-20.0, 20.0, 2048)
     p0, m = 2.5, 2.0
     params = PhysicsParams(m=m, hbar=1.0, mu=0.5)
     psi = gaussian_packet(grid, x0=0.0, p0=p0, sigma=1.0)
@@ -122,7 +119,7 @@ def test_moving_packet_velocity():
 
 
 def test_rho_and_p_consistency():
-    grid = build_grid(-10.0, 10.0, 512, periodic=True)
+    grid = build_grid(-10.0, 10.0, 512)
     psi = gaussian_packet(grid, x0=1.0, p0=-0.3)
     f = polar_decompose(psi.values, grid, P1)
     assert np.allclose(f.rho, f.R**2, rtol=1e-14)
@@ -130,7 +127,7 @@ def test_rho_and_p_consistency():
 
 
 def test_node_fill_inherits_neighbor_phase():
-    grid = build_grid(-10.0, 10.0, 256, periodic=False)
+    grid = build_grid(-10.0, 10.0, 256)
     values = np.exp(-0.5 * (grid.x + 4.0) ** 2) + np.exp(-0.5 * (grid.x - 4.0) ** 2) * 1j
     psi = Wavefunction(values, grid).normalized()
     f = polar_decompose(psi.values, grid, P1)
@@ -152,7 +149,7 @@ def test_node_dominated_error_when_no_phase_information():
 
 
 def test_node_dominated_warning_for_localized_packet():
-    grid = build_grid(-20.0, 20.0, 2048, periodic=True)
+    grid = build_grid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=-5.0, sigma=0.7)
     with pytest.warns(NodeDominatedWarning):
         polar_decompose(psi.values, grid, P1)
@@ -166,7 +163,7 @@ def test_polar_decompose_requires_hbar():
 
 
 def test_hbar_scales_phase_action():
-    grid = build_grid(-15.0, 15.0, 1024, periodic=True)
+    grid = build_grid(-15.0, 15.0, 1024)
     psi = gaussian_packet(grid, x0=0.0, p0=1.0, hbar=1.0)
     f1 = polar_decompose(psi.values, grid, PhysicsParams(hbar=1.0))
     f2 = polar_decompose(psi.values, grid, PhysicsParams(hbar=0.5))
@@ -177,7 +174,7 @@ def test_hbar_scales_phase_action():
 # --- observables and constructors --------------------------------------------
 
 def test_gaussian_packet_expectations():
-    grid = build_grid(-25.0, 25.0, 4096, periodic=True)
+    grid = build_grid(-25.0, 25.0, 4096)
     psi = gaussian_packet(grid, x0=-5.0, p0=1.25, sigma=1.0)
     assert norm(psi) == pytest.approx(1.0, abs=1e-12)
     assert expectation_position(psi) == pytest.approx(-5.0, abs=1e-9)
@@ -191,18 +188,17 @@ def hydrodynamic_momentum(psi, params):
     return float(np.sum(np.abs(v) ** 2 * params.m * u) * psi.grid.dx)
 
 
-@given(periodic=st.booleans(), breathing=st.booleans(), x0=st.floats(-6.0, 6.0),
+@given(breathing=st.booleans(), x0=st.floats(-6.0, 6.0),
        p0=st.floats(-3.0, 3.0), sigma=st.floats(0.5, 1.5), chirp=st.floats(-0.5, 0.5),
        hbar=st.sampled_from((1.0, 0.7)), m=st.sampled_from((1.0, 1.5)))
 @settings(max_examples=200, deadline=None)
-def test_momentum_equals_hydrodynamic_momentum(periodic, breathing, x0, p0, sigma, chirp,
-                                               hbar, m):
+def test_momentum_equals_hydrodynamic_momentum(breathing, x0, p0, sigma, chirp, hbar, m):
     """<psi| -i hbar d/dx |psi> from the DFT equals sum rho S' dx for resolved
     packets far from the grid's ends: a coherent packet (a Gaussian with a
     linear phase) and a breathing one (a quadratic phase added).  The central
     stencil is exact for a quadratic S, so only roundoff separates the two
     (measured up to 1.1e-14 over 6000 draws); the bound is 1e-12."""
-    grid = build_grid(-20.0, 20.0, 1024 if periodic else 1025, periodic=periodic)
+    grid = build_grid(-20.0, 20.0, 1024)
     d = grid.x - x0
     phase = p0 * d + (0.5 * chirp * d * d if breathing else 0.0)
     psi = Wavefunction(np.exp(-d * d / (4.0 * sigma**2) + 1j * phase / hbar), grid).normalized()
@@ -215,7 +211,7 @@ def test_momentum_equals_hydrodynamic_momentum(periodic, breathing, x0, p0, sigm
 def test_plane_wave_momentum_is_hbar_k(k, hbar):
     """e^{ikx} on a periodic grid has <p> = hbar k, up to the last resolved
     wavenumber (63 of a Nyquist wavenumber 64 on this grid)."""
-    grid = build_grid(0.0, 2.0 * np.pi, 128, periodic=True)
+    grid = build_grid(0.0, 2.0 * np.pi, 128)
     p = expectation_momentum(plane_wave(grid, k), PhysicsParams(hbar=hbar))
     assert p == pytest.approx(hbar * k, rel=1e-13)
 
@@ -225,7 +221,7 @@ def test_real_packet_cut_by_the_seam_has_zero_momentum(x0):
     """A real psi has <p> = 0.  The periodic seam cuts this packet, so its DFT
     has weight at the Nyquist bin, whose wavenumber has no partner of the
     opposite sign: counted as -pi/dx it would read <p> of order -1e-6."""
-    grid = build_grid(-20.0, 20.0, 256, periodic=True)
+    grid = build_grid(-20.0, 20.0, 256)
     psi = gaussian_packet(grid, x0=x0, sigma=0.8)
     nyquist = np.pi / grid.n * abs(np.fft.fft(psi.values)[grid.n // 2]) ** 2
     assert nyquist > 1e-6  # the case the Nyquist convention decides
@@ -259,7 +255,7 @@ def test_wavefunction_shape_checked():
 @given(phi=st.floats(-np.pi, np.pi, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_global_phase_leaves_velocity_unchanged(phi):
-    grid = build_grid(-15.0, 15.0, 512, periodic=True)
+    grid = build_grid(-15.0, 15.0, 512)
     psi = gaussian_packet(grid, x0=1.0, p0=0.7)
     shifted = Wavefunction(psi.values * np.exp(1j * phi), grid)
     f0 = polar_decompose(psi.values, grid, P1)

@@ -21,11 +21,10 @@ over the packet's valid span only.  That is the same rotation as the one
 expression exp(i phase / hbar) with different rounding.  So each step equals
 a plain full-grid product of the three factors to the bit, and stays within
 1e-13 relative of the one-expression step.  With mu = 0 the rotation is P_V
-alone and still equals the one-expression step to the bit.  The split step is
-the package's only propagator, so every record below runs on a periodic
-grid; the stencils' non-periodic ends are checked by the stencil,
-decomposition and window tests.  The kernels take plain arrays and copy
-nothing on entry, so the last tests hand them read-only inputs.
+alone and still equals the one-expression step to the bit.  The grid is
+periodic, so the stencils wrap around its seam and the windows of the
+disruptor wrap with them.  The kernels take plain arrays and copy nothing on
+entry, so the last tests hand them read-only inputs.
 """
 
 import numpy as np
@@ -40,7 +39,7 @@ from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     _unwrap, build_grid, gaussian_packet,
                                     polar_decompose)
 from quantum_descent.hydro import (disruptor_field, interpolate, locate_window,
-                                   quantum_potential, sample_field, stencil_window)
+                                   quantum_potential, sample_field)
 from quantum_descent.learner import PotentialSpec
 
 # --- references ---------------------------------------------------------------
@@ -54,15 +53,9 @@ def ref_second_derivative(f, dx):
     return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (dx * dx)
 
 
-def ref_central_from_increments(d, dx, periodic):
+def ref_central_from_increments(d, dx):
     d = np.asarray(d, dtype=float)
-    if periodic:
-        return (d + np.roll(d, 1)) / (2.0 * dx)
-    out = np.empty(d.size + 1, dtype=float)
-    out[1:-1] = (d[1:] + d[:-1]) / (2.0 * dx)
-    out[0] = (3.0 * d[0] - d[1]) / (2.0 * dx)
-    out[-1] = (3.0 * d[-1] - d[-2]) / (2.0 * dx)
-    return out
+    return (d + np.roll(d, 1)) / (2.0 * dx)
 
 
 def ref_fill_from_nearest_valid(values, valid_idx):
@@ -90,14 +83,12 @@ def ref_polar_decompose(v, grid, params):
         S = ref_fill_from_nearest_valid(S, valid_idx)
     S *= params.hbar
     S -= S[int(np.argmax(rho))]
-    inc = np.diff(S)
-    if grid.periodic:
-        if valid[0] and valid[-1]:
-            seam = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
-        else:
-            seam = 0.0
-        inc = np.append(inc, seam)
-    u = ref_central_from_increments(inc, grid.dx, grid.periodic) / params.m
+    if valid[0] and valid[-1]:
+        seam = params.hbar * float(np.angle(v[0] * np.conj(v[-1])))
+    else:
+        seam = 0.0
+    inc = np.append(np.diff(S), seam)
+    u = ref_central_from_increments(inc, grid.dx) / params.m
     return S, rho, u, params.m * u
 
 
@@ -212,8 +203,7 @@ def masks(draw, n):
 @st.composite
 def wavefunctions(draw):
     n = draw(st.integers(8, 48))
-    periodic = draw(st.booleans())
-    grid = build_grid(-3.0, 3.0, n, periodic=periodic)
+    grid = build_grid(-3.0, 3.0, n)
     mask = draw(masks(n))
     amplitude = np.where(mask, draw(st.sampled_from((1.0, 0.37, 2.5))),
                          draw(st.sampled_from((0.0, 1e-7, 9.9e-7))))
@@ -244,17 +234,15 @@ def test_periodic_stencils_equal_roll_versions(values, imag, dx):
     f = np.array(values)
     if imag:
         f = f + 1j * np.roll(f, 3)[::-1]
-    assert np.array_equal(first_derivative(f, dx, periodic=True), ref_first_derivative(f, dx))
-    assert np.array_equal(second_derivative(f, dx, periodic=True), ref_second_derivative(f, dx))
+    assert np.array_equal(first_derivative(f, dx), ref_first_derivative(f, dx))
+    assert np.array_equal(second_derivative(f, dx), ref_second_derivative(f, dx))
 
 
-@given(d=st.lists(finite, min_size=3, max_size=64), dx=st.floats(1e-3, 2.0),
-       periodic=st.booleans())
+@given(d=st.lists(finite, min_size=3, max_size=64), dx=st.floats(1e-3, 2.0))
 @settings(max_examples=200, deadline=None)
-def test_central_from_increments_equals_roll_version(d, dx, periodic):
+def test_central_from_increments_equals_roll_version(d, dx):
     d = np.array(d)
-    assert np.array_equal(central_from_increments(d, dx, periodic),
-                          ref_central_from_increments(d, dx, periodic))
+    assert np.array_equal(central_from_increments(d, dx), ref_central_from_increments(d, dx))
 
 
 # --- polar decomposition ---------------------------------------------------------
@@ -296,7 +284,7 @@ def test_generated_masks_cover_every_shape():
 
 # --- the propagator --------------------------------------------------------------
 
-GRID = build_grid(-20.0, 20.0, 2048, periodic=True)
+GRID = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
@@ -381,7 +369,7 @@ def test_rotation_equals_the_complex_exponential_to_the_bit(hbar):
 
 # --- the per-step record -----------------------------------------------------------
 
-SMALL_GRID = build_grid(-20.0, 20.0, 256, periodic=True)
+SMALL_GRID = build_grid(-20.0, 20.0, 256)
 
 # The record takes <p> from the DFT the step already holds, not from the state
 # it returns, and sums over frequencies instead of positions: the same number
@@ -453,16 +441,16 @@ def test_block_record_equals_reference(steps):
                                     params, steps)
 
 
-@given(periodic=st.booleans(), columns=st.integers(1, 8),
+@given(columns=st.integers(1, 8),
        amplitudes=st.lists(st.one_of(st.floats(1e-3, 3.0), st.sampled_from((0.0, 1e-13))),
                            min_size=48, max_size=48),
        hbar=st.sampled_from((1.0, 0.7)), m=st.sampled_from((1.0, 1.5)))
 @settings(max_examples=200, deadline=None)
-def test_stacked_windows_equal_one_call_per_window(periodic, columns, amplitudes, hbar, m):
+def test_stacked_windows_equal_one_call_per_window(columns, amplitudes, hbar, m):
     """disruptor_field of a (6, K) stack of windows equals, column by column,
     the call on each window alone: as evolve passes it (a transposed view)
     and as a contiguous array."""
-    grid = build_grid(-3.0, 3.0, 16, periodic=periodic)
+    grid = build_grid(-3.0, 3.0, 16)
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
     windows = np.array(amplitudes[:6 * columns]).reshape(columns, 6)
     for stack in (windows.T, np.ascontiguousarray(windows.T)):
@@ -472,38 +460,30 @@ def test_stacked_windows_equal_one_call_per_window(periodic, columns, amplitudes
             assert np.array_equal(dis[:, c], disruptor_field(windows[c], grid, params))
 
 
-@given(n=st.integers(8, 48), periodic=st.booleans(),
+@given(n=st.integers(8, 48),
        cell=st.sampled_from(("0", "1", "2", "n-3", "n-2", "n-1")),
        frac=st.floats(0.0, 1.0, exclude_max=True),
        amplitudes=st.lists(st.one_of(st.floats(1e-3, 3.0), st.sampled_from((0.0, 1e-13))),
                            min_size=48, max_size=48),
        hbar=st.sampled_from((1.0, 0.7)), m=st.sampled_from((1.0, 1.5)))
 @settings(max_examples=400, deadline=None)
-def test_windowed_disruptor_equals_full_grid(n, periodic, cell, frac, amplitudes, hbar, m):
-    """Dis from the six amplitudes of stencil_window equals the full-grid field
-    at both interpolation nodes and at x, next to the seam and the ends too."""
-    grid = build_grid(-3.0, 3.0, n, periodic=periodic)
+def test_windowed_disruptor_equals_full_grid(n, cell, frac, amplitudes, hbar, m):
+    """Dis from the six amplitudes of locate_window equals the full-grid field
+    at both interpolation nodes and at x, next to the seam too."""
+    grid = build_grid(-3.0, 3.0, n)
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
     R = np.array(amplitudes[:n])
     j0 = {"0": 0, "1": 1, "2": 2, "n-3": n - 3, "n-2": n - 2, "n-1": n - 1}[cell]
-    if periodic or j0 < n - 1:
-        x = min(grid.x[j0] + frac * grid.dx, grid.x_max)
-    else:
-        x = grid.x_max  # a non-periodic grid has no cell n-1: x_max closes cell n-2
-    window = stencil_window(grid, x)
+    x = min(grid.x[j0] + frac * grid.dx, grid.x_max)
+    window, i0, frac = locate_window(grid, x)
     assert window.size == 6
     full = disruptor_field(R, grid, params)
     local = disruptor_field(R[window], grid, params)
-    first = int(window[0])
-    assert sample_field(local, grid, x, first=first) == sample_field(full, grid, x)
-    # the block path of evolve: the nodes' place in the window and interpolate
-    located, i0, frac = locate_window(grid, x)
-    assert np.array_equal(located, window)
+    # the path of evolve and of the field-sampled disruptor
     assert interpolate(local[i0], local[i0 + 1], frac) == sample_field(full, grid, x)
-    t = (x - grid.x_min) / grid.dx
-    k0 = min(int(np.floor(t)), n - 1 if periodic else n - 2)
+    k0 = min(int(np.floor((x - grid.x_min) / grid.dx)), n - 1)
     for j in (k0, (k0 + 1) % n):
-        assert local[(j - first) % n] == full[j], f"node {j} of {n}"
+        assert local[(j - int(window[0])) % n] == full[j], f"node {j} of {n}"
 
 
 # --- read-only inputs ------------------------------------------------------------

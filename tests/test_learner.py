@@ -172,7 +172,7 @@ def test_run_learner_max_steps_outcome():
 # --- field-sampled disruptor ---------------------------------------------------
 
 def _coherent_on_grid(x0):
-    grid = build_grid(-20.0, 20.0, 512, periodic=True)
+    grid = build_grid(-20.0, 20.0, 512)
     return coherent_state(CoherentStateParams(x_t=x0, p_t=0.0, s_t=0.0, omega=1.0), grid)
 
 
@@ -180,7 +180,7 @@ def test_field_sampled_hbar_zero_equals_zero_disruptor():
     """At hbar = 0 the field-sampled disruptor is the zero disruptor: a run
     builds ZeroDisruptor instead (test_cli compares the two runs' bytes), and
     the class, which needs a wave to propagate, refuses hbar = 0."""
-    grid = build_grid(-20.0, 20.0, 512, periodic=True)
+    grid = build_grid(-20.0, 20.0, 512)
     psi0 = gaussian_packet(grid, x0=-5.0)
     params = PhysicsParams(m=1.0, hbar=0.0, mu=1.0)
     with pytest.raises(ValueError, match="hbar > 0"):

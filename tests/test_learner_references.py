@@ -319,7 +319,7 @@ def test_numerical_error_step_matches_the_reference(wall, x0, mu, time_scale):
 
 
 def test_field_sampled_run_equals_the_reference():
-    grid = build_grid(-10.0, 10.0, 128, periodic=True)
+    grid = build_grid(-10.0, 10.0, 128)
     psi0 = gaussian_packet(grid, x0=-2.0, sigma=1.1)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
     pot = PotentialSpec.polynomial(BOWL)
