@@ -19,10 +19,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quantum_descent.dynamics import (CoherentStateParams, PropagatorConfig,
-                                      coherent_state, damped_oscillator_closed_form,
+from quantum_descent.dynamics import (PropagatorConfig, damped_oscillator_closed_form,
                                       evolve)
-from quantum_descent.fields import PhysicsParams, build_grid
+from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.hydro import quantum_potential
 from quantum_descent.learner import PotentialSpec
 
@@ -31,7 +30,8 @@ def propagator_errors(dts, t_final=5.0, mu=1.0, omega=1.0, n=2048):
     grid = build_grid(-20.0, 20.0, n)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=mu)
     potential = PotentialSpec.harmonic(omega)
-    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, omega), grid)
+    # the trap's ground state at hbar = m = 1, displaced to -5
+    psi0 = gaussian_packet(grid, -5.0, sigma=1.0 / np.sqrt(2.0 * omega))
     errors = []
     for dt in dts:
         rec = evolve(psi0, potential, params,

@@ -4,8 +4,9 @@
 The set covers each experiment kind: a relaxing coherent packet recorded
 every step, a learner driven by a field-sampled disruptor, a threaded sweep
 of zero-disruptor twins, the default learn, evolve, compare and figure1
-runs, an evolve without friction (mu = 0), and a field-sampled learn with
-hbar = 0.7 and time_scale = 0.5.  Each run writes
+runs, an evolve without friction (mu = 0), a field-sampled learn with
+hbar = 0.7 and time_scale = 0.5, an evolve from the coherent state at
+m = 2 and hbar = 0.5, and a compare in a quartic potential.  Each run writes
 into its own directory under --out; meta.json is left out because it holds
 the wall time.  A change meant to leave the output unchanged to the bit is
 checked by running this on both commits and comparing the two documents:
@@ -67,6 +68,21 @@ CONFIGS = {
         "initial: {kind: gaussian, x0: -2.5, u0: 0.0, sigma: 1.0}\n"
         "disruptor: {kind: field_sampled, pde_dt: 0.01}\n"
         "run: {steps: 40, time_scale: 0.5}\n"
+    ),
+    "coherent_hbar_m": (
+        "experiment: evolve\n" + GRID
+        + "physics: {m: 2.0, hbar: 0.5, mu: 0.3}\n"
+        "potential: {kind: harmonic, omega: 1.0}\n"
+        "initial: {kind: coherent, x0: -3.0, u0: 0.5}\n"
+        "run: {dt: 0.001, t_final: 1.0, snapshot_every: 250}\n"
+    ),
+    "quartic_compare": (
+        "experiment: compare\n" + GRID
+        + "physics: {m: 1.0, hbar: 1.0, mu: 0.3}\n"
+        "potential: {kind: quartic, c: 0.5}\n"
+        "initial: {kind: gaussian, x0: -1.2, u0: 0.0}\n"
+        "disruptor: {kind: zero}\n"
+        "run: {steps: 400, stop_tol: 1.0e-200}\n"
     ),
 }
 DEFAULTS = ("learn", "evolve", "compare", "figure1")

@@ -14,8 +14,7 @@ from ._version import __version__
 from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
                      OutputConfig, RunConfig, SweepConfig, default_config,
                      load_config, parse_config)
-from .dynamics import (CoherentStateParams, EvolutionRecord, KostinPropagator,
-                       PropagatorConfig, coherent_state,
+from .dynamics import (EvolutionRecord, KostinPropagator, PropagatorConfig,
                        damped_oscillator_closed_form, evolve)
 from .errors import (ConfigError, NodeDominatedError, NodeDominatedWarning,
                      NumericalError)
@@ -37,8 +36,7 @@ __all__ = [
     "quantum_potential", "disruptor_field", "sample_field",
     "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
     "FieldSampledDisruptor", "run_learner", "run_momentum_gd",
-    "PropagatorConfig", "CoherentStateParams", "KostinPropagator",
-    "EvolutionRecord", "coherent_state", "evolve",
+    "PropagatorConfig", "KostinPropagator", "EvolutionRecord", "evolve",
     "damped_oscillator_closed_form",
     "ExperimentConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
     "OutputConfig", "SweepConfig", "parse_config", "load_config",

@@ -83,7 +83,7 @@ class InitialConfig:
 @dataclass(frozen=True)
 class DisruptorConfig:
     kind: str = "zero"
-    pde_dt: float | None = None  # substep for field_sampled; defaults to run.dt
+    pde_dt: float = 0.01  # propagator substep of the field_sampled disruptor
 
 
 @dataclass(frozen=True)
@@ -304,10 +304,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     dis_sec = {**_DISRUPTOR_DEFAULTS, **_require_mapping(raw.get("disruptor"), "disruptor")}
     _reject_unknown(dis_sec, _DISRUPTOR_KEYS, "disruptor")
     pde_dt = dis_sec.get("pde_dt")
-    if pde_dt is not None:
-        pde_dt = _as_float(pde_dt, "disruptor.pde_dt")
-        if pde_dt <= 0:
-            raise ConfigError(f"'disruptor.pde_dt' must be positive, got {pde_dt}")
+    pde_dt = (DisruptorConfig.pde_dt if pde_dt is None
+              else _as_float(pde_dt, "disruptor.pde_dt"))
+    if pde_dt <= 0:
+        raise ConfigError(f"'disruptor.pde_dt' must be positive, got {pde_dt}")
     disruptor = DisruptorConfig(kind=_as_str(dis_sec["kind"], "disruptor.kind",
                                              DISRUPTOR_KINDS),
                                 pde_dt=pde_dt)

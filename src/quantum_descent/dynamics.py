@@ -34,16 +34,21 @@ trigonometry only where S varies: :func:`~quantum_descent.fields.polar_decompose
 makes S constant outside the packet's valid span, so cos and sin run on that
 span and each tail is multiplied by the factor of its span end as a scalar.
 
-For a harmonic trap the fixed-width Gaussian packet
+For a harmonic trap V = omega^2 x^2 / 2 and a particle of mass m, the
+fixed-width Gaussian packet of the trap's ground-state width
 
-    psi(x, t) = (omega/pi)^(1/4) exp(-(omega/2)(x - x_t)^2 + i p_t (x - x_t) + i s_t)
+    psi(x, t) = (m Omega / pi hbar)^(1/4)
+                exp(-(m Omega / 2 hbar)(x - x_t)^2 + i [p_t (x - x_t) + s_t] / hbar),
 
-solves the equation exactly (units hbar = m = 1) with the packet centre
-following a damped classical oscillator: dx/dt = p, dp/dt = -omega^2 x - mu p,
-ds/dt = p^2/2 - omega^2 x^2/2 - omega/2.  The friction force is the whole
-story for the centre because the curvature (quantum-potential) force vanishes
-at the centre of a fixed-width Gaussian.  The closed form of that oscillator
-doubles as an independent oracle for the PDE.
+with Omega = omega / sqrt(m), solves the equation exactly, its centre
+following a damped classical oscillator: dx/dt = p/m, dp/dt = -omega^2 x - mu p,
+ds/dt = p^2/2m - omega^2 x^2/2 - hbar Omega/2.  The velocity u = p/m thus obeys
+du/dt = -Omega^2 x - mu u.  The friction force is the whole story for the
+centre because the curvature (quantum-potential) force vanishes at the centre
+of a fixed-width Gaussian.  The closed form of that oscillator doubles as an
+independent oracle for the PDE; the packet is
+:func:`~quantum_descent.fields.gaussian_packet` with density variance
+hbar / (2 m Omega) = hbar / (2 omega sqrt(m)).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .fields import (
     polar_decompose,
     spectral_momentum,
 )
-from .hydro import WINDOW, disruptor_field, interpolate, locate_window
+from .hydro import NODE, WINDOW, disruptor_field, interpolate, locate_window
 from .learner import PotentialSpec
 
 
@@ -82,40 +87,6 @@ class PropagatorConfig:
             raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-
-
-@dataclass(frozen=True)
-class CoherentStateParams:
-    """Centre, momentum, accumulated phase, and trap frequency of the packet."""
-
-    x_t: float = 0.0
-    p_t: float = 0.0
-    s_t: float = 0.0
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"trap frequency must be positive, got omega={self.omega}")
-
-
-def coherent_state(cp: CoherentStateParams, grid: SpatialGrid) -> Wavefunction:
-    """Fixed-width Gaussian packet in a harmonic trap (units hbar = m = 1).
-
-    The grid must span at least 8 standard deviations of the density,
-    sigma = 1/sqrt(2 omega), around the centre; the result is renormalized on
-    the grid.
-    """
-    sigma = 1.0 / math.sqrt(2.0 * cp.omega)
-    if cp.x_t - 4.0 * sigma < grid.x_min or cp.x_t + 4.0 * sigma > grid.x_max:
-        raise ValueError(
-            f"grid [{grid.x_min}, {grid.x_max}] too narrow for a packet at x_t={cp.x_t} "
-            f"with sigma={sigma:.4g} (needs 8 standard deviations)"
-        )
-    x = grid.x
-    psi = (cp.omega / np.pi) ** 0.25 * np.exp(
-        -(cp.omega / 2.0) * (x - cp.x_t) ** 2 + 1j * (cp.p_t * (x - cp.x_t) + cp.s_t)
-    )
-    return Wavefunction(psi, grid).normalized()
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -258,8 +229,8 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     re-raised with the failing step index attached.
 
     Dis at <x> reads the six amplitudes of :func:`~quantum_descent.hydro.locate_window`
-    only.  Each recorded step keeps those amplitudes and where <x> sits among
-    them; one :func:`~quantum_descent.hydro.disruptor_field` call on the
+    only.  Each recorded step keeps those amplitudes and <x>'s fraction of
+    its cell; one :func:`~quantum_descent.hydro.disruptor_field` call on the
     stacked windows of up to :data:`DIS_BLOCK` steps then fills their
     ``dis_center``, so the extra memory is one block whatever the step count.
     """
@@ -276,20 +247,17 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     snapshot_times: list[float] = []
     snapshots: list[np.ndarray] = []
     weights = momentum_weights(grid, params)
-    # per step of the block being filled: the six amplitudes of its window,
-    # the place of <x>'s first node in that window and <x>'s fraction of the
-    # cell (the block is evaluated when full, so its memory is bounded)
+    # per step of the block being filled: the six amplitudes of its window
+    # and <x>'s fraction of the cell (the block is evaluated when full, so
+    # its memory is bounded)
     windows = np.empty((DIS_BLOCK, WINDOW), dtype=np.complex128)
-    places = np.empty(DIS_BLOCK, dtype=np.intp)
     fracs = np.empty(DIS_BLOCK)
-    columns = np.arange(DIS_BLOCK)
 
     def fill_dis(k: int) -> None:
         """Dis at <x> of the block of steps that ends at step k."""
         size = k % DIS_BLOCK + 1
         dis = disruptor_field(np.abs(windows[:size]).T, grid, params)
-        cols, i0 = columns[:size], places[:size]
-        dis_center[k + 1 - size:k + 1] = interpolate(dis[i0, cols], dis[i0 + 1, cols],
+        dis_center[k + 1 - size:k + 1] = interpolate(dis[NODE, :size], dis[NODE + 1, :size],
                                                      fracs[:size])
 
     def record(k: int, spectrum: np.ndarray) -> None:
@@ -303,7 +271,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
         x_mean[k] = xm = float((grid.x * rho).sum() * grid.dx)
         p_mean[k] = spectral_momentum(spectrum, weights)
         b = k % DIS_BLOCK
-        window, places[b], fracs[b] = locate_window(grid, min(max(xm, grid.x_min), grid.x_max))
+        window, fracs[b] = locate_window(grid, min(max(xm, grid.x_min), grid.x_max))
         windows[b] = values[window]
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)

@@ -19,8 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig
-from .dynamics import (CoherentStateParams, EvolutionRecord, PropagatorConfig,
-                       check_propagation, coherent_state, evolve)
+from .dynamics import EvolutionRecord, PropagatorConfig, check_propagation, evolve
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
@@ -53,25 +52,37 @@ class ExperimentResult:
     meta: dict
 
 
+def _ground_state_width(cfg: ExperimentConfig) -> float:
+    """Standard deviation of the density of the harmonic trap's ground state
+    for mass m: its variance is hbar / (2 omega sqrt(m))."""
+    omega, m, hbar = cfg.potential["omega"], cfg.physics.m, cfg.physics.hbar
+    return 1.0 / np.sqrt(2.0 * omega * np.sqrt(m) / hbar)
+
+
 def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
-    """The configured initial state; one that cannot be built is a config error."""
+    """The configured initial state; one that cannot be built is a config error.
+
+    A coherent state is the Gaussian of the trap's ground-state width moving
+    with p0 = m u0, and so is a Gaussian without a width in a harmonic trap.
+    """
     init = cfg.initial
-    if init.kind == "coherent" and cfg.potential["kind"] != "harmonic":
+    harmonic = cfg.potential["kind"] == "harmonic"
+    if init.kind == "coherent" and not harmonic:
         raise ConfigError("a coherent initial state needs a harmonic potential "
                           "(its width is set by the trap frequency)")
+    grid = cfg.grid
     try:
-        if init.kind == "coherent":
-            cp = CoherentStateParams(x_t=init.x0, p_t=cfg.p0, s_t=0.0,
-                                     omega=cfg.potential["omega"])
-            return coherent_state(cp, cfg.grid)
-        if init.kind == "gaussian":
-            sigma = init.sigma
-            if sigma is None:
-                if cfg.potential["kind"] == "harmonic":
-                    sigma = 1.0 / np.sqrt(2.0 * cfg.potential["omega"])
-                else:
-                    sigma = 1.0
-            return gaussian_packet(cfg.grid, init.x0, p0=cfg.p0, sigma=sigma,
+        if init.kind != "custom":
+            if init.kind == "coherent" or (init.sigma is None and harmonic):
+                sigma = _ground_state_width(cfg)
+            else:
+                sigma = 1.0 if init.sigma is None else init.sigma
+            if init.kind == "coherent" and (init.x0 - 4.0 * sigma < grid.x_min
+                                            or init.x0 + 4.0 * sigma > grid.x_max):
+                raise ValueError(
+                    f"grid [{grid.x_min}, {grid.x_max}] too narrow for a packet at "
+                    f"x_t={init.x0} with sigma={sigma:.4g} (needs 8 standard deviations)")
+            return gaussian_packet(grid, init.x0, p0=cfg.p0, sigma=sigma,
                                    hbar=cfg.physics.hbar)
         # custom: tabulated (x, re, im), linearly interpolated onto the grid
         header, rows = read_table(Path(init.path))
@@ -113,10 +124,9 @@ def _build_disruptor(cfg: ExperimentConfig):
     identically, so it is the zero disruptor and no wave is built."""
     if cfg.disruptor.kind == "zero" or cfg.physics.hbar == 0.0:
         return ZeroDisruptor()
-    psi0 = _initial_wavefunction(cfg)
-    pde_dt = cfg.disruptor.pde_dt if cfg.disruptor.pde_dt is not None else 0.01
-    return FieldSampledDisruptor(psi0, cfg.build_potential(), cfg.physics,
-                                 pde_dt=pde_dt, macro_time=cfg.run.time_scale)
+    return FieldSampledDisruptor(_initial_wavefunction(cfg), cfg.build_potential(),
+                                 cfg.physics, pde_dt=cfg.disruptor.pde_dt,
+                                 macro_time=cfg.run.time_scale)
 
 
 def _learner_meta(run: LearnerRun) -> dict:

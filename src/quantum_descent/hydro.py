@@ -32,8 +32,11 @@ from .fields import EPS_NODE, PhysicsParams, SpatialGrid
 
 logger = logging.getLogger(__name__)
 
-# points of the amplitude window that fixes Dis at one position
+# points of the amplitude window that fixes Dis at one position, and the
+# window's row of the first interpolation node of that position (the second
+# is the next row)
 WINDOW = 6
+NODE = 2
 
 
 def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
@@ -97,18 +100,17 @@ def sample_field(values: np.ndarray, grid: SpatialGrid, x: float) -> float:
 
 def locate_window(grid: SpatialGrid, x: float) -> tuple:
     """Six consecutive grid points whose amplitudes fix Dis at the nodes of x,
-    where x sits among them, and x's fraction of the way between its nodes.
+    and x's fraction of the way between those nodes.
 
     Dis at a point reads Q at its two neighbours and Q reads R at its own, so
     the interpolation nodes j0 and j0 + 1 of x need R at j0 - 2 .. j0 + 3,
-    wrapped around the seam.  Returns ``(window, i0, frac)``: the nodes are
-    the points ``window[i0]`` and ``window[i0 + 1]``, so the field that
+    wrapped around the seam.  Returns ``(window, frac)``: the nodes are the
+    points ``window[NODE]`` and ``window[NODE + 1]``, so the field that
     :func:`disruptor_field` returns for ``R[window]`` is sampled at x as
-    ``interpolate(dis[i0], dis[i0 + 1], frac)``.  That equals the full-grid
-    field sampled at x by :func:`sample_field`, to the bit: interior stencil
-    values do not depend on the length of the array, and the values at the
-    window's two ends, which alone can differ, are never read.
+    ``interpolate(dis[NODE], dis[NODE + 1], frac)``.  That equals the
+    full-grid field sampled at x by :func:`sample_field`, to the bit: interior
+    stencil values do not depend on the length of the array, and the values
+    at the window's two ends, which alone can differ, are never read.
     """
     j0, _, frac = _nodes(grid, x)
-    first = j0 - 2
-    return np.arange(first, first + WINDOW) % grid.n, j0 - first, frac
+    return np.arange(j0 - NODE, j0 - NODE + WINDOW) % grid.n, frac

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NodeDominatedError, NumericalError
 from .fields import PhysicsParams, Wavefunction
-from .hydro import disruptor_field, interpolate, locate_window
+from .hydro import NODE, disruptor_field, interpolate, locate_window
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -64,8 +64,6 @@ class PotentialSpec:
     differentiate the interpolant by central differences with step ``h``.
     """
 
-    kind: str
-    parameters: tuple
     evaluate: Callable[[np.ndarray | float], np.ndarray | float]
     gradient: Callable[[np.ndarray | float], np.ndarray | float]
 
@@ -75,22 +73,14 @@ class PotentialSpec:
         if omega <= 0:
             raise ValueError(f"harmonic frequency must be positive, got omega={omega}")
         w2 = float(omega) ** 2
-        return cls("harmonic", (float(omega),),
-                   lambda x: 0.5 * w2 * np.square(x),
-                   lambda x: w2 * x)
+        return cls(lambda x: 0.5 * w2 * np.square(x), lambda x: w2 * x)
 
     @classmethod
     def quartic(cls, c: float) -> "PotentialSpec":
-        """V(x) = 1/4 c x^4."""
+        """V(x) = 1/4 c x^4, the polynomial [0, 0, 0, 0, c/4]."""
         if c <= 0:
             raise ValueError(f"quartic stiffness must be positive, got c={c}")
-        c = float(c)
-        # np.power on scalars too: numpy's vectorized pow and the C library's
-        # (float `**`) differ in the last bit for some inputs, so scalar and
-        # array values agree only if both go through numpy
-        return cls("quartic", (c,),
-                   lambda x: 0.25 * c * np.power(x, 4),
-                   lambda x: c * np.power(x, 3))
+        return cls.polynomial([0.0, 0.0, 0.0, 0.0, float(c) / 4.0])
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[float]) -> "PotentialSpec":
@@ -99,7 +89,7 @@ class PotentialSpec:
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("polynomial needs a flat, nonempty coefficient list")
         dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        return cls("polynomial", tuple(coeffs), _horner(coeffs), _horner(dcoeffs))
+        return cls(_horner(coeffs), _horner(dcoeffs))
 
     @classmethod
     def tabulated(cls, xs: Sequence[float], vs: Sequence[float],
@@ -112,8 +102,7 @@ class PotentialSpec:
         if np.any(np.diff(xs) <= 0):
             raise ValueError("tabulated x samples must be strictly increasing")
         ev = lambda x: np.interp(x, xs, vs)
-        return cls("tabulated", (float(h),), ev,
-                   lambda x: (ev(np.asarray(x) + h) - ev(np.asarray(x) - h)) / (2.0 * h))
+        return cls(ev, lambda x: (ev(np.asarray(x) + h) - ev(np.asarray(x) - h)) / (2.0 * h))
 
 
 @dataclass(frozen=True)
@@ -174,9 +163,9 @@ class FieldSampledDisruptor:
             self._require_finite()
             raise
         self._require_finite()
-        window, i0, frac = locate_window(self.grid, x)
+        window, frac = locate_window(self.grid, x)
         dis = disruptor_field(np.abs(self._values[window]), self.grid, self.params)
-        return float(interpolate(dis[i0], dis[i0 + 1], frac))
+        return float(interpolate(dis[NODE], dis[NODE + 1], frac))
 
     def _require_finite(self) -> None:
         bad = self._values.size - int(np.count_nonzero(np.isfinite(self._values)))

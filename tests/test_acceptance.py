@@ -10,11 +10,10 @@ import time
 import numpy as np
 
 from quantum_descent.config import default_config, parse_config
-from quantum_descent.dynamics import (CoherentStateParams, KostinPropagator,
-                                      PropagatorConfig, coherent_state,
+from quantum_descent.dynamics import (KostinPropagator, PropagatorConfig,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.experiments import run_experiment
-from quantum_descent.fields import PhysicsParams, build_grid
+from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.hydro import disruptor_field, quantum_potential, sample_field
 from quantum_descent.learner import (PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
@@ -22,6 +21,8 @@ from quantum_descent.output import read_table
 
 GRID_2048 = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
+# the ground-state width of the unit trap at hbar = m = 1
+COHERENT_SIGMA = 1.0 / np.sqrt(2.0)
 
 
 def _report(n, ok, detail):
@@ -53,7 +54,7 @@ def test_criterion_2_coherent_disruptor_vanishes():
     t0 = time.perf_counter()
     worst = 0.0
     for x_t in (-5.0, 0.0, 1.3):
-        psi = coherent_state(CoherentStateParams(x_t, 0.0, 0.0, 1.0), GRID_2048)
+        psi = gaussian_packet(GRID_2048, x_t, sigma=COHERENT_SIGMA)
         field = disruptor_field(np.abs(psi.values), GRID_2048,
                                 PhysicsParams(m=1.0, hbar=1.0, mu=1.0))
         worst = max(worst, abs(sample_field(field, GRID_2048, x_t)))
@@ -108,7 +109,7 @@ def test_criterion_5_pde_ode_cross_validation():
     """<x>(t) within 1e-3 of the damped closed form over [0, 10] at dt=1e-3;
     halving dt cuts the error by 3.5x-4.5x; runtime < 60 s."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
-    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), GRID_2048)
+    psi0 = gaussian_packet(GRID_2048, -5.0, sigma=COHERENT_SIGMA)
     t0 = time.perf_counter()
     errs = []
     for dt in (1e-3, 5e-4):
@@ -126,7 +127,7 @@ def test_criterion_5_pde_ode_cross_validation():
 
 def test_criterion_6_norm_conservation():
     """Norm drift < 1e-8 over 10^4 propagator steps for mu in {0, 0.5, 1}."""
-    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), GRID_2048)
+    psi0 = gaussian_packet(GRID_2048, -5.0, sigma=COHERENT_SIGMA)
     worst = 0.0
     for mu in (0.0, 0.5, 1.0):
         prop = KostinPropagator(GRID_2048, HARMONIC,
@@ -196,8 +197,9 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
                       ZeroDisruptor(), cfg.physics, steps=cfg.run.steps,
                       stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
     _, traj = read_table(tmp_path / "r1" / "trajectory.csv")
-    psi0 = coherent_state(CoherentStateParams(cfg.initial.x0, cfg.p0, 0.0,
-                                              cfg.potential["omega"]), cfg.grid)
+    # the default config has hbar = m = 1, where the coherent width is 1/sqrt(2 omega)
+    psi0 = gaussian_packet(cfg.grid, cfg.initial.x0, p0=cfg.p0,
+                           sigma=1.0 / np.sqrt(2.0 * cfg.potential["omega"]))
     rec = evolve(psi0, cfg.build_potential(), cfg.physics,
                  PropagatorConfig(dt=cfg.run.dt, t_final=cfg.run.t_final,
                                   snapshot_every=cfg.run.snapshot_every))

@@ -20,6 +20,8 @@ def test_minimal_figure1_fills_documented_defaults():
     assert cfg.run.steps == 200
     assert cfg.run.stop_tol == 1e-8
     assert cfg.run.dt == 0.02
+    # the field-sampled disruptor's step is resolved here, so meta.json echoes it
+    assert cfg.effective_dict()["disruptor"] == {"kind": "zero", "pde_dt": 0.01}
 
 
 def test_run_defaults_depend_on_experiment():

@@ -4,14 +4,15 @@ Oracle chain: the damped-oscillator closed form is checked against
 scipy.integrate.solve_ivp; an RK4 integrator of the centre parameters, kept
 here as a reference, is checked against the closed form; the split-step
 propagator is checked against both, plus norm conservation and the
-fixed-width (coherent) property of the damped Gaussian.  A Crank-Nicolson
+fixed-width (coherent) property of the damped Gaussian; the config's coherent
+state is checked at hbar and m other than 1.  A Crank-Nicolson
 step, also kept here as a reference (the package has one propagator), cross-
 checks the split step with a different scheme, a finer spacing and different
 boundary handling: Dirichlet ends instead of the periodic wrap.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,24 +22,37 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import solve_banded
 
 from quantum_descent import dynamics
-from quantum_descent.dynamics import (DIS_BLOCK, CoherentStateParams, KostinPropagator,
-                                      PropagatorConfig, coherent_state,
+from quantum_descent.config import parse_config
+from quantum_descent.dynamics import (DIS_BLOCK, KostinPropagator, PropagatorConfig,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.errors import NumericalError
+from quantum_descent.experiments import run_experiment
 from quantum_descent.fields import (PhysicsParams, Wavefunction, build_grid,
-                                    expectation_phase, gaussian_packet, norm,
+                                    expectation_phase, gaussian_packet,
                                     polar_decompose)
 from quantum_descent.learner import PotentialSpec
+from quantum_descent.output import read_table
 
 GRID = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
 def _coherent(x0=-5.0, p0=0.0, omega=1.0, grid=GRID):
-    return coherent_state(CoherentStateParams(x_t=x0, p_t=p0, s_t=0.0, omega=omega), grid)
+    """The ground-state Gaussian of the trap at hbar = m = 1, moving with p0."""
+    return gaussian_packet(grid, x0, p0=p0, sigma=1.0 / np.sqrt(2.0 * omega))
 
 
 # --- references ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Centre:
+    """Centre, momentum, accumulated phase and trap frequency of a coherent packet."""
+
+    x_t: float
+    p_t: float
+    s_t: float
+    omega: float
 
 
 def coherent_ode_step(cp, params, dt):
@@ -144,7 +158,7 @@ def test_closed_form_rejects_negative_time():
 
 def test_rk4_centre_matches_closed_form():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
-    cp = CoherentStateParams(x_t=-5.0, p_t=0.0, s_t=0.0, omega=1.0)
+    cp = Centre(x_t=-5.0, p_t=0.0, s_t=0.0, omega=1.0)
     dt, n = 1e-3, 3000
     for _ in range(n):
         cp = coherent_ode_step(cp, params, dt)
@@ -157,7 +171,7 @@ def test_rk4_phase_action_matches_quadrature():
     """ds/dt = p^2/2 - omega^2 x^2 / 2 - omega/2, integrated independently."""
     mu, omega, T = 1.0, 1.0, 2.5
     params = PhysicsParams(m=1.0, hbar=1.0, mu=mu)
-    cp = CoherentStateParams(x_t=-5.0, p_t=0.0, s_t=0.0, omega=omega)
+    cp = Centre(x_t=-5.0, p_t=0.0, s_t=0.0, omega=omega)
     dt = 1e-3
     for _ in range(int(T / dt)):
         cp = coherent_ode_step(cp, params, dt)
@@ -171,22 +185,48 @@ def test_rk4_phase_action_matches_quadrature():
     assert cp.s_t == pytest.approx(expected, abs=1e-8)
 
 
-# --- coherent state construction ----------------------------------------------
+# --- the coherent initial state ----------------------------------------------
 
-def test_coherent_state_is_normalized_with_fixed_width():
-    for omega in (0.5, 1.0, 2.0):
-        psi = _coherent(x0=-5.0, omega=omega)
-        assert norm(psi) == pytest.approx(1.0, abs=1e-10)
-        rho = np.abs(psi.values) ** 2
+def _coherent_run(out, m, hbar, omega=1.0, x0=-3.0, u0=0.5, t_final=3.0):
+    """evolve from the config's coherent state on the default grid, mu = 0.3:
+    the trajectory rows and the density rows."""
+    cfg = parse_config(
+        "experiment: evolve\n"
+        f"physics: {{m: {m}, hbar: {hbar}, mu: 0.3}}\n"
+        f"potential: {{kind: harmonic, omega: {omega}}}\n"
+        f"initial: {{kind: coherent, x0: {x0}, u0: {u0}}}\n"
+        f"run: {{dt: 0.001, t_final: {t_final}, snapshot_every: 1000}}\n")
+    assert cfg.grid == GRID
+    assert run_experiment(cfg, out_dir=out).exit_code == 0
+    return read_table(out / "trajectory.csv")[1], read_table(out / "density.csv")[1]
+
+
+def test_coherent_state_is_normalized_with_fixed_width(tmp_path):
+    """The coherent kind is the trap's ground state for mass m: unit norm and
+    density variance hbar / (2 omega sqrt(m)), at any hbar and m."""
+    cases = [(0.5, 1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 1.0, 1.0),
+             (1.0, 2.0, 0.5), (1.0, 0.5, 1.5), (2.0, 0.5, 1.5)]
+    for i, (omega, m, hbar) in enumerate(cases):
+        _, dens = _coherent_run(tmp_path / str(i), m, hbar, omega=omega, x0=-5.0,
+                                t_final=0.0)
+        rho = dens[:, 1]
+        assert np.sum(rho) * GRID.dx == pytest.approx(1.0, abs=1e-10)
         mean = np.sum(GRID.x * rho) * GRID.dx
         var = np.sum((GRID.x - mean) ** 2 * rho) * GRID.dx
-        assert var == pytest.approx(1.0 / (2.0 * omega), rel=1e-8)
+        assert var == pytest.approx(hbar / (2.0 * omega * np.sqrt(m)), rel=1e-8)
 
 
-def test_coherent_state_must_fit_grid():
-    small = build_grid(-2.0, 2.0, 64)
-    with pytest.raises(ValueError):
-        coherent_state(CoherentStateParams(x_t=-1.9, p_t=0.0, s_t=0.0, omega=1.0), small)
+@pytest.mark.parametrize("m,hbar", [(2.0, 0.5), (0.5, 1.5)])
+def test_coherent_centre_follows_the_oscillator_at_any_hbar_and_m(tmp_path, m, hbar):
+    """The coherent kind starts at u = u0, and <x> and u follow the damped
+    oscillator of frequency Omega = omega / sqrt(m) (Kostin 1972)."""
+    traj, _ = _coherent_run(tmp_path, m, hbar)
+    assert traj[0, 2] == pytest.approx(0.5, abs=1e-12)
+    exact = np.array([damped_oscillator_closed_form(-3.0, 0.5, 0.3, 1.0 / np.sqrt(m), t)
+                      for t in traj[:, 0]])
+    # measured: <x> within 3.0e-8 and 5.1e-7, u within 9.8e-8 and 1.1e-6
+    assert np.max(np.abs(traj[:, 1] - exact[:, 0])) < 1e-5
+    assert np.max(np.abs(traj[:, 2] - exact[:, 1])) < 1e-5
 
 
 # --- propagator stepping ------------------------------------------------------
@@ -226,8 +266,7 @@ def test_spectral_norm_preserved(mu):
 def test_crank_nicolson_norm_preserved():
     grid = build_grid(-20.0, 20.0, 1536)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
-    psi0 = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), grid)
-    values = psi0.values
+    values = _coherent(grid=grid).values
     n0 = np.sum(np.abs(values) ** 2) * grid.dx
     for _ in range(500):
         values = crank_nicolson_step(values, grid, HARMONIC, params, 2e-3)
@@ -342,7 +381,7 @@ def test_crank_nicolson_cross_checks_spectral():
     rec_s = evolve(_coherent(), HARMONIC, params, cfg)
 
     grid = build_grid(-20.0, 20.0, 4000)  # dx = 0.01
-    values = coherent_state(CoherentStateParams(-5.0, 0.0, 0.0, 1.0), grid).values
+    values = _coherent(grid=grid).values
     x_mean_cn = [float(np.sum(grid.x * np.abs(values) ** 2) * grid.dx)]
     for _ in range(rec_s.times.size - 1):
         values = crank_nicolson_step(values, grid, HARMONIC, params, 1e-3)

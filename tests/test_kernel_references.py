@@ -38,7 +38,7 @@ from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, PropagatorConf
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     _unwrap, build_grid, gaussian_packet,
                                     polar_decompose)
-from quantum_descent.hydro import (disruptor_field, interpolate, locate_window,
+from quantum_descent.hydro import (NODE, disruptor_field, interpolate, locate_window,
                                    quantum_potential, sample_field)
 from quantum_descent.learner import PotentialSpec
 
@@ -475,12 +475,12 @@ def test_windowed_disruptor_equals_full_grid(n, cell, frac, amplitudes, hbar, m)
     R = np.array(amplitudes[:n])
     j0 = {"0": 0, "1": 1, "2": 2, "n-3": n - 3, "n-2": n - 2, "n-1": n - 1}[cell]
     x = min(grid.x[j0] + frac * grid.dx, grid.x_max)
-    window, i0, frac = locate_window(grid, x)
+    window, frac = locate_window(grid, x)
     assert window.size == 6
     full = disruptor_field(R, grid, params)
     local = disruptor_field(R[window], grid, params)
     # the path of evolve and of the field-sampled disruptor
-    assert interpolate(local[i0], local[i0 + 1], frac) == sample_field(full, grid, x)
+    assert interpolate(local[NODE], local[NODE + 1], frac) == sample_field(full, grid, x)
     k0 = min(int(np.floor((x - grid.x_min) / grid.dx)), n - 1)
     for j in (k0, (k0 + 1) % n):
         assert local[(j - int(window[0])) % n] == full[j], f"node {j} of {n}"

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.dynamics import CoherentStateParams, coherent_state
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.learner import (FieldSampledDisruptor, LearnerState,
@@ -38,6 +37,20 @@ def test_quartic_gradient_matches_quadrature_free_derivative():
     numeric = (pot.evaluate(x + h) - pot.evaluate(x - h)) / (2.0 * h)
     assert pot.gradient(x) == pytest.approx(numeric, rel=1e-8)
     assert pot.gradient(x) == pytest.approx(1.6 * x**3, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.6, 3.0])
+def test_quartic_is_the_polynomial_of_its_one_coefficient(c):
+    """quartic(c) is polynomial([0, 0, 0, 0, c/4]) to the bit, on scalars and
+    on arrays, and a scalar gets the bits of its array element."""
+    quartic = PotentialSpec.quartic(c)
+    poly = PotentialSpec.polynomial([0.0, 0.0, 0.0, 0.0, c / 4.0])
+    xs = np.linspace(-3.7, 3.7, 101)
+    for q, p in ((quartic.evaluate, poly.evaluate), (quartic.gradient, poly.gradient)):
+        on_array = q(xs)
+        assert np.array_equal(on_array, p(xs))
+        for x, value in zip(xs, on_array):
+            assert q(float(x)) == p(float(x)) == value
 
 
 def test_polynomial_gradient_is_exact_polyder():
@@ -81,8 +94,7 @@ def test_full_friction_unit_mass_converges_in_one_update():
 
 
 def test_non_finite_gradient_raises():
-    bad = PotentialSpec("custom", {}, evaluate=lambda x: x,
-                        gradient=lambda x: np.inf)
+    bad = PotentialSpec(evaluate=lambda x: x, gradient=lambda x: np.inf)
     s = LearnerState(t=3, x=0.0, u=0.0, dis_last=0.0)
     with pytest.raises(NumericalError) as err:
         momentum_gd_step(s, bad, alpha=1.0, beta=0.0)
@@ -173,7 +185,7 @@ def test_run_learner_max_steps_outcome():
 
 def _coherent_on_grid(x0):
     grid = build_grid(-20.0, 20.0, 512)
-    return coherent_state(CoherentStateParams(x_t=x0, p_t=0.0, s_t=0.0, omega=1.0), grid)
+    return gaussian_packet(grid, x0, sigma=1.0 / np.sqrt(2.0))
 
 
 def test_field_sampled_hbar_zero_equals_zero_disruptor():

@@ -84,8 +84,7 @@ def quantum_learn_step(state, potential, dis, params, time_scale=1.0):
 def ref_polynomial(coefficients):
     c = np.asarray(coefficients, dtype=float)
     dc = polyder(c)
-    return PotentialSpec("polynomial", tuple(c), lambda x: polyval(x, c),
-                         lambda x: polyval(x, dc))
+    return PotentialSpec(lambda x: polyval(x, c), lambda x: polyval(x, dc))
 
 
 def ref_run_learner(x0, u0, potential, dis, params, steps, stop_tol=1e-8, time_scale=1.0):
@@ -300,7 +299,7 @@ def test_every_outcome_matches_the_reference(outcome, coeffs, dis, steps, time_s
 @settings(max_examples=100, deadline=None)
 def test_numerical_error_step_matches_the_reference(wall, x0, mu, time_scale):
     """A gradient that turns non-finite fails at the same step with the same message."""
-    pot = PotentialSpec("walled", (), lambda x: -0.5 * np.square(x),
+    pot = PotentialSpec(lambda x: -0.5 * np.square(x),
                         lambda x: -x if abs(x) < wall else math.nan)
     params = PhysicsParams(m=1.0, mu=mu)
     failures = []

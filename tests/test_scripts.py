@@ -39,8 +39,9 @@ def test_output_digest_hashes_every_data_file(tmp_path):
     sums = json.loads(done.stdout)
     runs = {key.split("/")[0] for key in sums}
     assert runs == {"relax", "quantum_learn", "descent_sweep", "frictionless",
-                    "field_sampled_hbar", "default_learn", "default_evolve",
-                    "default_compare", "default_figure1"}
+                    "field_sampled_hbar", "coherent_hbar_m", "quartic_compare",
+                    "default_learn", "default_evolve", "default_compare",
+                    "default_figure1"}
     files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                    if p.is_file() and p.name != "meta.json")
     assert files == sorted(k for k in sums if not k.endswith("/exit_code"))
