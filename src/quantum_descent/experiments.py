@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
                       run_learner, run_momentum_gd)
-from .output import read_meta, read_table, write_meta, write_table
+from .output import read_meta, read_table, write_meta, write_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,6 +117,17 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
     except ValueError as err:
         key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "grid.n"
         raise ConfigError(f"'{key}': {err}") from err
+
+
+def _check_point(cfg: ExperimentConfig) -> None:
+    """Reject, naming the key, a run configured with what it cannot honour:
+    a width for a coherent state, which has the trap's ground-state width,
+    then the settings :func:`_check_propagation` rejects."""
+    if cfg.initial.kind == "coherent" and cfg.initial.sigma is not None:
+        raise ConfigError(f"'initial.sigma': a coherent state has the trap's ground-state "
+                          f"width and takes none, got sigma={cfg.initial.sigma}; "
+                          f"use kind gaussian for another width")
+    _check_propagation(cfg)
 
 
 def _build_disruptor(cfg: ExperimentConfig):
@@ -267,7 +278,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     # validate every point before computing any of them
     points = [_set_sweep_value(sub_base, sweep.parameter, v) for v in sweep.values]
     for point in points:
-        _check_propagation(point)
+        _check_point(point)
 
     if len(points) > 1:
         with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
@@ -280,10 +291,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     for i, (value, comp) in enumerate(zip(sweep.values, computed)):
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for stem, (header, rows) in comp.tables.items():
-            path = write_table(point_dir, stem, header, rows, fmt)
-            files.append(path.name)
+        files = write_tables(point_dir, comp.tables, fmt)
         sub_meta = _assemble_meta(points[i], point_dir, fmt, comp, files)
         write_meta(point_dir / "meta.json", sub_meta)
         point_meta.append({"index": i, "value": float(value),
@@ -407,13 +415,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
     else:
-        _check_propagation(cfg)
+        _check_point(cfg)
         comp = _compute_point(cfg)
 
-    files = []
-    for stem, (header, rows) in comp.tables.items():
-        path = write_table(out_dir, stem, header, rows, fmt)
-        files.append(path.name)
+    files = write_tables(out_dir, comp.tables, fmt)
     meta = _assemble_meta(cfg, out_dir, fmt, comp, files)
     meta["wall_time_s"] = time.perf_counter() - t0
     write_meta(meta_path, meta)

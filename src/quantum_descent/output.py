@@ -2,13 +2,17 @@
 
 All floating-point values are written with 17 significant digits (``%.17e``)
 so that re-parsing a file reproduces the in-memory float64 exactly and two
-runs of the same config produce byte-identical files.
+runs of the same config produce byte-identical files.  Text that would be
+the same is rendered once: a float column holding one value is formatted
+once per table, and a table equal to an earlier one of the same
+:func:`write_tables` call is a copy of that one's file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -23,32 +27,54 @@ def _plain_rows(rows) -> list:
     return [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it.
+def _write_atomic(path: Path, write) -> None:
+    """Have ``write(tmp)`` fill a temporary file beside ``path``, then rename it.
 
     A run killed mid-write leaves at most the temporary file, never a
     truncated file under the final name.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    _write_atomic(path, lambda tmp: tmp.write_text(text))
+
+
+def _constant_columns(rows) -> list:
+    """Per column of a non-empty 2-D float64 array, its one value if every
+    row holds the same bits there, else None; empty if no column does or
+    the rows are not such an array."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.ndim == 2 and len(rows)):
+        return []
+    bits = rows.view(np.uint64)
+    same = (bits == bits[0]).all(axis=0)
+    return [rows[0, j] if same[j] else None for j in range(rows.shape[1])] if same.any() else []
 
 
 def write_csv_table(path: Path, header: list, rows) -> None:
     """Write a single-header-row CSV with '.' decimals and %.17e floats.
 
     Integer and bool columns are written as integers.  A column's type is
-    that of its value in the first row.
+    that of its value in the first row.  A column of a float64 array that
+    holds one value is formatted once and enters the row format as text.
     """
-    rows = _plain_rows(rows)
-    lines = [",".join(header)]
-    if rows:
-        fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in rows[0])
-        lines += [fmt % tuple(row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    constant = _constant_columns(rows)
+    if constant:
+        fmt = ",".join(FLOAT_FMT if v is None else (FLOAT_FMT % v).replace("%", "%%")
+                       for v in constant)
+        rows = rows[:, [j for j, v in enumerate(constant) if v is None]].tolist()
+    else:
+        rows = _plain_rows(rows)
+        first = rows[0] if rows else []
+        fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first)
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json_table(path: Path, header: list, rows) -> None:
@@ -57,7 +83,7 @@ def write_json_table(path: Path, header: list, rows) -> None:
     float64 values survive a json round-trip exactly (repr-based encoding).
     """
     payload = {"header": list(header), "rows": _plain_rows(rows)}
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_text_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
@@ -70,6 +96,36 @@ def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Pat
     else:
         write_json_table(path, header, rows)
     return path
+
+
+def _same_table(a: tuple, b: tuple) -> bool:
+    """Whether two (header, rows) tables hold the same header and the same
+    float64 rows to the bit (so -0.0 differs from 0.0 and equal NaNs match)."""
+    (header_a, rows_a), (header_b, rows_b) = a, b
+    return (list(header_a) == list(header_b)
+            and all(isinstance(r, np.ndarray) and r.dtype == np.float64
+                    for r in (rows_a, rows_b))
+            and rows_a.shape == rows_b.shape
+            and np.array_equal(rows_a.view(np.uint64), rows_b.view(np.uint64)))
+
+
+def write_tables(directory: Path, tables: dict, fmt: str) -> list:
+    """Write ``{stem: (header, rows)}`` in order; returns the file names.
+
+    A table equal to an earlier one of the call (see :func:`_same_table`) is
+    not rendered again: its file is an atomic copy of that one's.
+    """
+    names, written = [], []
+    for stem, table in tables.items():
+        source = next((path for earlier, path in written if _same_table(table, earlier)), None)
+        if source is None:
+            path = write_table(directory, stem, *table, fmt)
+            written.append((table, path))
+        else:
+            path = directory / f"{stem}.{fmt}"
+            _write_atomic(path, lambda tmp: shutil.copyfile(source, tmp))
+        names.append(path.name)
+    return names
 
 
 def read_table(path: Path) -> tuple:
@@ -90,7 +146,7 @@ def read_table(path: Path) -> tuple:
 
 def write_meta(path: Path, meta: dict) -> None:
     """Write a JSON document with sorted keys (meta.json, error.json)."""
-    _write_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_text_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def read_meta(path: Path) -> dict:

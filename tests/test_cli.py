@@ -283,6 +283,27 @@ def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("experiment,config", [
+    ("evolve", "run: {t_final: 0.01}\n"),
+    ("learn", "run: {steps: 5}\n"),
+    ("sweep", "run: {steps: 5}\n"
+     "sweep: {parameter: physics.mu, values: [0.2, 0.4], experiment: compare}\n"),
+], ids=["evolve", "learn", "sweep"])
+def test_coherent_state_with_a_width_exit_2(tmp_path, capsys, experiment, config):
+    """A coherent state has the trap's ground-state width, so a configured
+    width is a config error naming the key, found before anything computes
+    (a sweep's, when its points are validated), not a width left unused."""
+    cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n"
+                 "initial: {kind: coherent, x0: -5.0, sigma: 2.0}\n" + config)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main([experiment, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert (report["exit_code"], report["status"]) == (2, "config_error")
+    assert "'initial.sigma'" in report["error"]["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_rejected_scheme_says_it_is_gone(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", "run: {scheme: crank_nicolson}\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2

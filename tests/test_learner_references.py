@@ -5,8 +5,10 @@ The learner runs on plain floats in one loop shared by both twins, reuses the
 stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order; tables are formatted one row at a time with one format
-string.  None of this changes an operation or its order, so every row,
-outcome and written byte must equal what the plain versions give.  The plain
+string, a column of one value is formatted once, and a table equal to an
+earlier one of the same ``write_tables`` call is a copy of its file.  None of
+this changes an operation or its order, so every row, outcome and written
+byte must equal what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
 (``quantum_learn_step``, ``momentum_gd_step``) and a disruptor read from any
 callable (``CallbackDisruptor``), which test_learner.py uses too; the tests
@@ -15,18 +17,20 @@ compare bits, not closeness.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantum_descent import output
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
                                      LearnerState, PotentialSpec, ZeroDisruptor,
                                      run_learner, run_momentum_gd)
-from quantum_descent.output import write_table
+from quantum_descent.output import write_table, write_tables
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
@@ -385,3 +389,116 @@ def test_float_arrays_write_the_reference_bytes(tmp_path_factory, n, k, data):
 def test_empty_tables_write_the_reference_bytes(tmp_path, rows, fmt, ref):
     header = ["a", "b", "c"]
     assert write_table(tmp_path, "t", header, rows, fmt).read_text() == ref(header, rows)
+
+
+# values of the columns that hold one value: the signed zeros, which print
+# differently, NaN, the infinities, the smallest subnormal and a generic float
+CONSTANTS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -0.1234567890123456)
+
+
+@st.composite
+def float_table(draw, rows=st.sampled_from((0, 1, 2, 9))):
+    """A float64 table of 0, 1 or more rows whose columns each hold one value
+    of CONSTANTS or arbitrary floats."""
+    n = draw(rows)
+    columns = [np.full(n, draw(st.sampled_from(CONSTANTS))) if draw(st.booleans())
+               else np.array(draw(st.lists(any_float, min_size=n, max_size=n)), dtype=float)
+               for _ in range(draw(st.integers(1, 5)))]
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, np.column_stack(columns).reshape(n, len(columns))
+
+
+def _one_ulp_apart(rows, cell):
+    """A copy of ``rows`` with one cell moved to the next float (NaN stays)."""
+    rows = rows.copy()
+    flat = rows.reshape(-1)
+    flat[cell] = np.nextafter(flat[cell], 1.0 if flat[cell] == 0.0 else 0.0)
+    return rows
+
+
+def _zero_sign_flipped(rows, cell):
+    """A copy of ``rows`` whose cell is a zero of the other sign than before."""
+    rows = rows.copy()
+    flat = rows.reshape(-1)
+    flat[cell] = -0.0 if math.copysign(1.0, flat[cell]) > 0 else 0.0
+    return rows
+
+
+@st.composite
+def table_sets(draw):
+    """Tables of one write_tables call: new float tables, integer arrays, and
+    earlier tables copied exactly, one ulp apart, with one zero's sign
+    flipped or under another header."""
+    tables = [draw(float_table())]
+    for _ in range(draw(st.integers(0, 5))):
+        how = draw(st.sampled_from(("new", "int", "same", "ulp", "zero", "header")))
+        header, rows = draw(st.sampled_from(tables))
+        cell = draw(st.integers(0, max(rows.size - 1, 0)))
+        if how == "new":
+            header, rows = draw(float_table())
+        elif how == "int":
+            n = draw(st.integers(0, 5))
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=2 * n,
+                                   max_size=2 * n))
+            header, rows = ["i", "j"], np.array(values, dtype=np.int64).reshape(n, 2)
+        elif how == "same" or rows.dtype != np.float64 or rows.size == 0:
+            rows = rows.copy()
+        elif how == "ulp":
+            rows = _one_ulp_apart(rows, cell)
+        elif how == "zero":
+            rows = _zero_sign_flipped(rows, cell)
+        else:
+            header = header[:-1] + ["other"]
+        tables.append((header, rows))
+    return {f"t{i}": table for i, table in enumerate(tables)}
+
+
+def _renders_expected(tables):
+    """How many tables differ from every earlier one in header or float64
+    bits; tables of another dtype are never copies."""
+    seen, renders = set(), 0
+    for header, rows in tables.values():
+        key = (tuple(header), rows.shape, rows.tobytes()) if rows.dtype == np.float64 else None
+        renders += key is None or key not in seen
+        seen.add(key)
+    return renders
+
+
+@given(table_sets(), st.sampled_from(("csv", "json")))
+@settings(max_examples=300, deadline=None)
+def test_write_tables_writes_the_reference_bytes(tmp_path_factory, tables, fmt):
+    """Every file of a write_tables call holds the per-cell writer's bytes,
+    and a table is rendered again unless an earlier one of the call has its
+    header and bits: -0.0 against 0.0 and floats one ulp apart are not
+    copies, NaNs of one bit pattern are."""
+    d = tmp_path_factory.mktemp("tables")
+    ref = {"csv": ref_csv_text, "json": ref_json_text}[fmt]
+    with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
+        names = write_tables(d, tables, fmt)
+    assert names == [f"{stem}.{fmt}" for stem in tables]
+    assert sorted(p.name for p in d.iterdir()) == sorted(names)
+    for stem, (header, rows) in tables.items():
+        assert (d / f"{stem}.{fmt}").read_text() == ref(header, rows), stem
+    assert rendered.call_count == _renders_expected(tables)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("second", [
+    lambda rows: rows.copy(),
+    lambda rows: rows * [1.0, -1.0],
+    lambda rows: _one_ulp_apart(rows, 1),
+    lambda rows: rows.astype(np.int64),
+], ids=["duplicate", "zero_sign", "one_ulp", "integer"])
+def test_twin_tables_write_the_reference_bytes(tmp_path, fmt, second):
+    """A table with a constant column beside a duplicate, a near duplicate or
+    its integer version: each file holds the per-cell writer's bytes, and
+    only the exact duplicate is a copy."""
+    header = ["t", "zero"]
+    first = np.column_stack([np.arange(5.0), np.zeros(5)])
+    tables = {"a": (header, first), "b": (header, second(first))}
+    with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
+        write_tables(tmp_path, tables, fmt)
+    ref = {"csv": ref_csv_text, "json": ref_json_text}[fmt]
+    for stem, (h, rows) in tables.items():
+        assert (tmp_path / f"{stem}.{fmt}").read_text() == ref(h, rows)
+    assert rendered.call_count == _renders_expected(tables)

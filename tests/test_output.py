@@ -1,5 +1,6 @@
 """Table writers: exact float round-trips and byte determinism."""
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_descent.output import (read_meta, read_table, write_meta,
-                                    write_table)
+                                    write_table, write_tables)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -89,3 +90,23 @@ def test_failed_write_leaves_no_file_under_the_final_name(tmp_path, monkeypatch,
     with pytest.raises(OSError):
         write(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def _failing_copyfile(src, dst, *args, **kwargs):
+    """shutil.copyfile that copies half the file, then fails."""
+    data = Path(src).read_bytes()
+    Path(dst).write_bytes(data[:len(data) // 2])
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_copy_leaves_no_file_under_the_final_name(tmp_path, monkeypatch, fmt):
+    """A duplicate table is written as a copy of the first; a copy that fails
+    half way leaves the first table whole and nothing under its own name."""
+    table = (["a"], np.arange(100.0).reshape(100, 1))
+    monkeypatch.setattr(shutil, "copyfile", _failing_copyfile)
+    with pytest.raises(OSError):
+        write_tables(tmp_path, {"t": table, "u": (["a"], table[1].copy())}, fmt)
+    assert [p.name for p in tmp_path.iterdir()] == [f"t.{fmt}"]
+    header, rows = read_table(tmp_path / f"t.{fmt}")
+    assert header == ["a"] and np.array_equal(rows, table[1])
