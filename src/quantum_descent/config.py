@@ -296,6 +296,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         path = _as_str(path, "initial.path")
     if kind == "custom" and path is None:
         raise ConfigError("'initial.path' is required for a custom initial state")
+    if kind == "coherent" and sigma is not None:
+        raise ConfigError(f"'initial.sigma': a coherent state has the trap's ground-state "
+                          f"width and takes none, got sigma={sigma}; "
+                          f"use kind gaussian for another width")
     initial = InitialConfig(kind=kind,
                             x0=_as_float(init_sec.get("x0", _INITIAL_DEFAULTS["x0"]),
                                          "initial.x0"),

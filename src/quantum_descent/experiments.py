@@ -119,17 +119,6 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"'{key}': {err}") from err
 
 
-def _check_point(cfg: ExperimentConfig) -> None:
-    """Reject, naming the key, a run configured with what it cannot honour:
-    a width for a coherent state, which has the trap's ground-state width,
-    then the settings :func:`_check_propagation` rejects."""
-    if cfg.initial.kind == "coherent" and cfg.initial.sigma is not None:
-        raise ConfigError(f"'initial.sigma': a coherent state has the trap's ground-state "
-                          f"width and takes none, got sigma={cfg.initial.sigma}; "
-                          f"use kind gaussian for another width")
-    _check_propagation(cfg)
-
-
 def _build_disruptor(cfg: ExperimentConfig):
     """The configured disruptor; at hbar = 0 a field-sampled one vanishes
     identically, so it is the zero disruptor and no wave is built."""
@@ -278,7 +267,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     # validate every point before computing any of them
     points = [_set_sweep_value(sub_base, sweep.parameter, v) for v in sweep.values]
     for point in points:
-        _check_point(point)
+        _check_propagation(point)
 
     if len(points) > 1:
         with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
@@ -415,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
     else:
-        _check_point(cfg)
+        _check_propagation(cfg)
         comp = _compute_point(cfg)
 
     files = write_tables(out_dir, comp.tables, fmt)

@@ -104,18 +104,13 @@ def locate_window(grid: SpatialGrid, x: float) -> tuple:
 
     Dis at a point reads Q at its two neighbours and Q reads R at its own, so
     the interpolation nodes j0 and j0 + 1 of x need R at j0 - 2 .. j0 + 3,
-    wrapped around the seam.  Returns ``(window, frac)``, where ``window``
-    indexes those points: a slice, or for a window that crosses the seam an
-    array of wrapped indices.  The nodes are the window's rows ``NODE`` and
-    ``NODE + 1``, so the field that :func:`disruptor_field` returns for
-    ``R[window]`` is sampled at x as
+    wrapped around the seam.  Returns ``(window, frac)``: the nodes are the
+    points ``window[NODE]`` and ``window[NODE + 1]``, so the field that
+    :func:`disruptor_field` returns for ``R[window]`` is sampled at x as
     ``interpolate(dis[NODE], dis[NODE + 1], frac)``.  That equals the
     full-grid field sampled at x by :func:`sample_field`, to the bit: interior
     stencil values do not depend on the length of the array, and the values
     at the window's two ends, which alone can differ, are never read.
     """
     j0, _, frac = _nodes(grid, x)
-    first = j0 - NODE
-    if 0 <= first <= grid.n - WINDOW:
-        return slice(first, first + WINDOW), frac
-    return np.arange(first, first + WINDOW) % grid.n, frac
+    return np.arange(j0 - NODE, j0 - NODE + WINDOW) % grid.n, frac

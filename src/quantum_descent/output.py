@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +26,18 @@ def _plain_rows(rows) -> list:
     return [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Have ``write(tmp)`` fill a temporary file beside ``path``, then rename it.
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it.
 
     A run killed mid-write leaves at most the temporary file, never a
     truncated file under the final name.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write(tmp)
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
 def _constant_columns(rows) -> list:
@@ -74,7 +69,7 @@ def write_csv_table(path: Path, header: list, rows) -> None:
         first = rows[0] if rows else []
         fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first)
     lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json_table(path: Path, header: list, rows) -> None:
@@ -83,7 +78,7 @@ def write_json_table(path: Path, header: list, rows) -> None:
     float64 values survive a json round-trip exactly (repr-based encoding).
     """
     payload = {"header": list(header), "rows": _plain_rows(rows)}
-    _write_text_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
@@ -123,7 +118,7 @@ def write_tables(directory: Path, tables: dict, fmt: str) -> list:
             written.append((table, path))
         else:
             path = directory / f"{stem}.{fmt}"
-            _write_atomic(path, lambda tmp: shutil.copyfile(source, tmp))
+            _write_atomic(path, source.read_text())
         names.append(path.name)
     return names
 
@@ -146,7 +141,7 @@ def read_table(path: Path) -> tuple:
 
 def write_meta(path: Path, meta: dict) -> None:
     """Write a JSON document with sorted keys (meta.json, error.json)."""
-    _write_text_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def read_meta(path: Path) -> dict:

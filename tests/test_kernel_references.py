@@ -476,23 +476,21 @@ def test_windowed_disruptor_equals_full_grid(n, cell, frac, amplitudes, hbar, m)
     j0 = {"0": 0, "1": 1, "2": 2, "n-3": n - 3, "n-2": n - 2, "n-1": n - 1}[cell]
     x = min(grid.x[j0] + frac * grid.dx, grid.x_max)
     window, frac = locate_window(grid, x)
-    points = np.arange(n)[window]
-    assert points.size == 6
+    assert window.size == 6
     full = disruptor_field(R, grid, params)
     local = disruptor_field(R[window], grid, params)
     # the path of evolve and of the field-sampled disruptor
     assert interpolate(local[NODE], local[NODE + 1], frac) == sample_field(full, grid, x)
     k0 = min(int(np.floor((x - grid.x_min) / grid.dx)), n - 1)
     for j in (k0, (k0 + 1) % n):
-        assert local[(j - int(points[0])) % n] == full[j], f"node {j} of {n}"
+        assert local[(j - int(window[0])) % n] == full[j], f"node {j} of {n}"
 
 
 @given(n=st.integers(8, 64), data=st.data(), frac=st.floats(0.0, 1.0))
 @settings(max_examples=400, deadline=None)
 def test_window_reads_the_wrapped_six_points(n, data, frac):
     """locate_window's window reads values[arange(j0 - 2, j0 + 4) % n] for x
-    in every cell, the seam cells and x_max included, and is a slice exactly
-    when it does not cross the seam."""
+    in every cell, the seam cells and x_max included."""
     grid = build_grid(-3.0, 3.0, n)
     cell = data.draw(st.one_of(st.sampled_from((0, 1, 2, n - 4, n - 3, n - 2, n - 1)),
                                st.integers(0, n - 1)), label="cell")
@@ -501,7 +499,6 @@ def test_window_reads_the_wrapped_six_points(n, data, frac):
     values = np.arange(n) * (1.0 + 0.5j)
     window, _ = locate_window(grid, x)
     assert np.array_equal(values[window], values[np.arange(j0 - 2, j0 + 4) % n])
-    assert isinstance(window, slice) == (2 <= j0 <= n - 4)
 
 
 # --- read-only inputs ------------------------------------------------------------
