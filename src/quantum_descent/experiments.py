@@ -100,17 +100,23 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
 
 
+def _builds_wave(cfg: ExperimentConfig) -> bool:
+    """Whether the run builds and propagates a wavefunction.
+
+    evolve and figure1 do, and so does a field-sampled disruptor unless
+    hbar = 0 (it is then the zero disruptor, see :func:`_build_disruptor`,
+    so learner-only runs keep hbar = 0 and any grid size).
+    """
+    return (cfg.experiment in ("evolve", "figure1")
+            or (cfg.disruptor.kind == "field_sampled" and cfg.physics.hbar > 0.0))
+
+
 def _check_propagation(cfg: ExperimentConfig) -> None:
     """Reject, naming the key, settings the wave propagator cannot run with.
 
-    evolve and figure1 propagate a wavefunction, and so does a field-sampled
-    disruptor unless hbar = 0 (it is then the zero disruptor, see
-    :func:`_build_disruptor`, so learner-only runs keep hbar = 0 and any
-    grid size).
     The key named is the first that :func:`check_propagation` rejects.
     """
-    if not (cfg.experiment in ("evolve", "figure1")
-            or (cfg.disruptor.kind == "field_sampled" and cfg.physics.hbar > 0.0)):
+    if not _builds_wave(cfg):
         return
     try:
         check_propagation(cfg.grid, cfg.physics)
@@ -264,10 +270,17 @@ def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     sweep = cfg.sweep
     sub_base = replace(cfg, experiment=sweep.experiment, sweep=None)
-    # validate every point before computing any of them
+    # validate every point before computing any of them: its propagation
+    # settings, its potential and, where it builds one, its initial state
     points = [_set_sweep_value(sub_base, sweep.parameter, v) for v in sweep.values]
-    for point in points:
+    for value, point in zip(sweep.values, points):
         _check_propagation(point)
+        try:
+            point.build_potential()
+            if _builds_wave(point):
+                _initial_wavefunction(point)
+        except ConfigError as err:
+            raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
     if len(points) > 1:
         with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:

@@ -5,8 +5,10 @@ The grid is uniform and periodic: n points from x_min with spacing
 wave propagator's FFTs and the wrapped stencils of :mod:`.derivatives` both
 rely on that.  A complex field psi on the grid is split as
 psi = R * exp(i S / hbar) into a nonnegative amplitude R and a real
-action-valued phase S.  From these the hydrodynamic fields follow: density
-rho = R^2, flow velocity u = dS/dx / m, and trajectory momentum p = m * u.
+action-valued phase S.  S is integrated from the angles between neighbouring
+amplitudes, so it does not wrap where arg(psi) does.  From these the
+hydrodynamic fields follow: density rho = R^2, flow velocity u = dS/dx / m,
+and trajectory momentum p = m * u.
 The decomposition works on the raw complex array; :class:`Wavefunction` is
 the validated form at the package boundary.  Observables are plain Riemann
 sums over the grid.
@@ -154,7 +156,7 @@ class MadelungFields:
         """Flow velocity dS/dx / m from a wrap-safe central stencil."""
         grid = self.grid
         S = self.S
-        # Unwrapped S is not periodic even for a periodic psi (nonzero winding),
+        # S is not periodic even for a periodic psi (nonzero winding),
         # so the seam increment is taken from the wavefunction itself.
         inc = np.empty(grid.n)
         np.subtract(S[1:], S[:-1], out=inc[:-1])
@@ -177,40 +179,17 @@ def norm(psi: Wavefunction) -> float:
     return float(np.sum(v.real * v.real + v.imag * v.imag) * psi.grid.dx)
 
 
-def _unwrap(theta: np.ndarray, out: np.ndarray) -> None:
-    """Write ``np.unwrap(theta)`` of a 1-D phase into ``out``.
-
-    The same mod/copyto/cumsum operations as numpy's unwrap with its default
-    period 2*pi, without the axis handling, so the result is equal to the bit.
-    numpy zeroes the correction wherever |d theta| < pi, so the mod arithmetic
-    runs on the remaining jumps only, and without jumps the cumulative
-    correction is all zeros: numpy's result is then theta + 0.0.
-    """
-    dd = theta[1:] - theta[:-1]
-    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
-    out[0] = theta[0]
-    if not jumps.size:
-        np.add(theta[1:], 0.0, out=out[1:])  # + 0.0 turns -0.0 into 0.0, as numpy's does
-        return
-    d = dd[jumps]
-    c = np.mod(d + np.pi, 2.0 * np.pi)
-    c -= np.pi
-    np.copyto(c, np.pi, where=(c == -np.pi) & (d > 0))
-    c -= d
-    correction = np.zeros_like(dd)
-    correction[jumps] = c
-    np.add(theta[1:], correction.cumsum(), out=out[1:])
-
-
 def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> MadelungFields:
     """Split the complex amplitudes ``values`` on ``grid`` into Madelung fields.
 
-    The phase is S = hbar * arg(psi), unwrapped left to right starting from the
-    leftmost point whose density clears the node floor; neighbour jumps larger
-    than pi*hbar are folded back by 2*pi*hbar.  Sub-floor points inherit the
-    phase of their nearest valid neighbour, and the global constant is fixed so
-    that S = 0 at the density maximum.  R, S and rho are computed here; u and
-    p when first read (see :class:`MadelungFields`).
+    The phase is integrated from neighbour increments over the valid span,
+    S_j = S_{j-1} + hbar * arg(psi_j conj(psi_{j-1})), between consecutive
+    points whose density clears the node floor; each increment is the
+    principal angle in (-pi*hbar, pi*hbar], so exactly opposite neighbours
+    step by +pi*hbar.  Sub-floor points inherit the phase of their nearest
+    valid neighbour, and the global constant is fixed so that S = 0 at the
+    density maximum.  R, S and rho are computed here; u and p when first
+    read (see :class:`MadelungFields`).
 
     Reports node-dominated input (more than half of the grid below the node
     floor) with a warning -- a well-localized packet on a wide grid does this
@@ -243,17 +222,20 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     first, last = int(kept[0]), int(kept[-1])
     S = np.empty(grid.n, dtype=float)
     span = S[first:last + 1]
-    z = values[first:last + 1]
-    theta = np.arctan2(z.imag, z.real)  # np.angle(z)
-    if kept.size == span.size:
-        _unwrap(theta, span)
-    else:
-        # interior nodes: unwrap across them, then give each the phase of its
-        # nearest valid neighbour (ties go to the left one)
+    gapless = kept.size == span.size
+    # increments between consecutive valid points; + 0.0 turns a -0.0
+    # imaginary part into 0.0, so exactly opposite neighbours step by +pi
+    z = values[first:last + 1] if gapless else values[kept]
+    step = z[1:] * np.conj(z[:-1])
+    phase = span if gapless else np.empty(kept.size)
+    phase[0] = 0.0
+    # the cumulative sum, without np.cumsum's dispatch
+    np.add.accumulate(np.arctan2(step.imag + 0.0, step.real), out=phase[1:])
+    if not gapless:
+        # interior nodes: give each the phase of its nearest valid neighbour
+        # (ties go to the left one)
         kept -= first
-        unwrapped = np.empty(kept.size)
-        _unwrap(theta[kept], unwrapped)
-        span[kept] = unwrapped
+        span[kept] = phase
         gaps = np.flatnonzero(~valid[first:last + 1])
         pos = np.searchsorted(kept, gaps)
         left, right = kept[pos - 1], kept[pos]

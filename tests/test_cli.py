@@ -6,6 +6,7 @@ the test process.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,12 @@ import sys
 import numpy as np
 import pytest
 
+from quantum_descent import experiments
 from quantum_descent.cli import main
+from quantum_descent.config import parse_config
 from quantum_descent.dynamics import damped_oscillator_closed_form
+from quantum_descent.errors import ConfigError
+from quantum_descent.experiments import run_experiment
 from quantum_descent.output import read_meta, read_table
 
 NOISE_KEYS = {"wall_time_s"}
@@ -302,6 +307,65 @@ def test_coherent_state_with_a_width_exit_2(tmp_path, capsys, experiment, config
     assert (report["exit_code"], report["status"]) == (2, "config_error")
     assert "'initial.sigma'" in report["error"]["message"]
     assert list(out.iterdir()) == []
+
+
+def _count_point_computations(monkeypatch):
+    """Wrap the sweep's per-point compute; the returned list grows per call."""
+    calls = []
+    compute = experiments._compute_point
+
+    def counted(cfg):
+        calls.append(cfg)
+        return compute(cfg)
+
+    monkeypatch.setattr(experiments, "_compute_point", counted)
+    return calls
+
+
+SWEEPS_WITH_A_BAD_POINT = [
+    ("run: {t_final: 0.01}\n"
+     "sweep: {parameter: initial.x0, values: [-1.0, -30.0], experiment: evolve}\n",
+     "sweep value -30.0 for initial.x0: initial: cannot build the coherent state"),
+    ("run: {steps: 5}\n"
+     "sweep: {parameter: potential.omega, values: [1.0, -1.0], experiment: learn}\n",
+     "sweep value -1.0 for potential.omega: potential:"),
+    ("potential: {kind: quartic, c: 1.0}\n"
+     "initial: {kind: gaussian, x0: -1.0}\nrun: {steps: 5}\n"
+     "sweep: {parameter: potential.c, values: [1.0, 0.0], experiment: compare}\n",
+     "sweep value 0.0 for potential.c: potential:"),
+]
+SWEEP_IDS = ["coherent_x0_off_the_grid", "negative_omega", "zero_quartic_c"]
+
+
+@pytest.mark.parametrize("config,message", SWEEPS_WITH_A_BAD_POINT, ids=SWEEP_IDS)
+def test_sweep_point_that_cannot_be_built_exits_2_before_any_point_computes(
+        tmp_path, capsys, monkeypatch, config, message):
+    """A point whose potential or initial state cannot be built is a config
+    error naming the sweep value, found while the points are validated: no
+    point computes, nothing is written and stderr carries the one report."""
+    calls = _count_point_computations(monkeypatch)
+    cfg = _write(tmp_path, "c.yaml", "experiment: sweep\n" + config)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert (report["exit_code"], report["status"]) == (2, "config_error")
+    assert message in report["error"]["message"]
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("config,message", SWEEPS_WITH_A_BAD_POINT, ids=SWEEP_IDS)
+def test_sweep_validation_raises_before_any_point_computes(tmp_path, monkeypatch, config,
+                                                           message):
+    """The same through the package API: run_experiment raises ConfigError."""
+    calls = _count_point_computations(monkeypatch)
+    cfg = parse_config("experiment: sweep\n" + config)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(cfg, out_dir=tmp_path / "o")
+    assert calls == []
 
 
 def test_rejected_scheme_says_it_is_gone(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Grid, parameter, polar-decomposition and momentum behaviour.
 
 The decomposition psi = R exp(i S / hbar) is the foundation everything else
-stands on; the tests pin its conventions: left-to-right unwrapping, S = 0 at
-the density maximum, node filling from the nearest valid neighbour, and the
-round-trip R exp(iS/hbar) == psi wherever the density clears the floor.  The
+stands on; the tests pin its conventions: S integrated left to right from
+neighbour increments in (-pi*hbar, pi*hbar], S = 0 at the density maximum,
+node filling from the nearest valid neighbour, and the round-trip
+R exp(iS/hbar) == psi wherever the density clears the floor.  The
 momentum <p> is read from the DFT; the tests tie it to the hydrodynamic
 sum rho S' dx and pin its Nyquist convention.
 """
@@ -18,6 +19,7 @@ from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     build_grid, expectation_momentum,
                                     expectation_position, gaussian_packet,
                                     norm, plane_wave, polar_decompose)
+from test_kernel_references import wavefunctions
 
 P1 = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
 
@@ -90,12 +92,45 @@ def test_phase_zero_at_density_max():
 
 
 def test_phase_continuity_no_wrap_jumps():
+    """arg(psi) of this moving packet wraps many times inside the span; S does not."""
     grid = build_grid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=0.0, p0=3.0, sigma=1.5)
     f = polar_decompose(psi.values, grid, P1)
     valid = np.flatnonzero(f.rho >= EPS_NODE)
     jumps = np.abs(np.diff(f.S[valid]))
     assert np.all(jumps < np.pi * P1.hbar)
+
+
+@given(psi=wavefunctions(), hbar=st.sampled_from((1.0, 0.5, 0.3)))
+@settings(max_examples=400, deadline=None)
+def test_decomposition_conventions(psi, hbar):
+    """On interior gaps, empty ends, two valid points and exact +-pi phasors:
+    R exp(iS/hbar) is psi on the valid points up to one global phase; each
+    increment of S between consecutive valid points is in (-pi*hbar, pi*hbar]
+    up to roundoff, and +pi*hbar between exactly opposite neighbours; S = 0
+    at the first density maximum; a sub-floor point takes the S of its
+    nearest valid neighbour, the left one on a tie."""
+    params = PhysicsParams(m=1.0, hbar=hbar, mu=0.5)
+    v = psi.values
+    f = polar_decompose(v, psi.grid, params)
+    kept = np.flatnonzero(f.rho >= EPS_NODE)
+
+    top = int(np.argmax(f.rho))
+    assert f.S[top] == 0.0
+    rebuilt = f.R[kept] * np.exp(1j * f.S[kept] / hbar) * (v[top] / abs(v[top]))
+    assert np.all(np.abs(rebuilt - v[kept]) <= 1e-12 * np.abs(v[kept]))
+
+    increments = np.diff(f.S[kept])
+    roundoff = 1e-13 * (1.0 + np.max(np.abs(f.S)))
+    assert np.all(np.abs(increments) <= np.pi * hbar + roundoff)
+    turn = v[kept][1:] * np.conj(v[kept][:-1])
+    opposite = (turn.imag == 0.0) & (turn.real < 0.0)
+    assert np.all(np.abs(increments[opposite] - np.pi * hbar) <= roundoff)
+
+    for j in np.flatnonzero(f.rho < EPS_NODE):
+        distance = np.abs(kept - j)
+        nearest = kept[int(np.argmin(distance))]  # the first minimum is the left one
+        assert f.S[j] == f.S[nearest], f"point {j}"
 
 
 def test_plane_wave_velocity_constant():

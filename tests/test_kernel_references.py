@@ -2,7 +2,7 @@
 
 The polar decomposition, the periodic stencils, the friction substep and the
 per-step record of evolve are written for speed: slices instead of np.roll, a
-tail fill by slice assignment, an inlined unwrap over the valid span only,
+tail fill by slice assignment, phase increments over the valid span only,
 in-place arithmetic, the phase rotation as cos + i sin instead of a complex
 exponential, and the disruptor at the packet centre from the six amplitudes
 its stencils read instead of the whole grid, evaluated for a block of
@@ -21,7 +21,16 @@ over the packet's valid span only.  That is the same rotation as the one
 expression exp(i phase / hbar) with different rounding.  So each step equals
 a plain full-grid product of the three factors to the bit, and stays within
 1e-13 relative of the one-expression step.  With mu = 0 the rotation is P_V
-alone and still equals the one-expression step to the bit.  The grid is
+alone and still equals the one-expression step to the bit.  The third
+exception is the phase of the polar decomposition.  It is integrated from
+the angles of the products psi_j conj(psi_{j-1}) of consecutive valid
+points, each in (-pi, pi], instead of unwrapping arg(psi) with np.unwrap:
+one arctan2 and one cumulative sum, with no branch for phase jumps.  It
+equals the plain increment form below to the bit, and stays within
+1e-13 (1 + max|S|) of the np.unwrap phase wherever no increment lies within
+roundoff of +-pi.  At an exact half turn the two conventions part: the
+increment form steps by +pi*hbar where np.unwrap may keep -pi*hbar, so from
+there on they differ by 2*pi*hbar.  The grid is
 periodic, so the stencils wrap around its seam and the windows of the
 disruptor wrap with them.  The kernels take plain arrays and copy nothing on
 entry, so the last tests hand them read-only inputs.
@@ -36,8 +45,7 @@ from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
 from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, PropagatorConfig, evolve
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
-                                    _unwrap, build_grid, gaussian_packet,
-                                    polar_decompose)
+                                    build_grid, gaussian_packet, polar_decompose)
 from quantum_descent.hydro import (NODE, disruptor_field, interpolate, locate_window,
                                    quantum_potential, sample_field)
 from quantum_descent.learner import PotentialSpec
@@ -71,14 +79,17 @@ def ref_fill_from_nearest_valid(values, valid_idx):
 
 
 def ref_polar_decompose(v, grid, params):
-    """(S, rho, u, p) of the decomposition of ``v``, built the plain way."""
+    """(S, rho, u, p) of the decomposition of ``v``, built the plain way: S is
+    integrated from the angles of the products of consecutive valid points."""
     R = np.abs(v)
     rho = R * R
     valid = rho >= EPS_NODE
-    theta = np.angle(v)
     valid_idx = np.flatnonzero(valid)
+    z = v[valid_idx]
+    # + 0.0 maps a -0.0 imaginary part to 0.0: increments lie in (-pi, pi]
+    increments = np.angle(z[1:] * np.conj(z[:-1]) + 0.0)
     S = np.empty(grid.n, dtype=float)
-    S[valid_idx] = np.unwrap(theta[valid_idx])
+    S[valid_idx] = np.concatenate(([0.0], np.cumsum(increments)))
     if valid_idx.size < grid.n:
         S = ref_fill_from_nearest_valid(S, valid_idx)
     S *= params.hbar
@@ -90,6 +101,15 @@ def ref_polar_decompose(v, grid, params):
     inc = np.append(np.diff(S), seam)
     u = ref_central_from_increments(inc, grid.dx) / params.m
     return S, rho, u, params.m * u
+
+
+def ref_unwrapped_phase(v, params):
+    """S = hbar * np.unwrap(arg psi) over the valid points, anchored at the
+    density maximum: the convention the increment form replaced."""
+    rho = np.abs(v) ** 2
+    valid_idx = np.flatnonzero(rho >= EPS_NODE)
+    S = params.hbar * np.unwrap(np.angle(v[valid_idx]))
+    return S - S[int(np.argmax(rho[valid_idx]))]
 
 
 def ref_spectral_step(values, grid, potential, params, dt):
@@ -212,19 +232,7 @@ def wavefunctions(draw):
     return Wavefunction(values, grid)
 
 
-# --- unwrap and stencils ---------------------------------------------------------
-
-
-@given(theta=st.lists(st.one_of(st.sampled_from((0.0, -0.0, np.pi, -np.pi, np.pi / 2,
-                                                   -np.pi / 2)),
-                                st.floats(-20.0, 20.0, allow_nan=False)),
-                      min_size=2, max_size=64))
-@settings(max_examples=300, deadline=None)
-def test_unwrap_equals_numpy(theta):
-    theta = np.array(theta)
-    out = np.empty_like(theta)
-    _unwrap(theta, out)
-    assert out.tobytes() == np.unwrap(theta).tobytes()  # signed zeros included
+# --- stencils ------------------------------------------------------------------------
 
 
 @given(values=st.lists(finite, min_size=4, max_size=64),
@@ -259,6 +267,40 @@ def test_polar_decompose_equals_reference(psi, hbar, m):
     assert np.array_equal(fields.rho, rho)
     assert np.array_equal(fields.u, u)
     assert np.array_equal(fields.p, p)
+
+
+@given(psi=wavefunctions(), hbar=st.sampled_from((1.0, 0.5, 0.3)))
+@settings(max_examples=400, deadline=None)
+def test_increment_phase_is_within_roundoff_of_numpy_unwrap(psi, hbar):
+    """Away from exact half turns the increment form is the unwrapped phase
+    up to roundoff.  An increment of exactly +-pi is where the conventions
+    part: the increment form steps by +pi*hbar, np.unwrap keeps a -pi jump,
+    and from there on the two differ by 2*pi*hbar (the test below)."""
+    params = PhysicsParams(m=1.0, hbar=hbar, mu=0.5)
+    v = psi.values
+    kept = np.flatnonzero(np.abs(v) ** 2 >= EPS_NODE)
+    turns = np.angle(v[kept][1:] * np.conj(v[kept][:-1]))
+    steps = np.diff(np.angle(v[kept]))
+    # skip a half turn, and an increment whose two forms sit near +-pi
+    near_half_turn = np.pi - 1e-9
+    if np.any(np.abs(turns) > near_half_turn) or np.any(np.abs(np.abs(steps) - np.pi) < 1e-9):
+        return
+    S = polar_decompose(v, psi.grid, params).S[kept]
+    unwrapped = ref_unwrapped_phase(v, params)
+    assert np.max(np.abs(S - unwrapped)) <= 1e-13 * (1.0 + np.max(np.abs(unwrapped)))
+
+
+def test_half_turns_step_by_plus_pi_where_numpy_unwrap_keeps_minus_pi():
+    """Neighbours of opposite sign step by +pi*hbar, whatever the signs of
+    their zero imaginary parts; np.unwrap keeps the -pi of arg(-1 - 0j) - 0."""
+    grid = build_grid(-3.0, 3.0, 8)
+    params = PhysicsParams(m=1.0, hbar=0.5, mu=0.5)
+    v = np.array([1.0, complex(-1.0, -0.0), complex(1.0, -0.0), -1.0] * 2)
+    S = polar_decompose(v, grid, params).S
+    assert np.allclose(np.diff(S), np.pi * params.hbar, rtol=0.0, atol=1e-14)
+    unwrapped = ref_unwrapped_phase(v, params)
+    assert unwrapped[1] - unwrapped[0] == -np.pi * params.hbar
+    assert np.isclose((S - unwrapped)[1] - (S - unwrapped)[0], 2.0 * np.pi * params.hbar)
 
 
 def test_generated_masks_cover_every_shape():
@@ -312,8 +354,8 @@ def test_propagator_steps_equal_reference_steps(initial, m, hbar, mu):
     The breathing packet has one contiguous valid span; the odd state keeps
     a node at x = 0 on this grid, so most of its friction substeps fill an
     interior gap.  hbar = 0.7 scales the rotation by 1/hbar, mu = 0 rotates
-    by the bare potential phase, and the fast packet's phase wraps inside the
-    span, so its unwrap corrects jumps.
+    by the bare potential phase, and the fast packet's arg(psi) wraps inside
+    the span, where S must not.
     """
     params = PhysicsParams(m=m, hbar=hbar, mu=mu)
     values = _initial(initial, hbar)
@@ -336,7 +378,8 @@ def test_propagator_steps_equal_reference_steps(initial, m, hbar, mu):
 
 
 def test_fast_packet_wraps_its_phase_inside_the_span():
-    """Guard for the test above: the fast packet's unwrap has jumps to correct."""
+    """Guard for the test above: the fast packet's arg(psi) jumps by 2 pi
+    inside its span, so S is integrated across wraps there."""
     values = _initial("fast")
     theta = np.angle(values[np.abs(values) ** 2 >= EPS_NODE])
     assert np.count_nonzero(np.abs(np.diff(theta)) >= np.pi) > 5

@@ -50,6 +50,25 @@ def test_output_digest_hashes_every_data_file(tmp_path):
     assert "relax/density.csv" in sums and "descent_sweep/sweep_summary.csv" in sums
 
 
+def test_ulp_sensitivity_reports_every_learner_column(tmp_path):
+    """Both field-sampled learns, both 1-ulp moves of psi0, every column: the
+    time axis does not move, and the moved packet moves the learner."""
+    out = tmp_path / "runs"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "ulp_sensitivity.py"),
+                           "--out", str(out)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert set(report) == {"quantum_learn", "field_sampled_hbar"}
+    for run, moves in report.items():
+        assert set(moves) == {"scale", "turn"}
+        for move, columns in moves.items():
+            assert set(columns) == {"t", "x", "u", "V", "dis"}
+            assert columns["t"] == 0.0
+            assert 0.0 < columns["x"] < 1e-6, (run, move)
+            assert (out / f"{run}_{move}" / "trajectory.csv").is_file()
+
+
 def test_compare_outputs_reports_a_perturbed_column(tmp_path):
     """One column moved in one table: that column carries the difference,
     the rest read 0 and the untouched files read identical; a file on one
