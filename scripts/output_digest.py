@@ -2,8 +2,8 @@
 """Print the sha256 of every data file of a fixed set of runs, as JSON.
 
 The set covers each experiment kind: a relaxing coherent packet recorded
-every step, a learner driven by a field-sampled disruptor, a threaded sweep
-of zero-disruptor twins, the default learn, evolve, compare and figure1
+every step, a learner driven by a field-sampled disruptor, a sweep of
+zero-disruptor twins, the default learn, evolve, compare and figure1
 runs, an evolve without friction (mu = 0), a field-sampled learn with
 hbar = 0.7 and time_scale = 0.5, an evolve from the coherent state at
 m = 2 and hbar = 0.5, and a compare in a quartic potential.  Each run writes

@@ -1,8 +1,9 @@
 """Experiment orchestration: learn / evolve / compare / figure1 / sweep.
 
-Each experiment is computed in memory first and persisted afterwards, so sweep
-points can run concurrently while files are still written in config order.
-Data files are deterministic; only the wall-time field in the metadata varies
+Each experiment is computed in memory first and persisted afterwards.  A
+sweep computes, writes and drops one point at a time, in config order, so it
+holds one point's tables plus every point's summary row and metadata.  Data
+files are deterministic; only the wall-time field in the metadata varies
 between identical runs.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import platform
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -282,22 +282,15 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
         except ConfigError as err:
             raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
-    if len(points) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
-            computed = list(pool.map(_compute_point, points))
-    else:
-        computed = [_compute_point(points[0])]
-
-    summary_rows = []
-    point_meta = []
-    for i, (value, comp) in enumerate(zip(sweep.values, computed)):
+    # compute, write and drop one point at a time; keep its summary row and meta
+    summary_rows, point_meta = [], []
+    for i, (value, point) in enumerate(zip(sweep.values, points)):
+        comp = _compute_point(point)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
         files = write_tables(point_dir, comp.tables, fmt)
-        sub_meta = _assemble_meta(points[i], point_dir, fmt, comp, files)
-        write_meta(point_dir / "meta.json", sub_meta)
-        point_meta.append({"index": i, "value": float(value),
-                           "directory": point_dir.name,
+        write_meta(point_dir / "meta.json", _assemble_meta(point, point_dir, fmt, comp, files))
+        point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         out = comp.meta.get("learner") or comp.meta.get("quantum") or comp.meta
         # index, exit code and step count stay integers in the written table
@@ -305,8 +298,9 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
                              int(out.get("steps_taken", -1)),
                              float(out.get("final_x", out.get("final_x_mean", np.nan))),
                              float(out.get("final_u", out.get("final_p_mean", np.nan)))])
+        del comp
 
-    codes = [c.exit_code for c in computed]
+    codes = [meta["exit_code"] for meta in point_meta]
     exit_code = EXIT_NUMERICAL if EXIT_NUMERICAL in codes else (
         EXIT_DIVERGED if EXIT_DIVERGED in codes else EXIT_OK)
     header = ["index", "value", "exit_code", "steps", "final_x", "final_u"]

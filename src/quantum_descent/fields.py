@@ -16,7 +16,6 @@ sums over the grid.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,8 +24,6 @@ import numpy as np
 
 from .derivatives import central_from_increments
 from .errors import NodeDominatedError, NodeDominatedWarning
-
-logger = logging.getLogger(__name__)
 
 # Density floor below which arg(psi) is treated as undefined.  Points under the
 # floor inherit the phase of the nearest valid neighbour.
@@ -130,13 +127,14 @@ class Wavefunction:
         return Wavefunction(self.values / np.sqrt(total), self.grid)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MadelungFields:
     """Polar fields of a wavefunction: amplitude R, action phase S and density rho.
 
     The velocity u and the momentum p are derived from S on first read, so a
-    caller that needs only S and rho pays nothing for them.  The arrays are
-    not frozen; treat them as read-only, since u is derived from S when read.
+    caller that needs only S and rho pays nothing for them.  Neither the
+    instance nor its arrays are frozen (one is built on every friction
+    substep); treat both as read-only, since u is derived from S when read.
     ``span`` is (first, last), the first and the last point whose density
     clears the node floor: outside it S is constant, S[:first] = S[first]
     and S[last + 1:] = S[last].
@@ -209,8 +207,6 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
             f"density floor {EPS_NODE:g}; no usable phase information"
         )
     if n_invalid > 0.5 * grid.n:
-        logger.debug("node-dominated decomposition: %d of %d points below %g",
-                     n_invalid, grid.n, EPS_NODE)
         warnings.warn(
             "node-dominated wavefunction: over half the grid is below the density "
             f"floor {EPS_NODE:g}; sub-floor phases are filled from neighbours",

@@ -22,15 +22,12 @@ its own.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from .derivatives import first_derivative, second_derivative
 from .fields import EPS_NODE, PhysicsParams, SpatialGrid
-
-logger = logging.getLogger(__name__)
 
 # points of the amplitude window that fixes Dis at one position, and the
 # window's row of the first interpolation node of that position (the second
@@ -43,15 +40,11 @@ def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -
     """Q = -(hbar^2/2m) (d2R/dx2) / max(R, eps) on the grid.
 
     The amplitude in the denominator is floored at the node constant so the
-    result stays finite through nodes and deep tails; the number of floored
-    points is logged as a diagnostic.
+    result stays finite through nodes and deep tails.
     """
     R = np.asarray(R, dtype=float)
     lap = second_derivative(R, grid.dx)
     denom = np.maximum(R, EPS_NODE)
-    n_floored = int(np.count_nonzero(R < EPS_NODE))
-    if n_floored:
-        logger.debug("quantum_potential: floored %d of %d amplitude points", n_floored, R.size)
     return -(params.hbar**2 / (2.0 * params.m)) * lap / denom
 
 

@@ -55,6 +55,11 @@ def _horner(coefficients: np.ndarray) -> Callable:
     return value
 
 
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """numpy's ``polyder`` to the bit, without importing numpy.polynomial."""
+    return c[1:] * np.arange(1, c.size) if c.size > 1 else c[:1] * 0
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """A goal function V(x) with its gradient.
@@ -88,8 +93,7 @@ class PotentialSpec:
         coeffs = np.asarray(coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("polynomial needs a flat, nonempty coefficient list")
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        return cls(_horner(coeffs), _horner(dcoeffs))
+        return cls(_horner(coeffs), _horner(_polyder(coeffs)))
 
     @classmethod
     def tabulated(cls, xs: Sequence[float], vs: Sequence[float],

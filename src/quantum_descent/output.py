@@ -5,18 +5,22 @@ so that re-parsing a file reproduces the in-memory float64 exactly and two
 runs of the same config produce byte-identical files.  Text that would be
 the same is rendered once: a float column holding one value is formatted
 once per table, and a table equal to an earlier one of the same
-:func:`write_tables` call is a copy of that one's file.
+:func:`write_tables` call is a copy of that one's file.  A CSV table is
+written in blocks of ROWS_PER_BLOCK rows; a JSON document is one string.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 FLOAT_FMT = "%.17e"
+# rows of a CSV table formatted and written at a time
+ROWS_PER_BLOCK = 2048
 
 
 def _plain_rows(rows) -> list:
@@ -26,15 +30,17 @@ def _plain_rows(rows) -> list:
     return [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it.
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to a temporary file beside ``path``, then rename it.
 
     A run killed mid-write leaves at most the temporary file, never a
-    truncated file under the final name.
+    truncated file under the final name.  A whole text comes in a list: a
+    bare string would be written one character at a time.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -63,13 +69,14 @@ def write_csv_table(path: Path, header: list, rows) -> None:
     if constant:
         fmt = ",".join(FLOAT_FMT if v is None else (FLOAT_FMT % v).replace("%", "%%")
                        for v in constant)
-        rows = rows[:, [j for j, v in enumerate(constant) if v is None]].tolist()
+        rows = rows[:, [j for j, v in enumerate(constant) if v is None]]
     else:
-        rows = _plain_rows(rows)
-        first = rows[0] if rows else []
+        first = _plain_rows(rows[:1])[0] if len(rows) else []
         fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first)
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    line = fmt + "\n"
+    blocks = ("".join([line % tuple(row) for row in _plain_rows(rows[i:i + ROWS_PER_BLOCK])])
+              for i in range(0, len(rows), ROWS_PER_BLOCK))
+    _write_atomic(path, chain([",".join(header) + "\n"], blocks))
 
 
 def write_json_table(path: Path, header: list, rows) -> None:
@@ -78,7 +85,7 @@ def write_json_table(path: Path, header: list, rows) -> None:
     float64 values survive a json round-trip exactly (repr-based encoding).
     """
     payload = {"header": list(header), "rows": _plain_rows(rows)}
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=1), "\n"])
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
@@ -108,7 +115,7 @@ def write_tables(directory: Path, tables: dict, fmt: str) -> list:
     """Write ``{stem: (header, rows)}`` in order; returns the file names.
 
     A table equal to an earlier one of the call (see :func:`_same_table`) is
-    not rendered again: its file is an atomic copy of that one's.
+    not rendered again: its file is an atomic copy of that one's, line by line.
     """
     names, written = [], []
     for stem, table in tables.items():
@@ -118,7 +125,8 @@ def write_tables(directory: Path, tables: dict, fmt: str) -> list:
             written.append((table, path))
         else:
             path = directory / f"{stem}.{fmt}"
-            _write_atomic(path, source.read_text())
+            with open(source) as lines:
+                _write_atomic(path, lines)
         names.append(path.name)
     return names
 
@@ -141,7 +149,7 @@ def read_table(path: Path) -> tuple:
 
 def write_meta(path: Path, meta: dict) -> None:
     """Write a JSON document with sorted keys (meta.json, error.json)."""
-    _write_atomic(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, [json.dumps(meta, sort_keys=True, indent=2), "\n"])
 
 
 def read_meta(path: Path) -> dict:

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -595,6 +596,55 @@ def test_sweep_determinism(tmp_path):
                (tmp_path / "s2" / f"point_{i:03d}" / "trajectory.csv").read_bytes()
 
 
+def test_sweep_writes_each_point_before_the_next_computes(tmp_path, monkeypatch):
+    """Point i's tables and meta.json are on disk when point i + 1 starts."""
+    out = tmp_path / "sw"
+    written = []
+    compute = experiments._compute_point
+
+    def recording(cfg):
+        written.append(sorted(p.parent.name for p in out.glob("point_*/meta.json")))
+        return compute(cfg)
+
+    monkeypatch.setattr(experiments, "_compute_point", recording)
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: sweep\nrun: {steps: 30}\n"
+                 "sweep: {parameter: physics.mu, values: [0.25, 0.5, 1.0], "
+                 "experiment: compare}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert written == [[], ["point_000"], ["point_000", "point_001"]]
+
+
+def _sweep_peak_bytes(tmp_path, points):
+    """tracemalloc's peak over an in-process compare sweep of ``points``
+    points that each take 12000 steps of both twins."""
+    values = ", ".join(str(0.004 + 0.001 * i) for i in range(points))
+    cfg = parse_config(
+        "experiment: sweep\n"
+        "physics: {m: 20.0, hbar: 1.0, mu: 0.004}\n"
+        "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
+        "initial: {kind: gaussian, x0: -1.6, u0: 0.0}\n"
+        "run: {steps: 12000, stop_tol: 1.0e-200}\n"
+        f"sweep: {{parameter: physics.mu, values: [{values}], experiment: compare}}\n")
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, out_dir=tmp_path / f"sweep_{points}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert [p["quantum"]["steps_taken"] for p in result.meta["points"]] == [12000] * points
+    return peak
+
+
+def test_sweep_peak_memory_does_not_grow_with_its_points(tmp_path):
+    """A sweep holds one point's tables at a time: six points peak at most
+    a quarter above two."""
+    two = _sweep_peak_bytes(tmp_path, 2)
+    six = _sweep_peak_bytes(tmp_path, 6)
+    assert six <= 1.25 * two, (two, six)
+
+
 # --- entry point ----------------------------------------------------------------
 
 def test_module_entry_point_subprocess(tmp_path):
@@ -612,6 +662,27 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):
+    """Importing the CLI, loading a polynomial potential's config and running
+    a 2-point compare sweep in-process load none of logging,
+    concurrent.futures or numpy.polynomial."""
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: sweep\nphysics: {m: 20.0}\n"
+                 "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
+                 "initial: {kind: gaussian, x0: -1.5}\nrun: {steps: 50}\n"
+                 "sweep: {parameter: physics.mu, values: [0.2, 0.4], experiment: compare}\n")
+    code = ("import sys, quantum_descent.cli\n"
+            "from quantum_descent.config import load_config\n"
+            "from quantum_descent.experiments import run_experiment\n"
+            "assert run_experiment(load_config(sys.argv[1]), sys.argv[2]).exit_code == 0\n"
+            "print([m for m in ('logging', 'concurrent.futures', 'numpy.polynomial')\n"
+            "       if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

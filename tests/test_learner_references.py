@@ -4,9 +4,10 @@ the plain versions they replaced.
 The learner runs on plain floats in one loop shared by both twins, reuses the
 stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
-``polyval`` order; tables are formatted one row at a time with one format
-string, a column of one value is formatted once, and a table equal to an
-earlier one of the same ``write_tables`` call is a copy of its file.  None of
+``polyval`` order, the gradient's coefficients are ``polyder``'s; tables are
+formatted with one format string in blocks of ``ROWS_PER_BLOCK`` rows, a
+column of one value is formatted once, and a table equal to an earlier one
+of the same ``write_tables`` call is a copy of its file, line by line.  None of
 this changes an operation or its order, so every row, outcome and written
 byte must equal what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
@@ -30,7 +31,8 @@ from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
                                      LearnerState, PotentialSpec, ZeroDisruptor,
                                      run_learner, run_momentum_gd)
-from quantum_descent.output import write_table, write_tables
+from quantum_descent.learner import _polyder
+from quantum_descent.output import ROWS_PER_BLOCK, write_table, write_tables
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
@@ -201,6 +203,18 @@ def test_horner_equals_polyval_bitwise(coeffs, xs):
                 value = f(x)
                 assert type(value) is float  # scalars stay Python floats
                 assert bits(value) == bits(g(x))
+
+
+@given(st.lists(any_float, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_derivative_coefficients_equal_polyder_bitwise(coeffs):
+    """The gradient's coefficients are polyder's to the bit, a constant's
+    (c_0 * 0: -0.0 for a negative c_0, NaN for an infinite one) included."""
+    c = np.array(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        got, want = _polyder(c), polyder(c)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(bits(got), bits(want))
 
 
 def _potentials(draw):
@@ -502,3 +516,44 @@ def test_twin_tables_write_the_reference_bytes(tmp_path, fmt, second):
     for stem, (h, rows) in tables.items():
         assert (tmp_path / f"{stem}.{fmt}").read_text() == ref(h, rows)
     assert rendered.call_count == _renders_expected(tables)
+
+
+# row counts around the block size: one, one block short of and over a block
+# boundary, and over two
+BLOCK_ROWS = (0, 1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+              2 * ROWS_PER_BLOCK + 1)
+
+
+def _block_table(kind, n):
+    """A table of ``n`` rows: float64 columns beside constant ones, an int64
+    array, or mixed rows of Python and numpy values."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    if kind == "constant":
+        return ["t", "zero", "x", "c"], np.column_stack(
+            [np.arange(float(n)), np.full(n, -0.0), x, np.full(n, 5e-324)])
+    if kind == "int":
+        return ["i", "j"], rng.integers(-2**63, 2**63 - 1, size=(n, 2), dtype=np.int64)
+    return ["i", "x", "flag", "y"], [[i, float(v), i % 3 == 0, np.float64(-v)]
+                                     for i, v in enumerate(x)]
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+@pytest.mark.parametrize("kind", ["constant", "int", "mixed"])
+def test_tables_across_block_boundaries_write_the_reference_bytes(tmp_path, kind, n):
+    header, rows = _block_table(kind, n)
+    for fmt, ref in (("csv", ref_csv_text), ("json", ref_json_text)):
+        assert write_table(tmp_path, "t", header, rows, fmt).read_text() == ref(header, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_duplicate_of_a_multi_block_table_is_a_copy(tmp_path, fmt):
+    """A duplicate of a table longer than one block is copied from the first
+    one's file, not rendered again, and holds the same reference bytes."""
+    header, rows = _block_table("constant", 2 * ROWS_PER_BLOCK + 1)
+    tables = {"a": (header, rows), "b": (header, rows.copy())}
+    with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
+        write_tables(tmp_path, tables, fmt)
+    ref = {"csv": ref_csv_text, "json": ref_json_text}[fmt](header, rows)
+    assert (tmp_path / f"a.{fmt}").read_text() == (tmp_path / f"b.{fmt}").read_text() == ref
+    assert rendered.call_count == 1

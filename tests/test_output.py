@@ -1,5 +1,7 @@
 """Table writers: exact float round-trips and byte determinism."""
 
+import builtins
+import io
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.output import (read_meta, read_table, write_meta,
+from quantum_descent.output import (ROWS_PER_BLOCK, read_meta, read_table, write_meta,
                                     write_table, write_tables)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -72,14 +74,37 @@ def test_meta_round_trip_and_key_order(tmp_path):
     assert text.index('"alpha"') < text.index('"zeta"')  # sorted keys
 
 
-def _failing_write_text(self, text, *args, **kwargs):
-    """Path.write_text that writes half its text, then fails; a file whose
-    name starts with ``kept.`` is written whole."""
-    with open(self, "w") as f:
-        if self.name.startswith("kept."):
-            return f.write(text)
-        f.write(text[:len(text) // 2])
-    raise OSError("disk full")
+class _FailingFileIO(io.FileIO):
+    """A file that takes its first ``limit`` bytes, then fails as a full disk
+    would; ``written`` counts the bytes it took."""
+
+    def __init__(self, name, mode, limit):
+        super().__init__(name, mode)
+        self.limit, self.written = limit, 0
+
+    def write(self, b):
+        if self.written + len(b) <= self.limit:
+            self.written += len(b)
+            return super().write(b)
+        taken = super().write(bytes(b[:self.limit - self.written]))
+        self.written += taken
+        raise OSError("disk full")
+
+
+def _fail_writes_after(monkeypatch, limit):
+    """Make every file opened for writing, except one whose name starts with
+    ``kept.``, fail after ``limit`` bytes; returns the failing files opened."""
+    real_open, opened = open, []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" not in mode or Path(file).name.startswith("kept."):
+            return real_open(file, mode, *args, **kwargs)
+        opened.append(_FailingFileIO(file, "w", limit))
+        return io.TextIOWrapper(io.BufferedWriter(opened[-1]))
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    return opened
 
 
 TABLE = (["a"], np.arange(100.0).reshape(100, 1))
@@ -94,7 +119,23 @@ TABLE = (["a"], np.arange(100.0).reshape(100, 1))
     lambda d: write_tables(d, {"kept": TABLE, "t": (["a"], TABLE[1].copy())}, "json"),
 ])
 def test_failed_write_leaves_no_file_under_the_final_name(tmp_path, monkeypatch, write):
-    monkeypatch.setattr(Path, "write_text", _failing_write_text)
+    """A write that fails after part of its text reached the disk leaves no
+    file under the final name, and no temporary file either."""
+    opened = _fail_writes_after(monkeypatch, 64)
     with pytest.raises(OSError):
         write(tmp_path)
+    assert [f.written for f in opened] == [64]
     assert [p.name for p in tmp_path.iterdir() if not p.name.startswith("kept.")] == []
+
+
+def test_write_failing_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
+    """A CSV table of three blocks whose write fails in its second block:
+    the first block reached the disk, and no file is left."""
+    n = 2 * ROWS_PER_BLOCK + 1
+    first_block = len("a\n") + sum(len("%.17e\n" % v) for v in range(ROWS_PER_BLOCK))
+    limit = first_block + 100
+    opened = _fail_writes_after(monkeypatch, limit)
+    with pytest.raises(OSError):
+        write_table(tmp_path, "t", ["a"], np.arange(float(n)).reshape(n, 1), "csv")
+    assert [f.written for f in opened] == [limit]
+    assert list(tmp_path.iterdir()) == []
