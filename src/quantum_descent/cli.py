@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, default_config, load_config
+from .config import EXPERIMENTS, OUTPUT_FORMATS, default_config, load_config
 from .errors import ConfigError, NumericalError
 from .experiments import (EXIT_CONFIG, EXIT_NUMERICAL, ExperimentResult,
                           run_experiment)
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="YAML config file (all-defaults run if omitted)")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (overrides config)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=OUTPUT_FORMATS, default=None,
                        help="table file format (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="reserved; all current experiments are deterministic")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import platform
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
                       run_learner, run_momentum_gd)
-from .output import read_meta, read_table, write_meta, write_tables
+from .output import OUTPUT_FORMATS, read_meta, read_table, write_meta, write_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,10 +112,9 @@ def _builds_wave(cfg: ExperimentConfig) -> bool:
 
 
 def _check_propagation(cfg: ExperimentConfig) -> None:
-    """Reject, naming the key, settings the wave propagator cannot run with.
-
-    The key named is the first that :func:`check_propagation` rejects.
-    """
+    """Reject, naming the key, settings the wave propagator cannot run with
+    (the first key that :func:`check_propagation` rejects), and a
+    field-sampled learner that starts off the grid its field lives on."""
     if not _builds_wave(cfg):
         return
     try:
@@ -123,6 +122,12 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
     except ValueError as err:
         key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "grid.n"
         raise ConfigError(f"'{key}': {err}") from err
+    x0, grid = cfg.initial.x0, cfg.grid
+    if (cfg.experiment != "evolve" and cfg.disruptor.kind == "field_sampled"
+            and not grid.contains(x0)):
+        raise ConfigError(f"'initial.x0': a field-sampled learner samples its disruptor "
+                          f"on the grid [{grid.x_min}, {grid.x_max}], so it must start "
+                          f"there, got x0={x0}")
 
 
 def _build_disruptor(cfg: ExperimentConfig):
@@ -237,25 +242,6 @@ def _compute_figure1(cfg: ExperimentConfig) -> ComputedRun:
     return ComputedRun(tables, meta, max(pde.exit_code, learner.exit_code))
 
 
-def _set_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    section, key = parameter.split(".", 1)
-    if section == "physics":
-        try:
-            physics = replace(cfg.physics, **{key: value})
-        except ValueError as err:
-            raise ConfigError(f"sweep value {value} for {parameter}: {err}") from err
-        return replace(cfg, physics=physics)
-    if section == "potential":
-        pot = dict(cfg.potential)
-        if key not in pot:
-            raise ConfigError(f"sweep parameter {parameter} does not apply to a "
-                              f"{pot['kind']} potential")
-        pot[key] = value
-        return replace(cfg, potential=pot)
-    initial = replace(cfg.initial, **{key: value})
-    return replace(cfg, initial=initial)
-
-
 def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
     computer = {"learn": _compute_learn, "evolve": _compute_evolve,
                 "compare": _compute_compare, "figure1": _compute_figure1}[cfg.experiment]
@@ -269,10 +255,10 @@ def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     sweep = cfg.sweep
-    sub_base = replace(cfg, experiment=sweep.experiment, sweep=None)
     # validate every point before computing any of them: its propagation
-    # settings, its potential and, where it builds one, its initial state
-    points = [_set_sweep_value(sub_base, sweep.parameter, v) for v in sweep.values]
+    # settings and start, its potential and, where it builds one, its
+    # initial state
+    points = cfg.sweep_points()
     for value, point in zip(sweep.values, points):
         _check_propagation(point)
         try:
@@ -399,8 +385,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     t0 = time.perf_counter()
     out_dir = Path(out_dir if out_dir is not None else cfg.output.directory)
     fmt = fmt if fmt is not None else cfg.output.format
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
+    if fmt not in OUTPUT_FORMATS:
+        raise ConfigError(f"output format must be {' or '.join(OUTPUT_FORMATS)}, got {fmt!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     # the directory describes this run only: drop an earlier run's data files
     # and reports first, so that a run failing before it writes them leaves

@@ -105,6 +105,8 @@ class PotentialSpec:
             raise ValueError("tabulated potential needs matching 1-D x and V samples")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("tabulated x samples must be strictly increasing")
+        if not h > 0:
+            raise ValueError(f"tabulated gradient step must be positive, got h={h}")
         ev = lambda x: np.interp(x, xs, vs)
         return cls(ev, lambda x: (ev(np.asarray(x) + h) - ev(np.asarray(x) - h)) / (2.0 * h))
 

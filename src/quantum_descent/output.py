@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+OUTPUT_FORMATS = ("csv", "json")
 FLOAT_FMT = "%.17e"
 # rows of a CSV table formatted and written at a time
 ROWS_PER_BLOCK = 2048
@@ -90,7 +91,7 @@ def write_json_table(path: Path, header: list, rows) -> None:
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
     """Write one table in the requested format; returns the created path."""
-    if fmt not in ("csv", "json"):
+    if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
     path = directory / f"{stem}.{fmt}"
     if fmt == "csv":

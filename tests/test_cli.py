@@ -486,6 +486,47 @@ def test_learner_leaving_the_grid_is_a_divergence(tmp_path, capsys):
     assert json.loads((out / "error.json").read_text())["exit_code"] == 4
 
 
+OFF_THE_GRID = ("initial: {kind: gaussian, x0: 25.0}\n"
+                "disruptor: {kind: field_sampled}\nrun: {steps: 5}\n")
+
+
+@pytest.mark.parametrize("experiment", ["learn", "compare", "figure1"])
+def test_field_sampled_learner_starting_off_the_grid_exits_2(tmp_path, capsys, experiment):
+    """The disruptor lives on the grid [-20, 20], so a learner sampling it
+    cannot start at 25: a config error naming the key, before any compute."""
+    cfg = _write(tmp_path, "c.yaml", OFF_THE_GRID)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert (report["exit_code"], report["status"]) == (2, "config_error")
+    assert report["error"]["message"].startswith("'initial.x0'")
+    assert "x0=25.0" in report["error"]["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_with_a_field_sampled_point_off_the_grid_exits_2(tmp_path, capsys,
+                                                                monkeypatch):
+    calls = _count_point_computations(monkeypatch)
+    cfg = _write(tmp_path, "c.yaml", "experiment: sweep\n" + OFF_THE_GRID
+                 + "sweep: {parameter: initial.x0, values: [-3.0, 25.0]}\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert (report["exit_code"], report["status"]) == (2, "config_error")
+    assert report["error"]["message"].startswith("'initial.x0'")
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", ["disruptor: {kind: zero}",
+                                   "disruptor: {kind: field_sampled}\nphysics: {hbar: 0.0}"],
+                         ids=["zero", "field_sampled_at_hbar_0"])
+def test_learner_without_a_field_keeps_any_start(tmp_path, extra):
+    cfg = _write(tmp_path, "c.yaml", "initial: {kind: gaussian, x0: 25.0}\n"
+                 f"run: {{steps: 5}}\n{extra}\n")
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 # --- documented examples -------------------------------------------------------
 
 def test_compare_with_zero_disruptor_is_identical(tmp_path):

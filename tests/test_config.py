@@ -1,11 +1,14 @@
 """Strict config parsing: defaults, rejection, and the effective-value echo."""
 
+import numpy as np
 import pytest
 import yaml
 
+from quantum_descent.cli import main
 from quantum_descent.config import (ExperimentConfig, default_config,
                                     load_config, parse_config)
 from quantum_descent.errors import ConfigError
+from quantum_descent.output import read_meta
 
 
 def test_minimal_figure1_fills_documented_defaults():
@@ -77,6 +80,8 @@ def test_non_mapping_section_rejected():
     ("initial: {sigma: -1}", "sigma"),
     ("disruptor: {pde_dt: 0}", "pde_dt"),
     ("potential: {kind: harmonic, omega: -2}", "omega"),
+    ("potential: {kind: tabulated, x: [-10, 0, 10], V: [50, 0, 50], h: 0.0}", "h=0.0"),
+    ("potential: {kind: tabulated, x: [-10, 0, 10], V: [50, 0, 50], h: -1.0e-6}", "h=-1e-06"),
 ])
 def test_invariant_violations_name_the_field(snippet, field):
     with pytest.raises(ConfigError, match=field):
@@ -157,6 +162,119 @@ def test_effective_dict_round_trips():
     echoed = yaml.safe_dump(cfg.effective_dict())
     again = parse_config(echoed)
     assert again == cfg
+
+
+# keys the parser takes as another spelling and does not echo
+ALIASES = {"initial": {"p0"}, "grid": {"periodic"}, "run": {"scheme"}}
+# every key the README's config reference names, in any section
+DOCUMENTED_KEYS = {
+    "x_min", "x_max", "n", "periodic", "m", "hbar", "mu", "kind", "omega", "c",
+    "coefficients", "x", "V", "h", "x0", "u0", "p0", "sigma", "path", "pde_dt",
+    "steps", "stop_tol", "t_final", "dt", "snapshot_every", "time_scale", "scheme",
+    "directory", "format", "parameter", "values", "experiment",
+}
+POTENTIALS = {
+    "harmonic": {"kind": "harmonic"},
+    "quartic": {"kind": "quartic"},
+    "polynomial": {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0]},
+    "tabulated": {"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "V": [1.0, 0.0, 1.0]},
+}
+
+
+def _accepts(doc: dict, section: str, key: str) -> bool:
+    """Whether the parser takes ``key`` in ``section`` of ``doc``; it may
+    still reject the probe value, but not the key."""
+    probe = {**doc, section: {**doc.get(section, {}), key: 1.0}}
+    try:
+        parse_config(yaml.safe_dump(probe))
+    except ConfigError as err:
+        return f"unknown key '{key}'" not in str(err)
+    return True
+
+
+@pytest.mark.parametrize("kind", POTENTIALS)
+def test_echoed_keys_are_the_accepted_keys(kind):
+    """Each section of the echo names exactly the keys its section accepts,
+    aliases aside: among every documented or echoed key, and some that no
+    section takes, a section accepts only its own."""
+    doc = {"experiment": "sweep", "potential": POTENTIALS[kind],
+           "sweep": {"parameter": "physics.mu", "values": [0.5]}}
+    echo = parse_config(yaml.safe_dump(doc)).effective_dict()
+    sections = [name for name, value in echo.items() if isinstance(value, dict)]
+    assert sorted(sections) == ["disruptor", "grid", "initial", "output", "physics",
+                                "potential", "run", "sweep"]
+    candidates = DOCUMENTED_KEYS.union(*(echo[name] for name in sections),
+                                       {"dx", "beta", "lam", "gamma"})
+    for name in sections:
+        accepted = {key for key in candidates if _accepts(doc, name, key)}
+        assert accepted == set(echo[name]) | ALIASES.get(name, set()), name
+
+
+def _gaussian_table(tmp_path) -> str:
+    x = np.linspace(-10.0, 10.0, 41)
+    path = tmp_path / "seed.csv"
+    rows = np.column_stack([x, np.exp(-(x + 1.0) ** 2), np.zeros_like(x)])
+    np.savetxt(path, rows, delimiter=",", header="x,re,im", comments="")
+    return str(path)
+
+
+SMALL_GRID = "grid: {x_min: -10.0, x_max: 10.0, n: 256}\n"
+RERUN_CONFIGS = {
+    "learn_harmonic_field_sampled": (
+        "experiment: learn\n" + SMALL_GRID
+        + "physics: {mu: 0.5}\ninitial: {kind: gaussian, x0: -2.0, sigma: 1.1}\n"
+        "disruptor: {kind: field_sampled, pde_dt: 0.05}\nrun: {steps: 4}\n"),
+    "learn_tabulated_p0": (
+        "experiment: learn\nphysics: {m: 2.0, mu: 0.3, hbar: 0.0}\n"
+        "potential: {kind: tabulated, x: [-10, 0, 10], V: [50, 0, 50], h: 1.0e-4}\n"
+        "initial: {kind: gaussian, x0: -3.0, p0: 0.5}\nrun: {steps: 40}\n"),
+    "evolve_custom": (
+        "experiment: evolve\n" + SMALL_GRID
+        + "initial: {kind: custom, path: TABLE}\n"
+        "run: {dt: 0.01, t_final: 0.1, snapshot_every: 5}\n"),
+    "compare_quartic": (
+        "experiment: compare\nphysics: {mu: 0.2}\npotential: {kind: quartic, c: 0.5}\n"
+        "initial: {kind: gaussian, x0: -1.5, u0: 0.1}\nrun: {steps: 60, stop_tol: 1.0e-3}\n"),
+    "figure1_harmonic": (
+        "experiment: figure1\n" + SMALL_GRID
+        + "physics: {mu: 0.4}\npotential: {kind: harmonic, omega: 0.8}\n"
+        "initial: {kind: coherent, x0: -3.0, u0: 0.2}\n"
+        "run: {dt: 0.01, t_final: 0.1, snapshot_every: 5, steps: 30, time_scale: 0.5}\n"
+        "output: {format: json}\n"),
+    "sweep_polynomial": (
+        "experiment: sweep\nphysics: {m: 4.0}\n"
+        "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
+        "initial: {kind: gaussian, x0: -1.5}\nrun: {steps: 50}\n"
+        "sweep: {parameter: physics.mu, values: [0.2, 0.4], experiment: compare}\n"),
+}
+
+
+def _data_files(directory) -> dict:
+    """Every file under ``directory`` but the meta.json files, by relative path."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*"))
+            if path.is_file() and path.name != "meta.json"}
+
+
+@pytest.mark.parametrize("name", RERUN_CONFIGS)
+def test_rerun_from_effective_config_writes_the_same_bytes(tmp_path, name):
+    """A run re-run from its own meta.json's effective_config, dumped to YAML,
+    writes the same data files byte for byte, and echoes the same config."""
+    text = RERUN_CONFIGS[name].replace("TABLE", _gaussian_table(tmp_path))
+    first, second = tmp_path / "first", tmp_path / "second"
+    (tmp_path / "c.yaml").write_text(text)
+    tag = yaml.safe_load(text)["experiment"]
+    assert main([tag, "--config", str(tmp_path / "c.yaml"), "--out", str(first),
+                 "--quiet"]) == 0
+    effective = read_meta(first / "meta.json")["effective_config"]
+    (tmp_path / "echo.yaml").write_text(yaml.safe_dump(effective))
+    assert main([tag, "--config", str(tmp_path / "echo.yaml"), "--out", str(second),
+                 "--quiet"]) == 0
+    assert _data_files(first) and _data_files(second) == _data_files(first)
+    again = read_meta(second / "meta.json")["effective_config"]
+    assert again["output"].pop("directory") == str(second)
+    assert effective["output"].pop("directory") == str(first)
+    assert again == effective
 
 
 def test_default_config_equals_minimal_parse():
