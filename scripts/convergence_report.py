@@ -19,8 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quantum_descent.dynamics import (PropagatorConfig, damped_oscillator_closed_form,
-                                      evolve)
+from quantum_descent.dynamics import damped_oscillator_closed_form, evolve
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.hydro import quantum_potential
 from quantum_descent.learner import PotentialSpec
@@ -34,8 +33,7 @@ def propagator_errors(dts, t_final=5.0, mu=1.0, omega=1.0, n=2048):
     psi0 = gaussian_packet(grid, -5.0, sigma=1.0 / np.sqrt(2.0 * omega))
     errors = []
     for dt in dts:
-        rec = evolve(psi0, potential, params,
-                     PropagatorConfig(dt=dt, t_final=t_final, snapshot_every=10 ** 9))
+        rec = evolve(psi0, potential, params, dt, t_final, snapshot_every=10 ** 9)
         exact = np.array([damped_oscillator_closed_form(-5.0, 0.0, mu, omega, t)[0]
                           for t in rec.times])
         errors.append(float(np.max(np.abs(rec.x_mean - exact))))

@@ -14,29 +14,27 @@ from ._version import __version__
 from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
                      OutputConfig, RunConfig, SweepConfig, default_config,
                      load_config, parse_config)
-from .dynamics import (EvolutionRecord, KostinPropagator, PropagatorConfig,
+from .dynamics import (EvolutionRecord, KostinPropagator,
                        damped_oscillator_closed_form, evolve)
 from .errors import (ConfigError, NodeDominatedError, NodeDominatedWarning,
                      NumericalError)
 from .experiments import ExperimentResult, run_experiment
 from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
-                     Wavefunction, build_grid, expectation_momentum,
-                     expectation_position, gaussian_packet, norm, plane_wave,
+                     Wavefunction, build_grid, gaussian_packet, norm,
                      polar_decompose)
 from .hydro import disruptor_field, quantum_potential, sample_field
-from .learner import (FieldSampledDisruptor, LearnerRun, LearnerState,
-                      PotentialSpec, ZeroDisruptor, run_learner, run_momentum_gd)
+from .learner import (FieldSampledDisruptor, LearnerRun, PotentialSpec,
+                      ZeroDisruptor, run_learner, run_momentum_gd)
 
 __all__ = [
     "__version__",
     "ConfigError", "NumericalError", "NodeDominatedError", "NodeDominatedWarning",
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
-    "build_grid", "polar_decompose", "gaussian_packet", "plane_wave", "norm",
-    "expectation_position", "expectation_momentum", "EPS_NODE",
+    "build_grid", "polar_decompose", "gaussian_packet", "norm", "EPS_NODE",
     "quantum_potential", "disruptor_field", "sample_field",
-    "PotentialSpec", "LearnerState", "LearnerRun", "ZeroDisruptor",
+    "PotentialSpec", "LearnerRun", "ZeroDisruptor",
     "FieldSampledDisruptor", "run_learner", "run_momentum_gd",
-    "PropagatorConfig", "KostinPropagator", "EvolutionRecord", "evolve",
+    "KostinPropagator", "EvolutionRecord", "evolve",
     "damped_oscillator_closed_form",
     "ExperimentConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
     "OutputConfig", "SweepConfig", "parse_config", "load_config",

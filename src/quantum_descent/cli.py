@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides config)")
         p.add_argument("--format", choices=OUTPUT_FORMATS, default=None,
                        help="table file format (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all current experiments are deterministic")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the run summary on stdout")
     return parser

@@ -13,6 +13,7 @@ run metadata so that a config can be reconstructed from its outputs alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -64,6 +65,16 @@ def _set_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> Exp
         return replace(cfg, **{section: replace(old, **{key: value})})
     except ValueError as err:
         raise ConfigError(f"sweep value {value} for {parameter}: {err}") from err
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1's safe loader, also reading a plain scalar such as 1e-8 (an
+    exponent but no dot), which YAML 1.1 leaves a string, as a float."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
+                              list("-+0123456789"))
 
 
 def _key(default, **check):
@@ -288,7 +299,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     its subcommand); a document tag that contradicts it is an error.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"config syntax error: {err}") from err
     raw = _require_mapping(raw, "top level")
@@ -327,6 +338,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         if "u0" in init_sec:
             raise ConfigError("give either 'initial.u0' or 'initial.p0', not both")
         init["u0"] = _as_float(init_sec["p0"], "initial.p0") / physics.m
+        if not np.isfinite(init["u0"]):
+            raise ConfigError(f"'initial.p0' = {init_sec['p0']!r} gives a velocity "
+                              f"p0 / m = {init['u0']} with m = {physics.m}; it must be finite")
     if init["kind"] == "custom" and init["path"] is None:
         raise ConfigError("'initial.path' is required for a custom initial state")
     if init["kind"] == "coherent" and init["sigma"] is not None:

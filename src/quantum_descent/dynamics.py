@@ -63,30 +63,12 @@ from .fields import (
     PhysicsParams,
     SpatialGrid,
     Wavefunction,
-    expectation_phase,
     momentum_weights,
     polar_decompose,
     spectral_momentum,
 )
 from .hydro import NODE, WINDOW, disruptor_field, interpolate, locate_window
 from .learner import PotentialSpec
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Time-stepping parameters for :func:`evolve`."""
-
-    dt: float = 1e-3
-    t_final: float = 10.0
-    snapshot_every: int = 100
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -176,7 +158,8 @@ class KostinPropagator:
         fields = polar_decompose(out, self.grid, self.params)
         v_mean = float((fields.rho * self._Vx).sum() / fields.rho.sum())
         hbar, d, dt = self.params.hbar, self._decay, self.dt
-        alpha = (d * expectation_phase(fields) + v_mean * (d / self.params.mu - dt)) / hbar
+        s_mean = float((fields.S * fields.rho).sum() * self.grid.dx)
+        alpha = (d * s_mean + v_mean * (d / self.params.mu - dt)) / hbar
         first, last = fields.span
         rotation = _unit_phasor(-d * fields.S[first:last + 1], hbar)
         rotation *= np.exp(1j * alpha)
@@ -192,12 +175,12 @@ class EvolutionRecord:
 
     The series are sampled after every step (index 0 is the initial state):
     centre <x>, momentum <p> = <psi| -i hbar d/dx |psi> from the DFT of psi
-    (equal to the hydrodynamic sum rho S' dx, see
-    :func:`~quantum_descent.fields.expectation_momentum`), total norm, and the
-    disruptor field evaluated at the instantaneous centre.  ``evolve`` fills
-    ``dis_center`` a block of steps at a time (see :data:`DIS_BLOCK`), with
-    the same bits as one evaluation per step.  Snapshots hold full copies of
-    psi at the recorded times.
+    (see :func:`~quantum_descent.fields.momentum_weights`; it equals the
+    hydrodynamic sum rho S' dx), total norm, and the disruptor field
+    evaluated at the instantaneous centre.  ``evolve`` fills ``dis_center``
+    a block of steps at a time (see :data:`DIS_BLOCK`), with the same bits as
+    one evaluation per step.  Snapshots hold full copies of psi at the
+    recorded times.
     """
 
     grid: SpatialGrid
@@ -208,7 +191,6 @@ class EvolutionRecord:
     dis_center: np.ndarray
     snapshot_times: np.ndarray
     snapshots: list
-    config: PropagatorConfig
 
     @property
     def densities(self) -> np.ndarray:
@@ -221,8 +203,9 @@ DIS_BLOCK = 512
 
 
 def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
-           config: PropagatorConfig) -> EvolutionRecord:
-    """Propagate psi0 to t_final, recording series every step.
+           dt: float, t_final: float, snapshot_every: int) -> EvolutionRecord:
+    """Propagate psi0 to t_final in steps of dt, recording series every step
+    and a snapshot every ``snapshot_every`` steps and at the last one.
 
     The step count is ceil(t_final/dt), so the final time is within one dt of
     (and not less than dt below) the requested horizon.  Numerical failures are
@@ -234,9 +217,15 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     stacked windows of up to :data:`DIS_BLOCK` steps then fills their
     ``dis_center``, so the extra memory is one block whatever the step count.
     """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_final < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     grid = psi0.grid
-    n_steps = max(0, math.ceil(config.t_final / config.dt - 1e-12))
-    prop = KostinPropagator(grid, potential, params, config.dt)
+    n_steps = max(0, math.ceil(t_final / dt - 1e-12))
+    prop = KostinPropagator(grid, potential, params, dt)
     values = np.array(psi0.values, dtype=np.complex128)
 
     times = np.empty(n_steps + 1)
@@ -261,7 +250,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
                                                      fracs[:size])
 
     def record(k: int, spectrum: np.ndarray) -> None:
-        t = k * config.dt
+        t = k * dt
         rho = np.abs(values) ** 2
         times[k] = t
         norm = float(rho.sum() * grid.dx)
@@ -273,7 +262,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
         b = k % DIS_BLOCK
         window, fracs[b] = locate_window(grid, min(max(xm, grid.x_min), grid.x_max))
         windows[b] = values[window]
-        if k % config.snapshot_every == 0 or k == n_steps:
+        if k % snapshot_every == 0 or k == n_steps:
             snapshot_times.append(t)
             snapshots.append(values.copy())
         if b == DIS_BLOCK - 1 or k == n_steps:
@@ -287,7 +276,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
         except NumericalError as err:
             raise NumericalError(f"propagation failed at step {k}: {err}", step=k) from err
     return EvolutionRecord(grid, times, x_mean, p_mean, norms, dis_center,
-                           np.asarray(snapshot_times), snapshots, config)
+                           np.asarray(snapshot_times), snapshots)
 
 
 def damped_oscillator_closed_form(x0: float, p0: float, mu: float, omega: float,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig
-from .dynamics import EvolutionRecord, PropagatorConfig, check_propagation, evolve
+from .dynamics import EvolutionRecord, check_propagation, evolve
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
@@ -183,9 +183,8 @@ def _compute_learn(cfg: ExperimentConfig) -> ComputedRun:
 
 def _compute_evolve(cfg: ExperimentConfig) -> ComputedRun:
     psi0 = _initial_wavefunction(cfg)
-    prop_cfg = PropagatorConfig(dt=cfg.run.dt, t_final=cfg.run.t_final,
-                                snapshot_every=cfg.run.snapshot_every)
-    rec = evolve(psi0, cfg.build_potential(), cfg.physics, prop_cfg)
+    rec = evolve(psi0, cfg.build_potential(), cfg.physics, cfg.run.dt, cfg.run.t_final,
+                 cfg.run.snapshot_every)
     tables = {
         "trajectory": (TRAJECTORY_HEADER, _evolve_trajectory(rec, cfg)),
         "density": _density_table(rec),

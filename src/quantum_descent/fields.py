@@ -4,25 +4,23 @@ The grid is uniform and periodic: n points from x_min with spacing
 (x_max - x_min) / n, x_max being the seam where it wraps back to x_min.  The
 wave propagator's FFTs and the wrapped stencils of :mod:`.derivatives` both
 rely on that.  A complex field psi on the grid is split as
-psi = R * exp(i S / hbar) into a nonnegative amplitude R and a real
-action-valued phase S.  S is integrated from the angles between neighbouring
-amplitudes, so it does not wrap where arg(psi) does.  From these the
-hydrodynamic fields follow: density rho = R^2, flow velocity u = dS/dx / m,
-and trajectory momentum p = m * u.
-The decomposition works on the raw complex array; :class:`Wavefunction` is
-the validated form at the package boundary.  Observables are plain Riemann
-sums over the grid.
+psi = R * exp(i S / hbar) into a nonnegative amplitude R, a real
+action-valued phase S and the density rho = R^2.  S is integrated from the
+angles between neighbouring amplitudes, so it does not wrap where arg(psi)
+does.  The friction substep of the propagator reads S and rho; the flow
+velocity u = dS/dx / m is not computed here.  The decomposition works on
+the raw complex array; :class:`Wavefunction` is the validated form at the
+package boundary.  The momentum <p> is read from the state's DFT
+(:func:`momentum_weights`, :func:`spectral_momentum`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .derivatives import central_from_increments
 from .errors import NodeDominatedError, NodeDominatedWarning
 
 # Density floor below which arg(psi) is treated as undefined.  Points under the
@@ -131,44 +129,16 @@ class Wavefunction:
 class MadelungFields:
     """Polar fields of a wavefunction: amplitude R, action phase S and density rho.
 
-    The velocity u and the momentum p are derived from S on first read, so a
-    caller that needs only S and rho pays nothing for them.  Neither the
-    instance nor its arrays are frozen (one is built on every friction
-    substep); treat both as read-only, since u is derived from S when read.
-    ``span`` is (first, last), the first and the last point whose density
-    clears the node floor: outside it S is constant, S[:first] = S[first]
-    and S[last + 1:] = S[last].
+    Neither the instance nor its arrays are frozen (one is built on every
+    friction substep); treat both as read-only.  ``span`` is (first, last),
+    the first and the last point whose density clears the node floor:
+    outside it S is constant, S[:first] = S[first] and S[last + 1:] = S[last].
     """
 
     R: np.ndarray
     S: np.ndarray
     rho: np.ndarray
-    grid: SpatialGrid
-    params: PhysicsParams
-    # psi at the first and the last grid point, for the seam increment of u
-    ends: tuple = field(repr=False)
-    span: tuple = field(repr=False)
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """Flow velocity dS/dx / m from a wrap-safe central stencil."""
-        grid = self.grid
-        S = self.S
-        # S is not periodic even for a periodic psi (nonzero winding),
-        # so the seam increment is taken from the wavefunction itself.
-        inc = np.empty(grid.n)
-        np.subtract(S[1:], S[:-1], out=inc[:-1])
-        if self.rho[0] >= EPS_NODE and self.rho[-1] >= EPS_NODE:
-            first, last = self.ends
-            inc[-1] = self.params.hbar * float(np.angle(first * np.conj(last)))
-        else:
-            inc[-1] = 0.0
-        return central_from_increments(inc, grid.dx) / self.params.m
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        """Trajectory momentum m * u."""
-        return self.params.m * self.u
+    span: tuple
 
 
 def norm(psi: Wavefunction) -> float:
@@ -186,8 +156,7 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     principal angle in (-pi*hbar, pi*hbar], so exactly opposite neighbours
     step by +pi*hbar.  Sub-floor points inherit the phase of their nearest
     valid neighbour, and the global constant is fixed so that S = 0 at the
-    density maximum.  R, S and rho are computed here; u and p when first
-    read (see :class:`MadelungFields`).
+    density maximum.
 
     Reports node-dominated input (more than half of the grid below the node
     floor) with a warning -- a well-localized packet on a wide grid does this
@@ -243,15 +212,7 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     S[:first] = span[0]
     S[last + 1:] = span[-1]
 
-    return MadelungFields(R=R, S=S, rho=rho, grid=grid, params=params,
-                          ends=(values[0], values[-1]), span=(first, last))
-
-
-def expectation_position(psi: Wavefunction) -> float:
-    """<x> = sum x_j rho_j dx."""
-    v = psi.values
-    rho = v.real * v.real + v.imag * v.imag
-    return float(np.sum(psi.grid.x * rho) * psi.grid.dx)
+    return MadelungFields(R=R, S=S, rho=rho, span=(first, last))
 
 
 def momentum_weights(grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
@@ -276,20 +237,6 @@ def spectral_momentum(spectrum: np.ndarray, weights: np.ndarray) -> float:
     return float(np.vdot(spectrum, weights * spectrum).real)
 
 
-def expectation_momentum(psi: Wavefunction, params: PhysicsParams) -> float:
-    """<p> = <psi| -i hbar d/dx |psi> from the DFT of psi.
-
-    Since Im(psi* psi') = R^2 S' / hbar, this equals the hydrodynamic momentum
-    sum rho_j S'_j dx of the polar fields, with a spectral derivative.
-    """
-    return spectral_momentum(np.fft.fft(psi.values), momentum_weights(psi.grid, params))
-
-
-def expectation_phase(fields: MadelungFields) -> float:
-    """Density-weighted mean action <S> = sum S_j rho_j dx."""
-    return float((fields.S * fields.rho).sum() * fields.grid.dx)
-
-
 def gaussian_packet(grid: SpatialGrid, x0: float, p0: float = 0.0, sigma: float = 1.0,
                     hbar: float = 1.0) -> Wavefunction:
     """Normalized Gaussian packet whose density has standard deviation sigma."""
@@ -300,9 +247,3 @@ def gaussian_packet(grid: SpatialGrid, x0: float, p0: float = 0.0, sigma: float 
     x = grid.x
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * (x - x0) / hbar)
     return Wavefunction(psi, grid).normalized()
-
-
-def plane_wave(grid: SpatialGrid, k: float) -> Wavefunction:
-    """exp(i k x) / sqrt(L) on the grid."""
-    length = grid.x_max - grid.x_min
-    return Wavefunction(np.exp(1j * k * grid.x) / np.sqrt(length), grid)

@@ -111,20 +111,8 @@ class PotentialSpec:
         return cls(ev, lambda x: (ev(np.asarray(x) + h) - ev(np.asarray(x) - h)) / (2.0 * h))
 
 
-@dataclass(frozen=True)
-class LearnerState:
-    """One point of the discrete trajectory."""
-
-    t: int = 0
-    x: float = 0.0
-    u: float = 0.0
-    dis_last: float = 0.0
-
-
 class ZeroDisruptor:
     """Classical limit: the disruptor is identically zero."""
-
-    kind = "zero"
 
     def sample(self, x: float) -> float:
         return 0.0
@@ -143,8 +131,6 @@ class FieldSampledDisruptor:
     power-of-two number of grid points (at hbar = 0 the disruptor vanishes
     identically, and :class:`ZeroDisruptor` is that limit).
     """
-
-    kind = "field_sampled"
 
     def __init__(self, psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
                  pde_dt: float = 0.01, macro_time: float = 1.0):
@@ -200,7 +186,6 @@ class LearnerRun:
     V: np.ndarray
     dis: np.ndarray
     outcome: str
-    final_state: LearnerState
 
     @property
     def rows(self) -> np.ndarray:
@@ -244,7 +229,7 @@ def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
     x_all = np.array(xs)
     return LearnerRun(np.arange(x_all.size, dtype=float), x_all, np.array(us),
                       np.asarray(potential.evaluate(x_all), dtype=float), np.array(ds),
-                      outcome, LearnerState(t=x_all.size - 1, x=x, u=u, dis_last=ds[-1]))
+                      outcome)
 
 
 def run_learner(x0: float, u0: float, potential: PotentialSpec,

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from quantum_descent.config import default_config, parse_config
-from quantum_descent.dynamics import (KostinPropagator, PropagatorConfig,
+from quantum_descent.dynamics import (KostinPropagator,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.experiments import run_experiment
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
@@ -113,8 +113,7 @@ def test_criterion_5_pde_ode_cross_validation():
     t0 = time.perf_counter()
     errs = []
     for dt in (1e-3, 5e-4):
-        rec = evolve(psi0, HARMONIC, params,
-                     PropagatorConfig(dt=dt, t_final=10.0, snapshot_every=10**9))
+        rec = evolve(psi0, HARMONIC, params, dt, 10.0, snapshot_every=10**9)
         exact = np.array([damped_oscillator_closed_form(-5.0, 0.0, 1.0, 1.0, t)[0]
                           for t in rec.times])
         errs.append(float(np.max(np.abs(rec.x_mean - exact))))
@@ -200,9 +199,8 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     # the default config has hbar = m = 1, where the coherent width is 1/sqrt(2 omega)
     psi0 = gaussian_packet(cfg.grid, cfg.initial.x0, p0=cfg.p0,
                            sigma=1.0 / np.sqrt(2.0 * cfg.potential["omega"]))
-    rec = evolve(psi0, cfg.build_potential(), cfg.physics,
-                 PropagatorConfig(dt=cfg.run.dt, t_final=cfg.run.t_final,
-                                  snapshot_every=cfg.run.snapshot_every))
+    rec = evolve(psi0, cfg.build_potential(), cfg.physics, cfg.run.dt, cfg.run.t_final,
+                 cfg.run.snapshot_every)
     _, dens = read_table(tmp_path / "r1" / "density.csv")
     round_trip = (np.array_equal(traj, run.rows)
                   and np.array_equal(dens[:, 0], cfg.grid.x)

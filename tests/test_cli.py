@@ -65,10 +65,6 @@ def test_summary_line_and_quiet(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_seed_flag_is_accepted(tmp_path):
-    assert main(["learn", "--out", str(tmp_path / "s"), "--seed", "7", "--quiet"]) == 0
-
-
 # --- determinism and the metadata echo ----------------------------------------
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -99,6 +95,29 @@ def test_meta_echo_suffices_to_rerun(tmp_path):
                  "--quiet"]) == 0
     assert (tmp_path / "first" / "trajectory.csv").read_bytes() == \
            (tmp_path / "second" / "trajectory.csv").read_bytes()
+
+
+def test_evolve_reruns_from_its_meta_to_the_same_bytes(tmp_path):
+    """An evolve re-run from the effective config its meta.json echoes writes
+    the same data files, byte for byte."""
+    import yaml
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: evolve\ngrid: {n: 512}\nphysics: {mu: 0.4, hbar: 0.8}\n"
+                 "initial: {kind: coherent, x0: -3.0, u0: 0.3}\n"
+                 "run: {dt: 5e-3, t_final: 0.25, snapshot_every: 20}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "first"),
+                 "--quiet"]) == 0
+    effective = read_meta(tmp_path / "first" / "meta.json")["effective_config"]
+    echo = _write(tmp_path, "echo.yaml", yaml.safe_dump(effective))
+    assert main(["evolve", "--config", echo, "--out", str(tmp_path / "second"),
+                 "--quiet"]) == 0
+    files = sorted(f.name for f in (tmp_path / "first").iterdir() if f.name != "meta.json")
+    assert files == ["density.csv", "trajectory.csv"]
+    assert files == sorted(f.name for f in (tmp_path / "second").iterdir()
+                           if f.name != "meta.json")
+    for name in files:
+        assert (tmp_path / "first" / name).read_bytes() == \
+               (tmp_path / "second" / name).read_bytes()
 
 
 def test_json_format_mirror(tmp_path):

@@ -104,6 +104,29 @@ def test_integer_fields_reject_floats():
         parse_config("experiment: learn\ngrid: {n: 2048.0}\n")
 
 
+def test_momentum_alias_must_give_a_finite_velocity():
+    """p0 / m overflows to inf here; a config whose u0 is not finite could
+    not be re-parsed from its own echo, so it is rejected naming p0."""
+    with pytest.raises(ConfigError, match="'initial.p0'"):
+        parse_config("experiment: learn\nphysics: {m: 1.0e-10}\ninitial: {p0: 1.0e+308}\n")
+
+
+def test_exponent_without_a_dot_is_a_number():
+    """The README writes defaults as 1e-8, 1e-6 and 1e-3, forms YAML 1.1
+    leaves strings; they parse as floats, while a quoted one stays a string
+    and an integer stays an integer."""
+    cfg = parse_config("experiment: learn\nrun: {stop_tol: 1e-8, steps: 200, dt: 1e-3}\n"
+                       "potential: {kind: tabulated, x: [-1, 0, 1], V: [1, 0, 1], h: 1e-6}\n")
+    assert cfg.run.stop_tol == 1e-8
+    assert cfg.run.dt == 1e-3
+    assert cfg.potential["h"] == 1e-6
+    assert cfg.run.steps == 200 and isinstance(cfg.run.steps, int)
+    signed = parse_config("experiment: learn\nphysics: {mu: 5E-1}\ninitial: {x0: -2e+0}\n")
+    assert (signed.physics.mu, signed.initial.x0) == (0.5, -2.0)
+    with pytest.raises(ConfigError, match="'run.stop_tol' must be a number"):
+        parse_config("experiment: learn\nrun: {stop_tol: '1e-8'}\n")
+
+
 def test_potential_kinds_parse():
     quartic = parse_config("experiment: learn\npotential: {kind: quartic, c: 2.0}\n")
     assert quartic.potential == {"kind": "quartic", "c": 2.0}

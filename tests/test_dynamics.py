@@ -23,15 +23,15 @@ from scipy.linalg import solve_banded
 
 from quantum_descent import dynamics
 from quantum_descent.config import parse_config
-from quantum_descent.dynamics import (DIS_BLOCK, KostinPropagator, PropagatorConfig,
+from quantum_descent.dynamics import (DIS_BLOCK, KostinPropagator,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.errors import NumericalError
 from quantum_descent.experiments import run_experiment
 from quantum_descent.fields import (PhysicsParams, Wavefunction, build_grid,
-                                    expectation_phase, gaussian_packet,
-                                    polar_decompose)
+                                    gaussian_packet, polar_decompose)
 from quantum_descent.learner import PotentialSpec
 from quantum_descent.output import read_table
+from test_kernel_references import ref_polar_decompose
 
 GRID = build_grid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
@@ -94,9 +94,9 @@ def crank_nicolson_step(values, grid, potential, params, dt):
     else:
         fields = polar_decompose(values, grid, params)
         v_mean = float(np.sum(fields.rho * Vx) / np.sum(fields.rho))
+        s_mean = float(np.sum(fields.S * fields.rho) * grid.dx)
         decay = -np.expm1(-params.mu * dt)
-        phase = (-v_mean * dt
-                 - (fields.S - expectation_phase(fields) + (Vx - v_mean) / params.mu) * decay)
+        phase = -v_mean * dt - (fields.S - s_mean + (Vx - v_mean) / params.mu) * decay
         w = -phase / dt
     kin = params.hbar**2 / (2.0 * params.m * grid.dx**2)
     diag = 2.0 * kin + w
@@ -242,13 +242,14 @@ def test_scheme_grid_compatibility():
         KostinPropagator(GRID, HARMONIC, PhysicsParams(hbar=0.0, mu=0.5), dt=1e-3)
 
 
-def test_propagator_config_validation():
-    with pytest.raises(ValueError):
-        PropagatorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        PropagatorConfig(t_final=-1.0)
-    with pytest.raises(ValueError):
-        PropagatorConfig(snapshot_every=0)
+@pytest.mark.parametrize("dt,t_final,snapshot_every,key", [
+    (0.0, 1.0, 10, "dt"), (-1e-3, 1.0, 10, "dt"),
+    (1e-3, -1.0, 10, "t_final"), (1e-3, 1.0, 0, "snapshot_every"),
+])
+def test_evolve_validates_its_time_stepping(dt, t_final, snapshot_every, key):
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
+    with pytest.raises(ValueError, match=key):
+        evolve(_coherent(), HARMONIC, params, dt, t_final, snapshot_every)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
@@ -278,7 +279,7 @@ def test_no_friction_centre_oscillates():
     """mu = 0: the packet centre swings undamped, <x>(t) = x0 cos(omega t)."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.0)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=1e-3, t_final=5.0, snapshot_every=10**9))
+                 1e-3, 5.0, snapshot_every=10**9)
     expected = -5.0 * np.cos(rec.times)
     assert np.max(np.abs(rec.x_mean - expected)) < 1e-5
     # and it swings all the way across: +5 at t = pi, no amplitude decay
@@ -288,7 +289,7 @@ def test_no_friction_centre_oscillates():
 def test_damped_centre_tracks_closed_form():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=1e-3, t_final=3.0, snapshot_every=10**9))
+                 1e-3, 3.0, snapshot_every=10**9)
     exact = np.array([damped_oscillator_closed_form(-5.0, 0.0, 1.0, 1.0, t)
                       for t in rec.times])
     assert np.max(np.abs(rec.x_mean - exact[:, 0])) < 1e-6
@@ -299,7 +300,7 @@ def test_damped_evolution_keeps_coherent_width():
     """The damped Gaussian stays a fixed-width packet: var(rho) = 1/(2 omega)."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=2e-3, t_final=10.0, snapshot_every=500))
+                 2e-3, 10.0, snapshot_every=500)
     for snap in rec.snapshots:
         rho = np.abs(snap) ** 2
         mean = np.sum(GRID.x * rho) * GRID.dx
@@ -310,7 +311,7 @@ def test_damped_evolution_keeps_coherent_width():
 def test_energy_decays_under_friction():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=2e-3, t_final=6.0, snapshot_every=250))
+                 2e-3, 6.0, snapshot_every=250)
     k = 2.0 * np.pi * np.fft.fftfreq(GRID.n, d=GRID.dx)
     energies = []
     for snap in rec.snapshots:
@@ -334,8 +335,8 @@ def _energy(values, params):
 
 def _dissipation(values, params):
     """mu m sum rho u^2 dx, the rate at which friction removes energy."""
-    fields = polar_decompose(values, GRID, params)
-    return params.mu * params.m * np.sum(fields.rho * fields.u**2) * GRID.dx
+    _, rho, u, _ = ref_polar_decompose(values, GRID, params)
+    return params.mu * params.m * np.sum(rho * u**2) * GRID.dx
 
 
 @given(mu=st.floats(0.05, 1.0), sigma=st.floats(0.6, 1.6), x0=st.floats(-4.0, 4.0))
@@ -399,8 +400,7 @@ def test_crank_nicolson_cross_checks_spectral():
     """Same physics, different scheme, spacing and boundary handling: the
     packet stays more than 10 widths from the Dirichlet ends."""
     params = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
-    cfg = PropagatorConfig(dt=1e-3, t_final=2.0, snapshot_every=10**9)
-    rec_s = evolve(_coherent(), HARMONIC, params, cfg)
+    rec_s = evolve(_coherent(), HARMONIC, params, 1e-3, 2.0, snapshot_every=10**9)
 
     grid = build_grid(-20.0, 20.0, 4000)  # dx = 0.01
     values = _coherent(grid=grid).values
@@ -415,7 +415,7 @@ def test_crank_nicolson_cross_checks_spectral():
 def test_evolve_bookkeeping():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=0.1, snapshot_every=4))
+                 0.01, 0.1, snapshot_every=4)
     assert len(rec.times) == 11
     assert rec.times[-1] == pytest.approx(0.1)
     assert np.all(np.diff(rec.times) > 0)
@@ -427,7 +427,7 @@ def test_evolve_bookkeeping():
 def test_evolve_zero_horizon_records_initial_state():
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
     rec = evolve(_coherent(), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=0.0))
+                 0.01, 0.0, snapshot_every=100)
     assert len(rec.times) == 1
     assert list(rec.snapshot_times) == [0.0]
 
@@ -445,7 +445,7 @@ def test_evolve_evaluates_the_disruptor_once_per_block(monkeypatch):
     monkeypatch.setattr(dynamics, "disruptor_field", counting)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.55)
     rec = evolve(_coherent(x0=-4.5, p0=0.2), HARMONIC, params,
-                 PropagatorConfig(dt=1e-3, t_final=2.0, snapshot_every=200))
+                 1e-3, 2.0, snapshot_every=200)
     records = rec.times.size
     assert records == 2001
     assert len(shapes) == math.ceil(records / DIS_BLOCK)
@@ -459,5 +459,5 @@ def test_non_finite_state_raises_with_step_index():
     values[100] = np.nan
     with pytest.raises(NumericalError) as err:
         evolve(Wavefunction(values, GRID), HARMONIC, params,
-               PropagatorConfig(dt=1e-3, t_final=1.0))
+               1e-3, 1.0, snapshot_every=100)
     assert err.value.step == 0

@@ -4,9 +4,11 @@ The decomposition psi = R exp(i S / hbar) is the foundation everything else
 stands on; the tests pin its conventions: S integrated left to right from
 neighbour increments in (-pi*hbar, pi*hbar], S = 0 at the density maximum,
 node filling from the nearest valid neighbour, and the round-trip
-R exp(iS/hbar) == psi wherever the density clears the floor.  The
-momentum <p> is read from the DFT; the tests tie it to the hydrodynamic
-sum rho S' dx and pin its Nyquist convention.
+R exp(iS/hbar) == psi wherever the density clears the floor.  The velocity
+u = S'/m of the decomposition comes from the plain reference in
+test_kernel_references.py.  The momentum <p> is read from the DFT; the
+tests tie it to the hydrodynamic sum rho S' dx and pin its Nyquist
+convention.
 """
 
 import numpy as np
@@ -16,12 +18,22 @@ from hypothesis import strategies as st
 
 from quantum_descent.errors import NodeDominatedError, NodeDominatedWarning
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
-                                    build_grid, expectation_momentum,
-                                    expectation_position, gaussian_packet,
-                                    norm, plane_wave, polar_decompose)
-from test_kernel_references import wavefunctions
+                                    build_grid, gaussian_packet,
+                                    momentum_weights, norm, polar_decompose,
+                                    spectral_momentum)
+from test_kernel_references import ref_polar_decompose, wavefunctions
 
 P1 = PhysicsParams(m=1.0, hbar=1.0, mu=1.0)
+
+
+def velocity(psi, params):
+    """u = S'/m of psi's decomposition, from the reference."""
+    return ref_polar_decompose(psi.values, psi.grid, params)[2]
+
+
+def momentum(psi, params):
+    """<p> from the DFT of psi, the way evolve reads it."""
+    return spectral_momentum(np.fft.fft(psi.values), momentum_weights(psi.grid, params))
 
 
 # --- grids -------------------------------------------------------------------
@@ -137,9 +149,8 @@ def test_plane_wave_velocity_constant():
     """e^{ikx} on a periodic grid: u = hbar k / m everywhere, seam included."""
     grid = build_grid(0.0, 2.0 * np.pi, 128)
     k = 5.0  # integer winding fits the periodic box
-    psi = plane_wave(grid, k)
-    f = polar_decompose(psi.values, grid, P1)
-    assert np.allclose(f.u, k, rtol=1e-9)
+    psi = Wavefunction(np.exp(1j * k * grid.x), grid)
+    assert np.allclose(velocity(psi, P1), k, rtol=1e-9)
 
 
 def test_moving_packet_velocity():
@@ -147,18 +158,17 @@ def test_moving_packet_velocity():
     p0, m = 2.5, 2.0
     params = PhysicsParams(m=m, hbar=1.0, mu=0.5)
     psi = gaussian_packet(grid, x0=0.0, p0=p0, sigma=1.0)
-    f = polar_decompose(psi.values, grid, params)
-    core = f.rho > 1e-4  # velocity is p0/m across the packet's core
-    assert np.allclose(f.u[core], p0 / m, atol=1e-6)
-    assert np.allclose(f.p[core], p0, atol=2e-6)
+    _, rho, u, p = ref_polar_decompose(psi.values, grid, params)
+    core = rho > 1e-4  # velocity is p0/m across the packet's core
+    assert np.allclose(u[core], p0 / m, atol=1e-6)
+    assert np.allclose(p[core], p0, atol=2e-6)
 
 
-def test_rho_and_p_consistency():
+def test_rho_is_the_squared_amplitude():
     grid = build_grid(-10.0, 10.0, 512)
     psi = gaussian_packet(grid, x0=1.0, p0=-0.3)
     f = polar_decompose(psi.values, grid, P1)
     assert np.allclose(f.rho, f.R**2, rtol=1e-14)
-    assert np.allclose(f.p, P1.m * f.u, rtol=1e-14)
 
 
 def test_node_fill_inherits_neighbor_phase():
@@ -167,7 +177,7 @@ def test_node_fill_inherits_neighbor_phase():
     psi = Wavefunction(values, grid).normalized()
     f = polar_decompose(psi.values, grid, P1)
     assert np.all(np.isfinite(f.S))
-    assert np.all(np.isfinite(f.u))
+    assert np.all(np.isfinite(velocity(psi, P1)))
     # left lobe is real (phase 0), right lobe is +i (phase pi/2)
     left = int(np.searchsorted(grid.x, -4.0))
     right = int(np.searchsorted(grid.x, 4.0))
@@ -212,8 +222,9 @@ def test_gaussian_packet_expectations():
     grid = build_grid(-25.0, 25.0, 4096)
     psi = gaussian_packet(grid, x0=-5.0, p0=1.25, sigma=1.0)
     assert norm(psi) == pytest.approx(1.0, abs=1e-12)
-    assert expectation_position(psi) == pytest.approx(-5.0, abs=1e-9)
-    assert expectation_momentum(psi, P1) == pytest.approx(1.25, abs=1e-9)
+    rho = np.abs(psi.values) ** 2
+    assert np.sum(grid.x * rho) * grid.dx == pytest.approx(-5.0, abs=1e-9)
+    assert momentum(psi, P1) == pytest.approx(1.25, abs=1e-9)
 
 
 def hydrodynamic_momentum(psi, params):
@@ -238,7 +249,7 @@ def test_momentum_equals_hydrodynamic_momentum(breathing, x0, p0, sigma, chirp, 
     phase = p0 * d + (0.5 * chirp * d * d if breathing else 0.0)
     psi = Wavefunction(np.exp(-d * d / (4.0 * sigma**2) + 1j * phase / hbar), grid).normalized()
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
-    assert abs(expectation_momentum(psi, params) - hydrodynamic_momentum(psi, params)) <= 1e-12
+    assert abs(momentum(psi, params) - hydrodynamic_momentum(psi, params)) <= 1e-12
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
@@ -247,7 +258,8 @@ def test_plane_wave_momentum_is_hbar_k(k, hbar):
     """e^{ikx} on a periodic grid has <p> = hbar k, up to the last resolved
     wavenumber (63 of a Nyquist wavenumber 64 on this grid)."""
     grid = build_grid(0.0, 2.0 * np.pi, 128)
-    p = expectation_momentum(plane_wave(grid, k), PhysicsParams(hbar=hbar))
+    psi = Wavefunction(np.exp(1j * k * grid.x) / np.sqrt(grid.x_max - grid.x_min), grid)
+    p = momentum(psi, PhysicsParams(hbar=hbar))
     assert p == pytest.approx(hbar * k, rel=1e-13)
 
 
@@ -260,13 +272,13 @@ def test_real_packet_cut_by_the_seam_has_zero_momentum(x0):
     psi = gaussian_packet(grid, x0=x0, sigma=0.8)
     nyquist = np.pi / grid.n * abs(np.fft.fft(psi.values)[grid.n // 2]) ** 2
     assert nyquist > 1e-6  # the case the Nyquist convention decides
-    assert abs(expectation_momentum(psi, P1)) < 1e-15
+    assert abs(momentum(psi, P1)) < 1e-15
 
 
 def test_momentum_needs_hbar():
     grid = build_grid(-5.0, 5.0, 64)
     with pytest.raises(ValueError):
-        expectation_momentum(gaussian_packet(grid, x0=0.0), PhysicsParams(hbar=0.0))
+        momentum_weights(grid, PhysicsParams(hbar=0.0))
 
 
 def test_normalized_rescales():
@@ -295,5 +307,5 @@ def test_global_phase_leaves_velocity_unchanged(phi):
     shifted = Wavefunction(psi.values * np.exp(1j * phi), grid)
     f0 = polar_decompose(psi.values, grid, P1)
     f1 = polar_decompose(shifted.values, grid, P1)
-    assert np.allclose(f1.u, f0.u, atol=1e-9)
+    assert np.allclose(velocity(shifted, P1), velocity(psi, P1), atol=1e-9)
     assert np.allclose(f1.rho, f0.rho, rtol=1e-14)

@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
-from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, PropagatorConfig, evolve
+from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, evolve
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     build_grid, gaussian_packet, polar_decompose)
 from quantum_descent.hydro import (NODE, disruptor_field, interpolate, locate_window,
@@ -172,8 +172,8 @@ def ref_spectral_momentum(values, grid, params):
 
 def ref_hydrodynamic_momentum(values, grid, params):
     """sum rho p dx from the polar fields, with p = m dS/dx from a central stencil."""
-    fields = polar_decompose(values, grid, params)
-    return float(np.sum(fields.p * fields.rho) * grid.dx)
+    _, rho, _, p = ref_polar_decompose(values, grid, params)
+    return float(np.sum(p * rho) * grid.dx)
 
 
 # --- generated inputs ------------------------------------------------------------
@@ -262,11 +262,9 @@ def test_central_from_increments_equals_roll_version(d, dx):
 def test_polar_decompose_equals_reference(psi, hbar, m):
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
     fields = polar_decompose(psi.values, psi.grid, params)
-    S, rho, u, p = ref_polar_decompose(psi.values, psi.grid, params)
+    S, rho, _, _ = ref_polar_decompose(psi.values, psi.grid, params)
     assert np.array_equal(fields.S, S)
     assert np.array_equal(fields.rho, rho)
-    assert np.array_equal(fields.u, u)
-    assert np.array_equal(fields.p, p)
 
 
 @given(psi=wavefunctions(), hbar=st.sampled_from((1.0, 0.5, 0.3)))
@@ -449,7 +447,7 @@ def test_record_in_the_seam_cell_equals_reference():
     values = values * np.sqrt((grid.x[-1] + 0.5 * grid.dx) / x_mean)
     steps = 40
     rec = evolve(Wavefunction(values, grid), HARMONIC, params,
-                 PropagatorConfig(dt=1e-3, t_final=steps * 1e-3, snapshot_every=10))
+                 1e-3, steps * 1e-3, snapshot_every=10)
     cells = np.floor((rec.x_mean - grid.x_min) / grid.dx)
     assert np.all(cells == grid.n - 1)
     _assert_record_equals_reference(rec, values, KostinPropagator(grid, HARMONIC, params, 1e-3),
@@ -462,7 +460,7 @@ def test_split_step_record_of_a_resolved_packet_equals_reference():
     values = _initial("breathing")
     steps = 60
     rec = evolve(Wavefunction(values, GRID), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=20))
+                 0.01, steps * 0.01, snapshot_every=20)
     prop = KostinPropagator(GRID, HARMONIC, params, 0.01)
     # measured gap 4.7e-13
     _assert_record_equals_reference(rec, values, prop, params, steps, hydro_tol=1e-11)
@@ -478,7 +476,7 @@ def test_block_record_equals_reference(steps):
     params = PhysicsParams(m=1.0, hbar=1.0, mu=0.45)
     values = _initial("breathing")
     rec = evolve(Wavefunction(values, GRID), HARMONIC, params,
-                 PropagatorConfig(dt=0.01, t_final=steps * 0.01, snapshot_every=50))
+                 0.01, steps * 0.01, snapshot_every=50)
     assert rec.dis_center.size == steps + 1
     _assert_record_equals_reference(rec, values, KostinPropagator(GRID, HARMONIC, params, 0.01),
                                     params, steps)
@@ -549,7 +547,7 @@ def test_window_reads_the_wrapped_six_points(n, data, frac):
 
 def _polar_fields(values, grid, params):
     f = polar_decompose(values, grid, params)
-    return np.stack((f.R, f.S, f.rho, f.u, f.p))
+    return np.stack((f.R, f.S, f.rho))
 
 
 @pytest.mark.parametrize("kernel", ["polar_decompose", "quantum_potential", "disruptor_field",

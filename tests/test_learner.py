@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
-from quantum_descent.learner import (FieldSampledDisruptor, LearnerState,
-                                     PotentialSpec, ZeroDisruptor, run_learner,
-                                     run_momentum_gd)
-from test_learner_references import (CallbackDisruptor, momentum_gd_step,
+from quantum_descent.learner import (FieldSampledDisruptor, PotentialSpec,
+                                     ZeroDisruptor, run_learner, run_momentum_gd)
+from test_learner_references import (CallbackDisruptor, RefState, momentum_gd_step,
                                      quantum_learn_step)
 
 HARMONIC = PotentialSpec.harmonic(1.0)
@@ -78,7 +77,7 @@ def test_nonpositive_omega_rejected():
 # --- single steps ------------------------------------------------------------
 
 def test_momentum_step_validates_parameters():
-    s = LearnerState(t=0, x=1.0, u=0.0, dis_last=0.0)
+    s = RefState(t=0, x=1.0, u=0.0, dis_last=0.0)
     with pytest.raises(ValueError):
         momentum_gd_step(s, HARMONIC, alpha=0.0, beta=0.5)
     with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ def test_momentum_step_validates_parameters():
 
 def test_full_friction_unit_mass_converges_in_one_update():
     """mu = 1, m = 1, omega = 1: x' = x - dV/dx lands on the minimum at once."""
-    s = LearnerState(t=0, x=-5.0, u=0.0, dis_last=0.0)
+    s = RefState(t=0, x=-5.0, u=0.0, dis_last=0.0)
     s = quantum_learn_step(s, HARMONIC, ZeroDisruptor(), PhysicsParams(m=1.0, mu=1.0))
     assert s.x == 0.0
     assert s.u == 5.0  # velocity is the full jump; it decays next step
@@ -95,7 +94,7 @@ def test_full_friction_unit_mass_converges_in_one_update():
 
 def test_non_finite_gradient_raises():
     bad = PotentialSpec(evaluate=lambda x: x, gradient=lambda x: np.inf)
-    s = LearnerState(t=3, x=0.0, u=0.0, dis_last=0.0)
+    s = RefState(t=3, x=0.0, u=0.0, dis_last=0.0)
     with pytest.raises(NumericalError) as err:
         momentum_gd_step(s, bad, alpha=1.0, beta=0.0)
     assert err.value.step == 3
@@ -103,7 +102,7 @@ def test_non_finite_gradient_raises():
 
 def test_constant_disruptor_shifts_update():
     params = PhysicsParams(m=2.0, mu=0.25)
-    s = LearnerState(t=0, x=1.0, u=0.5, dis_last=0.0)
+    s = RefState(t=0, x=1.0, u=0.5, dis_last=0.0)
     stepped = quantum_learn_step(s, HARMONIC, CallbackDisruptor(lambda x: 0.3), params)
     expected_u = params.beta * 0.5 - params.lam * HARMONIC.gradient(1.0) + 0.3
     assert stepped.u == expected_u
@@ -113,7 +112,7 @@ def test_constant_disruptor_shifts_update():
 
 def test_time_scale_rescales_drive_terms():
     params = PhysicsParams(m=1.0, mu=0.5)
-    s = LearnerState(t=0, x=2.0, u=1.0, dis_last=0.0)
+    s = RefState(t=0, x=2.0, u=1.0, dis_last=0.0)
     tau = 0.1
     stepped = quantum_learn_step(s, HARMONIC, CallbackDisruptor(lambda x: 0.7),
                                  params, time_scale=tau)

@@ -18,6 +18,7 @@ compare bits, not closeness.
 
 import json
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -29,8 +30,8 @@ from quantum_descent import output
 from quantum_descent.errors import NumericalError
 from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
 from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
-                                     LearnerState, PotentialSpec, ZeroDisruptor,
-                                     run_learner, run_momentum_gd)
+                                     PotentialSpec, ZeroDisruptor, run_learner,
+                                     run_momentum_gd)
 from quantum_descent.learner import _polyder
 from quantum_descent.output import ROWS_PER_BLOCK, write_table, write_tables
 
@@ -40,10 +41,19 @@ polyder = np.polynomial.polynomial.polyder
 # --- references ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RefState:
+    """One point of the discrete trajectory, as one reference update takes
+    and returns it."""
+
+    t: int = 0
+    x: float = 0.0
+    u: float = 0.0
+    dis_last: float = 0.0
+
+
 class CallbackDisruptor:
     """Disruptor values supplied by an arbitrary callable of position."""
-
-    kind = "callback"
 
     def __init__(self, fn):
         self._fn = fn
@@ -65,7 +75,7 @@ def momentum_gd_step(state, objective, alpha, beta):
     if not np.isfinite(g):
         raise NumericalError(f"non-finite gradient {g} at x={state.x}", step=state.t)
     u_new = beta * state.u - alpha * g
-    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=0.0)
+    return RefState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=0.0)
 
 
 def quantum_learn_step(state, potential, dis, params, time_scale=1.0):
@@ -84,7 +94,7 @@ def quantum_learn_step(state, potential, dis, params, time_scale=1.0):
         u_new = params.beta * state.u - params.lam * g + d
     else:
         u_new = params.beta * state.u + time_scale * (d - params.lam * g)
-    return LearnerState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=d)
+    return RefState(t=state.t + 1, x=state.x + u_new, u=u_new, dis_last=d)
 
 
 def ref_polynomial(coefficients):
@@ -95,7 +105,7 @@ def ref_polynomial(coefficients):
 
 def ref_run_learner(x0, u0, potential, dis, params, steps, stop_tol=1e-8, time_scale=1.0):
     """One quantum_learn_step per update, V and the stop gradient per row."""
-    state = LearnerState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
+    state = RefState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
     rows = [[0.0, state.x, state.u, float(potential.evaluate(state.x)), 0.0]]
     outcome = "max_steps"
     for _ in range(steps):
@@ -113,7 +123,7 @@ def ref_run_learner(x0, u0, potential, dis, params, steps, stop_tol=1e-8, time_s
 
 def ref_run_momentum_gd(x0, u0, objective, alpha, beta, steps, stop_tol=1e-8):
     """One momentum_gd_step per update, V and the stop gradient per row."""
-    state = LearnerState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
+    state = RefState(t=0, x=float(x0), u=float(u0), dis_last=0.0)
     rows = [[0.0, state.x, state.u, float(objective.evaluate(state.x)), 0.0]]
     outcome = "max_steps"
     for _ in range(steps):
@@ -164,8 +174,6 @@ def bits(a):
 class Fence:
     """A callback disruptor defined only on |x| <= bound (a grid's domain)."""
 
-    kind = "fence"
-
     def __init__(self, fn, bound):
         self._fn = fn
         self._bound = bound
@@ -182,7 +190,8 @@ def assert_same_run(run, ref):
     assert run.rows.shape == ref_rows.shape
     assert np.array_equal(bits(run.rows), bits(ref_rows))
     assert run.outcome == ref_outcome
-    assert run.final_state == ref_state
+    last = RefState(t=run.t.size - 1, x=run.x[-1], u=run.u[-1], dis_last=run.dis[-1])
+    assert last == ref_state
 
 
 # --- polynomial evaluation -----------------------------------------------------
@@ -353,7 +362,7 @@ def test_field_sampled_run_equals_the_reference():
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.5), (1.0, 1.5), (1.0, -0.1)])
 def test_run_momentum_gd_rejects_what_the_step_rejects(alpha, beta):
     with pytest.raises(ValueError):
-        momentum_gd_step(LearnerState(), PotentialSpec.polynomial(BOWL), alpha, beta)
+        momentum_gd_step(RefState(), PotentialSpec.polynomial(BOWL), alpha, beta)
     with pytest.raises(ValueError):
         run_momentum_gd(1.0, 0.0, PotentialSpec.polynomial(BOWL), alpha, beta, steps=3)
 
