@@ -6,7 +6,9 @@ every step, a learner driven by a field-sampled disruptor, a sweep of
 zero-disruptor twins, the default learn, evolve, compare and figure1
 runs, an evolve without friction (mu = 0), a field-sampled learn with
 hbar = 0.7 and time_scale = 0.5, an evolve from the coherent state at
-m = 2 and hbar = 0.5, and a compare in a quartic potential.  Each run writes
+m = 2 and hbar = 0.5, and a compare in a quartic potential.  The relax and
+sweep runs are made once more with --format json (as relax_json and
+descent_sweep_json), so both table formats are covered.  Each run writes
 into its own directory under --out; meta.json is left out because it holds
 the wall time.  A change meant to leave the output unchanged to the bit is
 checked by running this on both commits and comparing the two documents:
@@ -86,15 +88,18 @@ CONFIGS = {
     ),
 }
 DEFAULTS = ("learn", "evolve", "compare", "figure1")
+# runs made once more with JSON tables
+JSON_RUNS = ("relax", "descent_sweep")
 
 
 def digest(out: Path) -> dict:
     """Run every config into ``out``; map each data file's path to its sha256."""
-    runs = {name: parse_config(text) for name, text in CONFIGS.items()}
-    runs.update({f"default_{tag}": default_config(tag) for tag in DEFAULTS})
+    runs = {name: (parse_config(text), "csv") for name, text in CONFIGS.items()}
+    runs.update({f"default_{tag}": (default_config(tag), "csv") for tag in DEFAULTS})
+    runs.update({f"{name}_json": (runs[name][0], "json") for name in JSON_RUNS})
     sums = {}
-    for name, cfg in runs.items():
-        result = run_experiment(cfg, out_dir=out / name)
+    for name, (cfg, fmt) in runs.items():
+        result = run_experiment(cfg, out_dir=out / name, fmt=fmt)
         sums[f"{name}/exit_code"] = result.exit_code
         for path in sorted((out / name).rglob("*")):
             if path.is_file() and path.name != "meta.json":

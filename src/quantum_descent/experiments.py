@@ -113,8 +113,9 @@ def _builds_wave(cfg: ExperimentConfig) -> bool:
 
 def _check_propagation(cfg: ExperimentConfig) -> None:
     """Reject, naming the key, settings the wave propagator cannot run with
-    (the first key that :func:`check_propagation` rejects), and a
-    field-sampled learner that starts off the grid its field lives on."""
+    (the first key that :func:`check_propagation` rejects), a Gaussian whose
+    momentum p0 = m u0 overflows, and a field-sampled learner that starts
+    off the grid its field lives on."""
     if not _builds_wave(cfg):
         return
     try:
@@ -122,6 +123,9 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
     except ValueError as err:
         key = "physics.hbar" if cfg.physics.hbar <= 0.0 else "grid.n"
         raise ConfigError(f"'{key}': {err}") from err
+    if cfg.initial.kind != "custom" and not np.isfinite(cfg.p0):
+        raise ConfigError(f"'physics.m' = {cfg.physics.m} and 'initial.u0' = {cfg.initial.u0} "
+                          f"give the momentum p0 = m * u0 = {cfg.p0}; it must be finite")
     x0, grid = cfg.initial.x0, cfg.grid
     if (cfg.experiment != "evolve" and cfg.disruptor.kind == "field_sampled"
             and not grid.contains(x0)):

@@ -1,27 +1,33 @@
 """Columnar result files: CSV/JSON tables and run metadata.
 
 All floating-point values are written with 17 significant digits (``%.17e``)
-so that re-parsing a file reproduces the in-memory float64 exactly and two
-runs of the same config produce byte-identical files.  Text that would be
-the same is rendered once: a float column holding one value is formatted
-once per table, and a table equal to an earlier one of the same
-:func:`write_tables` call is a copy of that one's file.  A CSV table is
-written in blocks of ROWS_PER_BLOCK rows; a JSON document is one string.
+in CSV and as Python's shortest round-trip repr in JSON, so that re-parsing a
+file reproduces the in-memory float64 exactly and two runs of the same config
+produce byte-identical files.  Text that would be the same is rendered once:
+a float column holding one value is formatted once per table, and a table
+equal to an earlier one of the same :func:`write_tables` call is a copy of
+that one's file.  Both formats stream a table to disk in blocks of about
+CELLS_PER_BLOCK cells (:func:`block_rows` rows), so a block's text is
+bounded whatever the table's width, and no table's text is held whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 OUTPUT_FORMATS = ("csv", "json")
 FLOAT_FMT = "%.17e"
-# rows of a CSV table formatted and written at a time
-ROWS_PER_BLOCK = 2048
+# cells of a table formatted and written at a time
+CELLS_PER_BLOCK = 4096
+
+
+def block_rows(width: int) -> int:
+    """Rows of a ``width``-column table formatted and written at a time."""
+    return max(1, CELLS_PER_BLOCK // max(width, 1))
 
 
 def _plain_rows(rows) -> list:
@@ -59,34 +65,69 @@ def _constant_columns(rows) -> list:
     return [rows[0, j] if same[j] else None for j in range(rows.shape[1])] if same.any() else []
 
 
-def write_csv_table(path: Path, header: list, rows) -> None:
-    """Write a single-header-row CSV with '.' decimals and %.17e floats.
+def _json_ready(block) -> bool:
+    """Whether ``str`` of every value of the block is its JSON text: true of
+    integers and finite floats, not of bools, NaN and the infinities."""
+    return (isinstance(block, np.ndarray) and block.dtype.kind in "iuf"
+            and (block.dtype.kind != "f" or bool(np.isfinite(block).all())))
 
-    Integer and bool columns are written as integers.  A column's type is
-    that of its value in the first row.  A column of a float64 array that
-    holds one value is formatted once and enters the row format as text.
+
+def _cell_formats(rows, csv: bool) -> tuple:
+    """Per column, the %-format of its values or, for a float64 column that
+    holds one value, that value's text; and the columns that are formatted
+    (None for all of them).
+
+    A CSV column's format is that of its value in the first row: integers
+    and bools as integers, anything else as ``%.17e``.  A JSON value is
+    formatted as its text (``%s``), see :func:`_table_chunks`.
     """
     constant = _constant_columns(rows)
     if constant:
-        fmt = ",".join(FLOAT_FMT if v is None else (FLOAT_FMT % v).replace("%", "%%")
-                       for v in constant)
-        rows = rows[:, [j for j, v in enumerate(constant) if v is None]]
-    else:
-        first = _plain_rows(rows[:1])[0] if len(rows) else []
-        fmt = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first)
-    line = fmt + "\n"
-    blocks = ("".join([line % tuple(row) for row in _plain_rows(rows[i:i + ROWS_PER_BLOCK])])
-              for i in range(0, len(rows), ROWS_PER_BLOCK))
-    _write_atomic(path, chain([",".join(header) + "\n"], blocks))
+        value = FLOAT_FMT if csv else "%s"
+        cells = [value if v is None
+                 else (FLOAT_FMT % v if csv else json.dumps(float(v))).replace("%", "%%")
+                 for v in constant]
+        return cells, [j for j, v in enumerate(constant) if v is None]
+    first = _plain_rows(rows[:1])[0] if len(rows) else []
+    if not csv:
+        return ["%s"] * len(first), None
+    return ["%d" if isinstance(v, int) else FLOAT_FMT for v in first], None
 
 
-def write_json_table(path: Path, header: list, rows) -> None:
-    """JSON mirror of a CSV table: {"header": [...], "rows": [[...], ...]}.
+def _table_chunks(header: list, rows, fmt: str):
+    """The text of a table in ``fmt``: its head, its rows a block of
+    :func:`block_rows` rows at a time, and its tail.
 
-    float64 values survive a json round-trip exactly (repr-based encoding).
+    Each row is one %-format applied to the values of the columns that are
+    formatted.  A JSON table is the text of
+    ``json.dumps({"header": header, "rows": rows}, indent=1)`` plus a
+    newline; the values of a block that is not an array of integers or
+    finite floats (see :func:`_json_ready`) are formatted as their
+    ``json.dumps`` text.
     """
-    payload = {"header": list(header), "rows": _plain_rows(rows)}
-    _write_atomic(path, [json.dumps(payload, indent=1), "\n"])
+    csv = fmt == "csv"
+    cells, columns = _cell_formats(rows, csv)
+    if csv:
+        head, line, sep, tail = ",".join(header) + "\n", ",".join(cells) + "\n", "", ""
+    else:
+        # the table without rows, cut after the "[" that opens them
+        head = json.dumps({"header": list(header), "rows": []}, indent=1)[:-3]
+        line = "  [" + ",".join("\n   " + c for c in cells) + "\n  ]" if cells else "  []"
+        sep = ",\n"
+        head, tail = (head + "\n", "\n ]\n}\n") if len(rows) else (head, "]\n}\n")
+    yield head
+    step = block_rows(len(header))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        if columns is not None:
+            block = block[:, columns]
+        values = _plain_rows(block)
+        if not (csv or _json_ready(block)):
+            values = [[json.dumps(v) for v in row] for row in values]
+        if i:
+            yield sep
+        yield sep.join([line % tuple(row) for row in values])
+    yield tail
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
@@ -94,10 +135,7 @@ def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Pat
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
     path = directory / f"{stem}.{fmt}"
-    if fmt == "csv":
-        write_csv_table(path, header, rows)
-    else:
-        write_json_table(path, header, rows)
+    _write_atomic(path, _table_chunks(header, rows, fmt))
     return path
 
 

@@ -388,6 +388,45 @@ def test_sweep_validation_raises_before_any_point_computes(tmp_path, monkeypatch
     assert calls == []
 
 
+# m * u0 overflows to inf although m and u0 are finite
+OVERFLOWING_MOMENTUM = "initial: {kind: gaussian, x0: -3.0, u0: 1.0e+10}\n"
+RUNS_WITH_AN_OVERFLOWING_MOMENTUM = [
+    ("evolve", "physics: {m: 1.0e+300}\nrun: {t_final: 0.01}\n"),
+    ("learn", "physics: {m: 1.0e+300}\ndisruptor: {kind: field_sampled}\nrun: {steps: 5}\n"),
+    ("sweep", "run: {t_final: 0.01}\n"
+     "sweep: {parameter: physics.m, values: [1.0, 1.0e+300], experiment: evolve}\n"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,config", RUNS_WITH_AN_OVERFLOWING_MOMENTUM,
+                         ids=["evolve", "field_sampled_learn", "sweep_point"])
+def test_overflowing_momentum_is_a_config_error_naming_both_keys(
+        tmp_path, capsys, monkeypatch, command, config):
+    """A run that builds a Gaussian whose momentum p0 = m u0 is not finite
+    exits 2 before any point computes, naming physics.m and initial.u0, and
+    stderr carries the one report: no numpy warning comes before it."""
+    calls = _count_point_computations(monkeypatch)
+    cfg = _write(tmp_path, "c.yaml", OVERFLOWING_MOMENTUM + config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith("'physics.m' = 1e+300 and 'initial.u0' = 10000000000.0 ")
+    assert "p0 = m * u0 = inf" in message
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+def test_learner_only_run_forms_no_momentum(tmp_path):
+    """A zero-disruptor learn builds no wave, so the momentum that overflows
+    above is never formed and the run goes ahead."""
+    cfg = _write(tmp_path, "c.yaml", OVERFLOWING_MOMENTUM
+                 + "experiment: learn\nphysics: {m: 1.0e+300}\nrun: {steps: 5}\n")
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_rejected_scheme_says_it_is_gone(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", "run: {scheme: crank_nicolson}\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2

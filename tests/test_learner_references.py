@@ -4,10 +4,11 @@ the plain versions they replaced.
 The learner runs on plain floats in one loop shared by both twins, reuses the
 stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
-``polyval`` order, the gradient's coefficients are ``polyder``'s; tables are
-formatted with one format string in blocks of ``ROWS_PER_BLOCK`` rows, a
-column of one value is formatted once, and a table equal to an earlier one
-of the same ``write_tables`` call is a copy of its file, line by line.  None of
+``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
+tables alike are formatted with one format string in blocks of about
+``CELLS_PER_BLOCK`` cells (``block_rows(width)`` rows), a column of one value
+is formatted once, and a table equal to an earlier one of the same
+``write_tables`` call is a copy of its file, line by line.  None of
 this changes an operation or its order, so every row, outcome and written
 byte must equal what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
@@ -33,7 +34,7 @@ from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
                                      PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.learner import _polyder
-from quantum_descent.output import ROWS_PER_BLOCK, write_table, write_tables
+from quantum_descent.output import block_rows, write_table, write_tables
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
@@ -527,17 +528,24 @@ def test_twin_tables_write_the_reference_bytes(tmp_path, fmt, second):
     assert rendered.call_count == _renders_expected(tables)
 
 
-# row counts around the block size: one, one block short of and over a block
-# boundary, and over two
-BLOCK_ROWS = (0, 1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
-              2 * ROWS_PER_BLOCK + 1)
+# row counts around a table's block size as (blocks, rows more): none, one,
+# one short of and over a block boundary, and over two
+BLOCK_ROWS = {"empty": (0, 0), "one": (0, 1), "block_less_one": (1, -1), "block": (1, 0),
+              "block_and_one": (1, 1), "two_blocks_and_one": (2, 1)}
+# the width of each kind of _block_table
+BLOCK_WIDTH = {"constant": 4, "int": 2, "mixed": 4, "wide": 12}
 
 
 def _block_table(kind, n):
     """A table of ``n`` rows: float64 columns beside constant ones, an int64
-    array, or mixed rows of Python and numpy values."""
+    array, mixed rows of Python and numpy values, or a density-shaped float64
+    table of twelve columns, one of them constant, whose block size does not
+    divide the cell budget."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
+    if kind == "wide":
+        return ["x"] + [f"rho_t{k}" for k in range(11)], np.column_stack(
+            [np.arange(float(n)), np.full(n, 0.25), rng.standard_normal((n, 10))])
     if kind == "constant":
         return ["t", "zero", "x", "c"], np.column_stack(
             [np.arange(float(n)), np.full(n, -0.0), x, np.full(n, 5e-324)])
@@ -547,10 +555,12 @@ def _block_table(kind, n):
                                      for i, v in enumerate(x)]
 
 
-@pytest.mark.parametrize("n", BLOCK_ROWS)
-@pytest.mark.parametrize("kind", ["constant", "int", "mixed"])
-def test_tables_across_block_boundaries_write_the_reference_bytes(tmp_path, kind, n):
-    header, rows = _block_table(kind, n)
+@pytest.mark.parametrize("count", BLOCK_ROWS)
+@pytest.mark.parametrize("kind", BLOCK_WIDTH)
+def test_tables_across_block_boundaries_write_the_reference_bytes(tmp_path, kind, count):
+    blocks, more = BLOCK_ROWS[count]
+    header, rows = _block_table(kind, blocks * block_rows(BLOCK_WIDTH[kind]) + more)
+    assert len(header) == BLOCK_WIDTH[kind]
     for fmt, ref in (("csv", ref_csv_text), ("json", ref_json_text)):
         assert write_table(tmp_path, "t", header, rows, fmt).read_text() == ref(header, rows)
 
@@ -559,7 +569,7 @@ def test_tables_across_block_boundaries_write_the_reference_bytes(tmp_path, kind
 def test_duplicate_of_a_multi_block_table_is_a_copy(tmp_path, fmt):
     """A duplicate of a table longer than one block is copied from the first
     one's file, not rendered again, and holds the same reference bytes."""
-    header, rows = _block_table("constant", 2 * ROWS_PER_BLOCK + 1)
+    header, rows = _block_table("constant", 2 * block_rows(BLOCK_WIDTH["constant"]) + 1)
     tables = {"a": (header, rows), "b": (header, rows.copy())}
     with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
         write_tables(tmp_path, tables, fmt)

@@ -2,6 +2,8 @@
 
 import builtins
 import io
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.output import (ROWS_PER_BLOCK, read_meta, read_table, write_meta,
-                                    write_table, write_tables)
+from quantum_descent.output import (CELLS_PER_BLOCK, block_rows, read_meta, read_table,
+                                    write_meta, write_table, write_tables)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -128,14 +130,63 @@ def test_failed_write_leaves_no_file_under_the_final_name(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir() if not p.name.startswith("kept.")] == []
 
 
-def test_write_failing_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
-    """A CSV table of three blocks whose write fails in its second block:
-    the first block reached the disk, and no file is left."""
-    n = 2 * ROWS_PER_BLOCK + 1
-    first_block = len("a\n") + sum(len("%.17e\n" % v) for v in range(ROWS_PER_BLOCK))
+def _fail_in_the_second_block(tmp_path, monkeypatch, fmt, first_block):
+    """Write a one-column table of two blocks and a row in ``fmt``, failing
+    100 bytes after its head and first block, ``first_block`` bytes, reached
+    the disk; no file is left."""
+    n = 2 * block_rows(1) + 1
     limit = first_block + 100
     opened = _fail_writes_after(monkeypatch, limit)
     with pytest.raises(OSError):
-        write_table(tmp_path, "t", ["a"], np.arange(float(n)).reshape(n, 1), "csv")
+        write_table(tmp_path, "t", ["a"], np.arange(float(n)).reshape(n, 1), fmt)
     assert [f.written for f in opened] == [limit]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_failing_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
+    """A CSV table of three blocks whose write fails in its second block:
+    the first block reached the disk, and no file is left."""
+    first_block = len("a\n") + sum(len("%.17e\n" % v) for v in range(block_rows(1)))
+    _fail_in_the_second_block(tmp_path, monkeypatch, "csv", first_block)
+
+
+def test_json_write_failing_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
+    """The same for a JSON table: its head and first block are the document
+    of the first block's rows without the text that closes it."""
+    rows = [[float(v)] for v in range(block_rows(1))]
+    first_block = len(json.dumps({"header": ["a"], "rows": rows}, indent=1)) - len("\n ]\n}")
+    _fail_in_the_second_block(tmp_path, monkeypatch, "json", first_block)
+
+
+def test_block_rows_hold_a_fixed_number_of_cells():
+    """A block holds CELLS_PER_BLOCK cells, rounded down to whole rows, and
+    at least one row however wide the table."""
+    assert block_rows(1) == CELLS_PER_BLOCK
+    assert block_rows(12) == CELLS_PER_BLOCK // 12
+    assert block_rows(CELLS_PER_BLOCK + 1) == 1
+
+
+def _write_peak_bytes(tmp_path, n, k, fmt):
+    """tracemalloc's peak above the start while write_table writes an
+    ``n`` x ``k`` table of random floats, none of its columns constant."""
+    rows = np.random.default_rng(n).standard_normal((n, k))
+    header = [f"c{j}" for j in range(k)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_table(tmp_path, f"t{n}x{k}", header, rows, fmt)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shape", [(20480, 12), (2048, 48)], ids=["ten_times_the_rows",
+                                                                  "four_times_the_columns"])
+def test_write_peak_memory_does_not_grow_with_the_table(tmp_path, fmt, shape):
+    """A table streams to disk a block of a fixed number of cells at a time:
+    writing a 2048 x 12 table with ten times the rows, or four times the
+    columns, peaks within a tenth of it."""
+    small = _write_peak_bytes(tmp_path, 2048, 12, fmt)
+    large = _write_peak_bytes(tmp_path, *shape, fmt)
+    assert large <= 1.1 * small, (small, large)

@@ -41,13 +41,15 @@ def test_output_digest_hashes_every_data_file(tmp_path):
     assert runs == {"relax", "quantum_learn", "descent_sweep", "frictionless",
                     "field_sampled_hbar", "coherent_hbar_m", "quartic_compare",
                     "default_learn", "default_evolve", "default_compare",
-                    "default_figure1"}
+                    "default_figure1", "relax_json", "descent_sweep_json"}
     files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                    if p.is_file() and p.name != "meta.json")
     assert files == sorted(k for k in sums if not k.endswith("/exit_code"))
     assert all(re.fullmatch("[0-9a-f]{64}", sums[k]) for k in files)
     assert all(sums[f"{run}/exit_code"] == 0 for run in runs)
     assert "relax/density.csv" in sums and "descent_sweep/sweep_summary.csv" in sums
+    assert ("relax_json/density.json" in sums
+            and "descent_sweep_json/sweep_summary.json" in sums)
 
 
 def test_ulp_sensitivity_reports_every_learner_column(tmp_path):
