@@ -263,8 +263,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     # initial state
     points = cfg.sweep_points()
     for value, point in zip(sweep.values, points):
-        _check_propagation(point)
         try:
+            _check_propagation(point)
             point.build_potential()
             if _builds_wave(point):
                 _initial_wavefunction(point)

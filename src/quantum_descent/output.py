@@ -4,7 +4,7 @@ All floating-point values are written with 17 significant digits (``%.17e``)
 in CSV and as Python's shortest round-trip repr in JSON, so that re-parsing a
 file reproduces the in-memory float64 exactly and two runs of the same config
 produce byte-identical files.  Text that would be the same is rendered once:
-a float column holding one value is formatted once per table, and a table
+a float column holding one value is formatted once per CSV table, and a table
 equal to an earlier one of the same :func:`write_tables` call is a copy of
 that one's file.  Both formats stream a table to disk in blocks of about
 CELLS_PER_BLOCK cells (:func:`block_rows` rows), so a block's text is
@@ -27,7 +27,7 @@ CELLS_PER_BLOCK = 4096
 
 def block_rows(width: int) -> int:
     """Rows of a ``width``-column table formatted and written at a time."""
-    return max(1, CELLS_PER_BLOCK // max(width, 1))
+    return max(1, CELLS_PER_BLOCK // width)
 
 
 def _plain_rows(rows) -> list:
@@ -60,37 +60,30 @@ def _constant_columns(rows) -> list:
     if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
             and rows.ndim == 2 and len(rows)):
         return []
-    bits = rows.view(np.uint64)
-    same = (bits == bits[0]).all(axis=0)
-    return [rows[0, j] if same[j] else None for j in range(rows.shape[1])] if same.any() else []
+    # compared a block at a time, so no table-sized array is formed
+    bits, same = rows.view(np.uint64), np.ones(rows.shape[1], dtype=bool)
+    step = block_rows(rows.shape[1])
+    for i in range(0, len(rows), step):
+        same &= (bits[i:i + step] == bits[0]).all(axis=0)
+        if not same.any():
+            return []
+    return [rows[0, j] if same[j] else None for j in range(rows.shape[1])]
 
 
-def _json_ready(block) -> bool:
-    """Whether ``str`` of every value of the block is its JSON text: true of
-    integers and finite floats, not of bools, NaN and the infinities."""
-    return (isinstance(block, np.ndarray) and block.dtype.kind in "iuf"
-            and (block.dtype.kind != "f" or bool(np.isfinite(block).all())))
+def _cell_formats(rows) -> tuple:
+    """Per column, the %-format of its CSV values or, for a float64 column
+    that holds one value, that value's text; and the columns that are
+    formatted (None for all of them).
 
-
-def _cell_formats(rows, csv: bool) -> tuple:
-    """Per column, the %-format of its values or, for a float64 column that
-    holds one value, that value's text; and the columns that are formatted
-    (None for all of them).
-
-    A CSV column's format is that of its value in the first row: integers
-    and bools as integers, anything else as ``%.17e``.  A JSON value is
-    formatted as its text (``%s``), see :func:`_table_chunks`.
+    A column's format is that of its value in the first row: integers and
+    bools as integers, anything else as ``%.17e``.
     """
     constant = _constant_columns(rows)
     if constant:
-        value = FLOAT_FMT if csv else "%s"
-        cells = [value if v is None
-                 else (FLOAT_FMT % v if csv else json.dumps(float(v))).replace("%", "%%")
+        cells = [FLOAT_FMT if v is None else (FLOAT_FMT % v).replace("%", "%%")
                  for v in constant]
         return cells, [j for j, v in enumerate(constant) if v is None]
     first = _plain_rows(rows[:1])[0] if len(rows) else []
-    if not csv:
-        return ["%s"] * len(first), None
     return ["%d" if isinstance(v, int) else FLOAT_FMT for v in first], None
 
 
@@ -98,36 +91,34 @@ def _table_chunks(header: list, rows, fmt: str):
     """The text of a table in ``fmt``: its head, its rows a block of
     :func:`block_rows` rows at a time, and its tail.
 
-    Each row is one %-format applied to the values of the columns that are
-    formatted.  A JSON table is the text of
+    A CSV row is one %-format (see :func:`_cell_formats`) applied to the
+    values of the columns that are formatted.  A JSON table is the text of
     ``json.dumps({"header": header, "rows": rows}, indent=1)`` plus a
-    newline; the values of a block that is not an array of integers or
-    finite floats (see :func:`_json_ready`) are formatted as their
-    ``json.dumps`` text.
+    newline; each block is ``json.dumps`` of its rows, indented one level
+    deeper and without the brackets around them.
     """
-    csv = fmt == "csv"
-    cells, columns = _cell_formats(rows, csv)
-    if csv:
-        head, line, sep, tail = ",".join(header) + "\n", ",".join(cells) + "\n", "", ""
-    else:
-        # the table without rows, cut after the "[" that opens them
-        head = json.dumps({"header": list(header), "rows": []}, indent=1)[:-3]
-        line = "  [" + ",".join("\n   " + c for c in cells) + "\n  ]" if cells else "  []"
-        sep = ",\n"
-        head, tail = (head + "\n", "\n ]\n}\n") if len(rows) else (head, "]\n}\n")
-    yield head
     step = block_rows(len(header))
+    if fmt == "csv":
+        cells, columns = _cell_formats(rows)
+        line = ",".join(cells) + "\n"
+        yield ",".join(header) + "\n"
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            if columns is not None:
+                block = block[:, columns]
+            yield "".join([line % tuple(row) for row in _plain_rows(block)])
+        return
+    # the table without rows, cut after the "[" that opens them
+    head = json.dumps({"header": list(header), "rows": []}, indent=1)[:-3]
+    if not len(rows):
+        yield head + "]\n}\n"
+        return
+    yield head + "\n"
     for i in range(0, len(rows), step):
-        block = rows[i:i + step]
-        if columns is not None:
-            block = block[:, columns]
-        values = _plain_rows(block)
-        if not (csv or _json_ready(block)):
-            values = [[json.dumps(v) for v in row] for row in values]
-        if i:
-            yield sep
-        yield sep.join([line % tuple(row) for row in values])
-    yield tail
+        text = json.dumps(_plain_rows(rows[i:i + step]), indent=1)
+        # a JSON string holds no raw newline, so this indents lines only
+        yield (",\n " if i else " ") + text[2:-2].replace("\n", "\n ")
+    yield "\n ]\n}\n"
 
 
 def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:

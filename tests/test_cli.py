@@ -391,21 +391,24 @@ def test_sweep_validation_raises_before_any_point_computes(tmp_path, monkeypatch
 # m * u0 overflows to inf although m and u0 are finite
 OVERFLOWING_MOMENTUM = "initial: {kind: gaussian, x0: -3.0, u0: 1.0e+10}\n"
 RUNS_WITH_AN_OVERFLOWING_MOMENTUM = [
-    ("evolve", "physics: {m: 1.0e+300}\nrun: {t_final: 0.01}\n"),
-    ("learn", "physics: {m: 1.0e+300}\ndisruptor: {kind: field_sampled}\nrun: {steps: 5}\n"),
+    ("evolve", "physics: {m: 1.0e+300}\nrun: {t_final: 0.01}\n", ""),
+    ("learn", "physics: {m: 1.0e+300}\ndisruptor: {kind: field_sampled}\nrun: {steps: 5}\n",
+     ""),
     ("sweep", "run: {t_final: 0.01}\n"
-     "sweep: {parameter: physics.m, values: [1.0, 1.0e+300], experiment: evolve}\n"),
+     "sweep: {parameter: physics.m, values: [1.0, 1.0e+300], experiment: evolve}\n",
+     "sweep value 1e+300 for physics.m: "),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command,config", RUNS_WITH_AN_OVERFLOWING_MOMENTUM,
+@pytest.mark.parametrize("command,config,prefix", RUNS_WITH_AN_OVERFLOWING_MOMENTUM,
                          ids=["evolve", "field_sampled_learn", "sweep_point"])
 def test_overflowing_momentum_is_a_config_error_naming_both_keys(
-        tmp_path, capsys, monkeypatch, command, config):
+        tmp_path, capsys, monkeypatch, command, config, prefix):
     """A run that builds a Gaussian whose momentum p0 = m u0 is not finite
-    exits 2 before any point computes, naming physics.m and initial.u0, and
-    stderr carries the one report: no numpy warning comes before it."""
+    exits 2 before any point computes, naming physics.m and initial.u0 (and,
+    in a sweep, the swept value), and stderr carries the one report: no numpy
+    warning comes before it."""
     calls = _count_point_computations(monkeypatch)
     cfg = _write(tmp_path, "c.yaml", OVERFLOWING_MOMENTUM + config)
     out = tmp_path / "o"
@@ -413,7 +416,7 @@ def test_overflowing_momentum_is_a_config_error_naming_both_keys(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert message.startswith("'physics.m' = 1e+300 and 'initial.u0' = 10000000000.0 ")
+    assert message.startswith(prefix + "'physics.m' = 1e+300 and 'initial.u0' = 10000000000.0 ")
     assert "p0 = m * u0 = inf" in message
     assert calls == []
     assert list(out.iterdir()) == []
@@ -571,7 +574,7 @@ def test_sweep_with_a_field_sampled_point_off_the_grid_exits_2(tmp_path, capsys,
     assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     report = json.loads(capsys.readouterr().err)
     assert (report["exit_code"], report["status"]) == (2, "config_error")
-    assert report["error"]["message"].startswith("'initial.x0'")
+    assert report["error"]["message"].startswith("sweep value 25.0 for initial.x0: 'initial.x0'")
     assert calls == []
     assert list(out.iterdir()) == []
 
