@@ -5,10 +5,10 @@ The learner runs on plain floats in one loop shared by both twins, reuses the
 stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
-tables alike are formatted with one format string in blocks of about
-``CELLS_PER_BLOCK`` cells (``block_rows(width)`` rows), a column of one value
-is formatted once, and a table equal to an earlier one of the same
-``write_tables`` call is a copy of its file, line by line.  None of
+tables alike are written in blocks of about ``CELLS_PER_BLOCK`` cells
+(``block_rows(width)`` rows), a CSV row is formatted with one format string
+and a CSV column of one value once, and a table equal to an earlier one of
+the same ``write_tables`` call is a copy of its file, line by line.  None of
 this changes an operation or its order, so every row, outcome and written
 byte must equal what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
