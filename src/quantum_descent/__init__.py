@@ -16,8 +16,7 @@ from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
                      load_config, parse_config)
 from .dynamics import (EvolutionRecord, KostinPropagator,
                        damped_oscillator_closed_form, evolve)
-from .errors import (ConfigError, NodeDominatedError, NodeDominatedWarning,
-                     NumericalError)
+from .errors import ConfigError, NodeDominatedError, NumericalError
 from .experiments import ExperimentResult, run_experiment
 from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
                      Wavefunction, build_grid, gaussian_packet, norm,
@@ -28,7 +27,7 @@ from .learner import (FieldSampledDisruptor, LearnerRun, PotentialSpec,
 
 __all__ = [
     "__version__",
-    "ConfigError", "NumericalError", "NodeDominatedError", "NodeDominatedWarning",
+    "ConfigError", "NumericalError", "NodeDominatedError",
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
     "build_grid", "polar_decompose", "gaussian_packet", "norm", "EPS_NODE",
     "quantum_potential", "disruptor_field", "sample_field",

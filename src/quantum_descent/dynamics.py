@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,7 +69,9 @@ from .fields import (
     spectral_momentum,
 )
 from .hydro import NODE, WINDOW, disruptor_field, interpolate, locate_window
-from .learner import PotentialSpec
+
+if TYPE_CHECKING:
+    from .learner import PotentialSpec
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -217,15 +220,13 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     stacked windows of up to :data:`DIS_BLOCK` steps then fills their
     ``dis_center``, so the extra memory is one block whatever the step count.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be nonnegative, got {t_final}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     grid = psi0.grid
+    prop = KostinPropagator(grid, potential, params, dt)  # checks dt > 0
     n_steps = max(0, math.ceil(t_final / dt - 1e-12))
-    prop = KostinPropagator(grid, potential, params, dt)
     values = np.array(psi0.values, dtype=np.complex128)
 
     times = np.empty(n_steps + 1)

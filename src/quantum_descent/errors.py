@@ -21,7 +21,4 @@ class NodeDominatedError(NumericalError):
 
 
 class NodeDominatedWarning(UserWarning):
-    """Over half the grid sits below the node floor; phases there are filled in.
-
-    Harmless for a localized packet on a wide grid, worth a look otherwise.
-    """
+    """Raised by nothing; ``perfbench/tracer.py:count_node_warnings`` looks it up by name."""

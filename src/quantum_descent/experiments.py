@@ -353,9 +353,9 @@ def _remove_earlier_run(out_dir: Path) -> None:
     """Delete what the run before this one says it wrote into ``out_dir``.
 
     That is the tables and point directories its meta.json lists, then that
-    meta.json and any error.json.  A point directory loses the tables its own
-    meta.json lists and that meta.json; it is removed only if that leaves it
-    empty, so files the runs did not write stay.
+    meta.json and any error.json.  A point directory is cleared the same way
+    and removed only if that leaves it empty, so files the runs did not
+    write stay.
     """
     meta_path = out_dir / "meta.json"
     meta = _earlier_meta(meta_path)
@@ -365,10 +365,7 @@ def _remove_earlier_run(out_dir: Path) -> None:
         point_dir = out_dir / name
         if point_dir.is_symlink() or not point_dir.is_dir():
             continue
-        point_meta = point_dir / "meta.json"
-        for table in _earlier_tables(_earlier_meta(point_meta)):
-            (point_dir / table).unlink(missing_ok=True)
-        point_meta.unlink(missing_ok=True)
+        _remove_earlier_run(point_dir)
         try:
             point_dir.rmdir()
         except OSError:

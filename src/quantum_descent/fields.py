@@ -16,12 +16,11 @@ package boundary.  The momentum <p> is read from the state's DFT
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NodeDominatedError, NodeDominatedWarning
+from .errors import NodeDominatedError
 
 # Density floor below which arg(psi) is treated as undefined.  Points under the
 # floor inherit the phase of the nearest valid neighbour.
@@ -158,10 +157,9 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     valid neighbour, and the global constant is fixed so that S = 0 at the
     density maximum.
 
-    Reports node-dominated input (more than half of the grid below the node
-    floor) with a warning -- a well-localized packet on a wide grid does this
-    legitimately -- and raises :class:`NodeDominatedError` only when fewer
-    than two points carry usable phase.
+    Raises :class:`NodeDominatedError` when fewer than two points clear the
+    node floor; every other state decomposes silently, however much of the
+    grid lies below the floor (a localized packet on a wide grid).
     """
     if params.hbar <= 0.0:
         raise ValueError("polar decomposition needs hbar > 0 (phase is undefined at hbar = 0)")
@@ -169,17 +167,10 @@ def polar_decompose(values: np.ndarray, grid: SpatialGrid, params: PhysicsParams
     rho = R * R
     valid = rho >= EPS_NODE
     kept = np.flatnonzero(valid)
-    n_invalid = grid.n - kept.size
     if kept.size < 2:
         raise NodeDominatedError(
-            f"node-dominated wavefunction: {n_invalid} of {grid.n} points below the "
-            f"density floor {EPS_NODE:g}; no usable phase information"
-        )
-    if n_invalid > 0.5 * grid.n:
-        warnings.warn(
-            "node-dominated wavefunction: over half the grid is below the density "
-            f"floor {EPS_NODE:g}; sub-floor phases are filled from neighbours",
-            NodeDominatedWarning, stacklevel=2,
+            f"node-dominated wavefunction: {grid.n - kept.size} of {grid.n} points below "
+            f"the density floor {EPS_NODE:g}; no usable phase information"
         )
 
     # The phase is only needed between the first and the last valid point;

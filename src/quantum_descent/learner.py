@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import KostinPropagator
 from .errors import NodeDominatedError, NumericalError
 from .fields import PhysicsParams, Wavefunction
 from .hydro import NODE, disruptor_field, interpolate, locate_window
@@ -134,8 +135,6 @@ class FieldSampledDisruptor:
 
     def __init__(self, psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
                  pde_dt: float = 0.01, macro_time: float = 1.0):
-        from .dynamics import KostinPropagator  # deferred: avoids import cycle
-
         if pde_dt <= 0 or macro_time <= 0:
             raise ValueError("pde_dt and macro_time must be positive")
         self.params = params

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -766,6 +767,42 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_dynamics_imports_without_the_learner():
+    """dynamics names PotentialSpec only in annotations, so importing it
+    loads no learner: the learner imports dynamics, not the other way round.
+    The package's __init__ imports every module, so dynamics is imported
+    here under a bare package object."""
+    code = ("import sys, types\n"
+            "package = types.ModuleType('quantum_descent')\n"
+            "package.__path__ = [sys.argv[1]]\n"
+            "sys.modules['quantum_descent'] = package\n"
+            "import quantum_descent.dynamics\n"
+            "print('quantum_descent.learner' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(experiments.__file__).parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_localized_packet_runs_leave_stderr_empty(tmp_path):
+    """A coherent evolve and a field-sampled learn on the default 2048-point
+    grid, where most points lie below the node floor, print nothing on
+    stderr.  They run in a subprocess because pytest captures warnings
+    raised in-process."""
+    runs = {
+        "evolve": "run: {dt: 1.0e-3, t_final: 0.05, snapshot_every: 10}\n",
+        "learn": "disruptor: {kind: field_sampled}\n"
+                 "initial: {kind: gaussian, x0: -2.0}\nrun: {steps: 3}\n",
+    }
+    for command, text in runs.items():
+        cfg = _write(tmp_path, f"{command}.yaml", text)
+        proc = subprocess.run([sys.executable, "-m", "quantum_descent.cli", command,
+                               "--config", cfg, "--out", str(tmp_path / command), "--quiet"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "", command
 
 
 def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):

@@ -11,12 +11,14 @@ tests tie it to the hydrodynamic sum rho S' dx and pin its Nyquist
 convention.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.errors import NodeDominatedError, NodeDominatedWarning
+from quantum_descent.errors import NodeDominatedError
 from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
                                     build_grid, gaussian_packet,
                                     momentum_weights, norm, polar_decompose,
@@ -193,11 +195,16 @@ def test_node_dominated_error_when_no_phase_information():
         polar_decompose(values, grid, P1)
 
 
-def test_node_dominated_warning_for_localized_packet():
+def test_localized_packet_decomposes_without_a_warning():
+    """Most of a wide grid lies below the node floor under a localized
+    packet; that is a normal state, so it decomposes silently."""
     grid = build_grid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=-5.0, sigma=0.7)
-    with pytest.warns(NodeDominatedWarning):
-        polar_decompose(psi.values, grid, P1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = polar_decompose(psi.values, grid, P1)
+    first, last = f.span
+    assert grid.n - (last + 1 - first) > 0.5 * grid.n
 
 
 def test_polar_decompose_requires_hbar():
