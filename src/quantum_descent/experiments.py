@@ -2,7 +2,9 @@
 
 Each experiment is computed in memory first and persisted afterwards.  A
 sweep computes, writes and drops one point at a time, in config order, so it
-holds one point's tables plus every point's summary row and metadata.  Data
+holds one point's tables plus every point's summary row and metadata, and
+the text of the column blocks the last point's tables repeated, such as
+compare's time axis (see :class:`~quantum_descent.output.ColumnTexts`).  Data
 files are deterministic; only the wall-time field in the metadata varies
 between identical runs.
 """
@@ -24,7 +26,8 @@ from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
                       run_learner, run_momentum_gd)
-from .output import OUTPUT_FORMATS, read_meta, read_table, write_meta, write_tables
+from .output import (OUTPUT_FORMATS, ColumnTexts, read_meta, read_table, write_meta,
+                     write_tables)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,13 +274,14 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
         except ConfigError as err:
             raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
-    # compute, write and drop one point at a time; keep its summary row and meta
-    summary_rows, point_meta = [], []
+    # compute, write and drop one point at a time; keep its summary row and
+    # meta, and the text of the columns its tables repeat (compare's time axis)
+    summary_rows, point_meta, texts = [], [], ColumnTexts()
     for i, (value, point) in enumerate(zip(sweep.values, points)):
         comp = _compute_point(point)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        files = write_tables(point_dir, comp.tables, fmt)
+        files = write_tables(point_dir, comp.tables, fmt, texts)
         write_meta(point_dir / "meta.json", _assemble_meta(point, point_dir, fmt, comp, files))
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})

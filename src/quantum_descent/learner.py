@@ -169,26 +169,26 @@ class FieldSampledDisruptor:
         return self.grid.contains(x)
 
 
+def _column(j: int) -> property:
+    return property(lambda run: run.rows[:, j])
+
+
 @dataclass
 class LearnerRun:
     """Trajectory record of a learning run.
 
+    ``rows`` holds one row per recorded step with the columns t, x, u, V and
+    dis; ``t``, ``x``, ``u``, ``V`` and ``dis`` are views of those columns.
     ``outcome`` is one of "converged" (gradient and velocity both under the
     stopping tolerance), "max_steps", or "diverged" (|x| crossed the guard or
     left the region where the disruptor is defined; records up to the
     offending step are kept).
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    V: np.ndarray
-    dis: np.ndarray
+    rows: np.ndarray
     outcome: str
 
-    @property
-    def rows(self) -> np.ndarray:
-        return np.column_stack([self.t, self.x, self.u, self.V, self.dis])
+    t, x, u, V, dis = (_column(j) for j in range(5))
 
 
 def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
@@ -225,10 +225,12 @@ def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
         if abs(g) < stop_tol and abs(u) < stop_tol:
             outcome = "converged"
             break
-    x_all = np.array(xs)
-    return LearnerRun(np.arange(x_all.size, dtype=float), x_all, np.array(us),
-                      np.asarray(potential.evaluate(x_all), dtype=float), np.array(ds),
-                      outcome)
+    rows = np.empty((len(xs), 5))
+    rows[:, 0] = np.arange(len(xs))
+    rows[:, 1], rows[:, 2], rows[:, 4] = xs, us, ds
+    del xs, us, ds  # freed before V's temporaries, which would add to their peak
+    rows[:, 3] = potential.evaluate(rows[:, 1])
+    return LearnerRun(rows, outcome)
 
 
 def run_learner(x0: float, u0: float, potential: PotentialSpec,

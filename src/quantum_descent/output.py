@@ -4,17 +4,21 @@ All floating-point values are written with 17 significant digits (``%.17e``)
 in CSV and as Python's shortest round-trip repr in JSON, so that re-parsing a
 file reproduces the in-memory float64 exactly and two runs of the same config
 produce byte-identical files.  Text that would be the same is rendered once:
-a float column holding one value is formatted once per CSV table, and a table
-equal to an earlier one of the same :func:`write_tables` call is a copy of
-that one's file.  Both formats stream a table to disk in blocks of about
-CELLS_PER_BLOCK cells (:func:`block_rows` rows), so a block's text is
-bounded whatever the table's width, and no table's text is held whole.
+a table equal to an earlier one of the same :func:`write_tables` call is a
+copy of that one's file; in CSV, a float column holding one value is
+formatted once per table, and a block of a float column whose bits recur in
+another table of the call is formatted once and reused (see
+:class:`ColumnTexts`, which a sweep carries through all its points).  Both
+formats stream a table to disk in blocks of about CELLS_PER_BLOCK cells
+(:func:`block_rows` rows), so a block's text is bounded whatever the table's
+width, and no table's text is held whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -53,59 +57,116 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _constant_columns(rows) -> list:
-    """Per column of a non-empty 2-D float64 array, its one value if every
-    row holds the same bits there, else None; empty if no column does or
-    the rows are not such an array."""
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
-            and rows.ndim == 2 and len(rows)):
-        return []
-    # compared a block at a time, so no table-sized array is formed
-    bits, same = rows.view(np.uint64), np.ones(rows.shape[1], dtype=bool)
-    step = block_rows(rows.shape[1])
-    for i in range(0, len(rows), step):
-        same &= (bits[i:i + step] == bits[0]).all(axis=0)
-        if not same.any():
-            return []
-    return [rows[0, j] if same[j] else None for j in range(rows.shape[1])]
+def _is_float_array(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
 
 
-def _cell_formats(rows) -> tuple:
-    """Per column, the %-format of its CSV values or, for a float64 column
-    that holds one value, that value's text; and the columns that are
-    formatted (None for all of them).
+def _blocks(rows, width: int):
+    """The blocks of ``block_rows(width)`` rows a table is written in."""
+    step = block_rows(width)
+    return (rows[i:i + step] for i in range(0, len(rows), step))
 
-    A column's format is that of its value in the first row: integers and
-    bools as integers, anything else as ``%.17e``.
+
+class ColumnTexts:
+    """CSV text of float64 column blocks that recur across tables, kept from
+    one :func:`write_tables` call to the next.
+
+    :meth:`expect` hashes the bits of every column block of a call's tables;
+    a block whose hash turns up in two or more of them is a repeat.  The
+    blocks are those a table is written in, so a column recurs this way in
+    tables of one width.  A repeat's text is formatted once and kept under
+    its exact bits, so a hash collision can cost formatting, never a wrong
+    byte.  :meth:`drop_unused` then keeps only the blocks the call looked
+    up, so the text held is bounded by one call's repeats.
     """
-    constant = _constant_columns(rows)
-    if constant:
-        cells = [FLOAT_FMT if v is None else (FLOAT_FMT % v).replace("%", "%%")
-                 for v in constant]
-        return cells, [j for j, v in enumerate(constant) if v is None]
-    first = _plain_rows(rows[:1])[0] if len(rows) else []
-    return ["%d" if isinstance(v, int) else FLOAT_FMT for v in first], None
+
+    def __init__(self):
+        self._repeats: set = set()
+        self._kept: dict = {}
+        self._used: dict = {}
+
+    def expect(self, tables) -> None:
+        """Note the column blocks that recur among the rows of ``tables``."""
+        counts = Counter()
+        for rows in filter(_is_float_array, tables):
+            width = rows.shape[1]
+            counts.update({hash(block[:, j].tobytes())
+                           for block in _blocks(rows, width) for j in range(width)})
+        self._repeats = {h for h, n in counts.items() if n > 1}
+
+    def lines(self, column: np.ndarray) -> list | None:
+        """The text of each value of a block's column if the block recurs, else None."""
+        key = column.tobytes()
+        if hash(key) not in self._repeats:
+            return None
+        # kept as one string, a third of the memory of one string per value;
+        # a block's text is never empty, so "or" passes on misses only
+        text = (self._used.get(key) or self._kept.pop(key, None)
+                or "\n".join([FLOAT_FMT % v for v in column.tolist()]))
+        self._used[key] = text
+        return text.split("\n")
+
+    def drop_unused(self) -> None:
+        """Keep only the text looked up since the last call."""
+        self._kept, self._used = self._used, {}
 
 
-def _table_chunks(header: list, rows, fmt: str):
+def _constant_columns(rows: np.ndarray) -> list:
+    """Per column of a 2-D float64 array, its one value if every row holds
+    the same bits there, else None."""
+    width = rows.shape[1]
+    if not len(rows):
+        return [None] * width
+    # compared a block at a time, so no table-sized array is formed
+    bits, same = rows.view(np.uint64), np.ones(width, dtype=bool)
+    for block in _blocks(bits, width):
+        same &= (block == bits[0]).all(axis=0)
+        if not same.any():
+            return [None] * width
+    return [rows[0, j] if same[j] else None for j in range(width)]
+
+
+def _float_csv_blocks(rows: np.ndarray, texts: ColumnTexts | None):
+    """The CSV text of a 2-D float64 array's rows, a block at a time.
+
+    Each block's columns are zipped, a column of one value as its text
+    formatted once and a recurring block (see :class:`ColumnTexts`) as its
+    kept text, and each row is one %-template applied to them.
+    """
+    constant = [None if v is None else FLOAT_FMT % v for v in _constant_columns(rows)]
+    for block in _blocks(rows, rows.shape[1]):
+        cells, columns = [], []
+        for j, text in enumerate(constant):
+            if text is None:
+                lines = None if texts is None else texts.lines(block[:, j])
+                text = FLOAT_FMT if lines is None else "%s"
+                columns.append(block[:, j].tolist() if lines is None else lines)
+            cells.append(text)
+        line = ",".join(cells) + "\n"
+        # a float's text holds no "%", so a line without columns is its own text
+        yield "".join([line % row for row in zip(*columns)]) if columns else line * len(block)
+
+
+def _table_chunks(header: list, rows, fmt: str, texts: ColumnTexts | None):
     """The text of a table in ``fmt``: its head, its rows a block of
     :func:`block_rows` rows at a time, and its tail.
 
-    A CSV row is one %-format (see :func:`_cell_formats`) applied to the
-    values of the columns that are formatted.  A JSON table is the text of
+    A CSV float64 array is written by :func:`_float_csv_blocks`.  Other CSV
+    rows are each one %-format, a column's format being that of its value in
+    the first row: integers and bools as integers, anything else as
+    ``%.17e``.  A JSON table is the text of
     ``json.dumps({"header": header, "rows": rows}, indent=1)`` plus a
     newline; each block is ``json.dumps`` of its rows, indented one level
     deeper and without the brackets around them.
     """
-    step = block_rows(len(header))
     if fmt == "csv":
-        cells, columns = _cell_formats(rows)
-        line = ",".join(cells) + "\n"
         yield ",".join(header) + "\n"
-        for i in range(0, len(rows), step):
-            block = rows[i:i + step]
-            if columns is not None:
-                block = block[:, columns]
+        if _is_float_array(rows):
+            yield from _float_csv_blocks(rows, texts)
+            return
+        first = _plain_rows(rows[:1])[0] if len(rows) else []
+        line = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first) + "\n"
+        for block in _blocks(rows, len(header)):
             yield "".join([line % tuple(row) for row in _plain_rows(block)])
         return
     # the table without rows, cut after the "[" that opens them
@@ -114,19 +175,24 @@ def _table_chunks(header: list, rows, fmt: str):
         yield head + "]\n}\n"
         return
     yield head + "\n"
-    for i in range(0, len(rows), step):
-        text = json.dumps(_plain_rows(rows[i:i + step]), indent=1)
+    for i, block in enumerate(_blocks(rows, len(header))):
+        text = json.dumps(_plain_rows(block), indent=1)
         # a JSON string holds no raw newline, so this indents lines only
         yield (",\n " if i else " ") + text[2:-2].replace("\n", "\n ")
     yield "\n ]\n}\n"
 
 
-def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
-    """Write one table in the requested format; returns the created path."""
+def write_table(directory: Path, stem: str, header: list, rows, fmt: str,
+                texts: ColumnTexts | None = None) -> Path:
+    """Write one table in the requested format; returns the created path.
+
+    ``texts`` holds the text of recurring CSV column blocks (see
+    :class:`ColumnTexts`); without it every cell is formatted.
+    """
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
     path = directory / f"{stem}.{fmt}"
-    _write_atomic(path, _table_chunks(header, rows, fmt))
+    _write_atomic(path, _table_chunks(header, rows, fmt, texts))
     return path
 
 
@@ -135,29 +201,41 @@ def _same_table(a: tuple, b: tuple) -> bool:
     float64 rows to the bit (so -0.0 differs from 0.0 and equal NaNs match)."""
     (header_a, rows_a), (header_b, rows_b) = a, b
     return (list(header_a) == list(header_b)
-            and all(isinstance(r, np.ndarray) and r.dtype == np.float64
-                    for r in (rows_a, rows_b))
+            and _is_float_array(rows_a) and _is_float_array(rows_b)
             and rows_a.shape == rows_b.shape
             and np.array_equal(rows_a.view(np.uint64), rows_b.view(np.uint64)))
 
 
-def write_tables(directory: Path, tables: dict, fmt: str) -> list:
+def write_tables(directory: Path, tables: dict, fmt: str,
+                 texts: ColumnTexts | None = None) -> list:
     """Write ``{stem: (header, rows)}`` in order; returns the file names.
 
     A table equal to an earlier one of the call (see :func:`_same_table`) is
-    not rendered again: its file is an atomic copy of that one's, line by line.
+    not rendered again: its file is an atomic copy of that one's, 64 KiB of
+    text at a time.  The CSV text of a float column block that recurs in the
+    tables rendered is formatted once, and ``texts`` carries it on to the
+    next call that passes it (a fresh store serves this call alone).
     """
-    names, written = [], []
+    texts = ColumnTexts() if texts is None else texts
+    originals, plan = [], []
     for stem, table in tables.items():
-        source = next((path for earlier, path in written if _same_table(table, earlier)), None)
+        source = next((earlier for earlier, original in originals
+                       if _same_table(table, original)), None)
         if source is None:
-            path = write_table(directory, stem, *table, fmt)
-            written.append((table, path))
+            originals.append((stem, table))
+        plan.append((stem, table, source))
+    if fmt == "csv":
+        texts.expect([rows for _, (_, rows) in originals])
+    names = []
+    for stem, table, source in plan:
+        if source is None:
+            path = write_table(directory, stem, *table, fmt, texts)
         else:
             path = directory / f"{stem}.{fmt}"
-            with open(source) as lines:
-                _write_atomic(path, lines)
+            with open(directory / f"{source}.{fmt}") as text:
+                _write_atomic(path, iter(lambda: text.read(1 << 16), ""))
         names.append(path.name)
+    texts.drop_unused()
     return names
 
 

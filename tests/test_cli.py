@@ -699,6 +699,33 @@ def test_sweep_determinism(tmp_path):
                (tmp_path / "s2" / f"point_{i:03d}" / "trajectory.csv").read_bytes()
 
 
+def test_each_sweep_point_writes_the_bytes_of_its_compare_alone(tmp_path):
+    """The points of a compare sweep share their time axis's text; each
+    point's data files still equal, byte for byte, those of a compare run
+    alone from the effective config of that point's meta.json."""
+    import yaml
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: sweep\nphysics: {m: 20.0}\n"
+                 "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
+                 "initial: {kind: gaussian, x0: -1.6}\n"
+                 "run: {steps: 2000, stop_tol: 1.0e-200}\n"
+                 "sweep: {parameter: physics.mu, values: [0.004, 0.008, 0.012], "
+                 "experiment: compare}\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    files = ["difference.csv", "trajectory_classical.csv", "trajectory_quantum.csv"]
+    for i in range(3):
+        point = out / f"point_{i:03d}"
+        effective = read_meta(point / "meta.json")["effective_config"]
+        echo = _write(tmp_path, f"point_{i}.yaml", yaml.safe_dump(effective))
+        alone = tmp_path / f"alone_{i}"
+        assert main(["compare", "--config", echo, "--out", str(alone), "--quiet"]) == 0
+        for d in (point, alone):
+            assert sorted(f.name for f in d.iterdir() if f.name != "meta.json") == files
+        for name in files:
+            assert (point / name).read_bytes() == (alone / name).read_bytes(), (i, name)
+
+
 def test_sweep_writes_each_point_before_the_next_computes(tmp_path, monkeypatch):
     """Point i's tables and meta.json are on disk when point i + 1 starts."""
     out = tmp_path / "sw"

@@ -6,11 +6,12 @@ stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
 tables alike are written in blocks of about ``CELLS_PER_BLOCK`` cells
-(``block_rows(width)`` rows), a CSV row is formatted with one format string
-and a CSV column of one value once, and a table equal to an earlier one of
-the same ``write_tables`` call is a copy of its file, line by line.  None of
-this changes an operation or its order, so every row, outcome and written
-byte must equal what the plain versions give.  The plain
+(``block_rows(width)`` rows), a CSV row is formatted with one format string,
+a CSV column of one value once and a block of a column that recurs in
+another table of the call once, and a table equal to an earlier one of the
+same ``write_tables`` call is a copy of its file.  None of this changes an
+operation or its order, so every row, outcome and written byte must equal
+what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
 (``quantum_learn_step``, ``momentum_gd_step``) and a disruptor read from any
 callable (``CallbackDisruptor``), which test_learner.py uses too; the tests
@@ -34,7 +35,7 @@ from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
                                      PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.learner import _polyder
-from quantum_descent.output import block_rows, write_table, write_tables
+from quantum_descent.output import ColumnTexts, block_rows, write_table, write_tables
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
@@ -448,18 +449,52 @@ def _zero_sign_flipped(rows, cell):
     return rows
 
 
+# quiet NaNs of two payloads: one text, other bits
+NANS = tuple(np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64)
+             .view(np.float64))
+
+
+@st.composite
+def sharing_table(draw, rows):
+    """A float table holding one to three columns of ``rows``, all cut short
+    or none, each as it is, one ulp apart, with one zero's sign flipped or
+    with a NaN of either payload in one cell, among 0 to 3 new columns, so
+    its width differs from that of ``rows`` or not."""
+    n = draw(st.sampled_from((len(rows), draw(st.integers(0, len(rows))))))
+    columns = []
+    for j in draw(st.lists(st.integers(0, rows.shape[1] - 1), min_size=1, max_size=3)):
+        column = rows[:n, j].copy()
+        cell = draw(st.integers(0, max(n - 1, 0)))
+        how = draw(st.sampled_from(("same", "same", "ulp", "zero", "nan")))
+        if n and how == "ulp":
+            column = _one_ulp_apart(column, cell)
+        elif n and how == "zero":
+            column = _zero_sign_flipped(column, cell)
+        elif n and how == "nan":
+            column[cell] = draw(st.sampled_from(NANS))
+        columns.append(column)
+    for _ in range(draw(st.integers(0, 3))):
+        column = np.array(draw(st.lists(any_float, min_size=n, max_size=n)), dtype=float)
+        columns.insert(draw(st.integers(0, len(columns))), column)
+    return [f"s{i}" for i in range(len(columns))], np.column_stack(columns).reshape(n, len(columns))
+
+
 @st.composite
 def table_sets(draw):
-    """Tables of one write_tables call: new float tables, integer arrays, and
+    """Tables of one write_tables call: new float tables, integer arrays,
     earlier tables copied exactly, one ulp apart, with one zero's sign
-    flipped or under another header."""
+    flipped or under another header, and tables sharing a column with an
+    earlier one (see :func:`sharing_table`)."""
     tables = [draw(float_table())]
     for _ in range(draw(st.integers(0, 5))):
-        how = draw(st.sampled_from(("new", "int", "same", "ulp", "zero", "header")))
+        how = draw(st.sampled_from(("new", "int", "same", "ulp", "zero", "header",
+                                    "column")))
         header, rows = draw(st.sampled_from(tables))
         cell = draw(st.integers(0, max(rows.size - 1, 0)))
         if how == "new":
             header, rows = draw(float_table())
+        elif how == "column" and rows.dtype == np.float64 and rows.size:
+            header, rows = draw(sharing_table(rows))
         elif how == "int":
             n = draw(st.integers(0, 5))
             values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=2 * n,
@@ -494,16 +529,22 @@ def test_write_tables_writes_the_reference_bytes(tmp_path_factory, tables, fmt):
     """Every file of a write_tables call holds the per-cell writer's bytes,
     and a table is rendered again unless an earlier one of the call has its
     header and bits: -0.0 against 0.0 and floats one ulp apart are not
-    copies, NaNs of one bit pattern are."""
-    d = tmp_path_factory.mktemp("tables")
+    copies, NaNs of one bit pattern are.  Columns whose text an earlier
+    table or an earlier call through the same store formed are written as
+    the per-cell writer would, whatever the tables' widths and lengths and
+    the NaN payloads."""
     ref = {"csv": ref_csv_text, "json": ref_json_text}[fmt]
-    with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
-        names = write_tables(d, tables, fmt)
-    assert names == [f"{stem}.{fmt}" for stem in tables]
-    assert sorted(p.name for p in d.iterdir()) == sorted(names)
-    for stem, (header, rows) in tables.items():
-        assert (d / f"{stem}.{fmt}").read_text() == ref(header, rows), stem
-    assert rendered.call_count == _renders_expected(tables)
+    # the second call finds the text the first one kept
+    texts = ColumnTexts()
+    for _ in range(2):
+        d = tmp_path_factory.mktemp("tables")
+        with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
+            names = write_tables(d, tables, fmt, texts)
+        assert names == [f"{stem}.{fmt}" for stem in tables]
+        assert sorted(p.name for p in d.iterdir()) == sorted(names)
+        for stem, (header, rows) in tables.items():
+            assert (d / f"{stem}.{fmt}").read_text() == ref(header, rows), stem
+        assert rendered.call_count == _renders_expected(tables)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

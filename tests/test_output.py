@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.output import (CELLS_PER_BLOCK, block_rows, read_meta, read_table,
-                                    write_meta, write_table, write_tables)
+from quantum_descent.output import (CELLS_PER_BLOCK, ColumnTexts, block_rows, read_meta,
+                                    read_table, write_meta, write_table, write_tables)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -190,3 +190,45 @@ def test_write_peak_memory_does_not_grow_with_the_table(tmp_path, fmt, shape):
     small = _write_peak_bytes(tmp_path, 2048, 12, fmt)
     large = _write_peak_bytes(tmp_path, *shape, fmt)
     assert large <= 1.1 * small, (small, large)
+
+
+def _blocks_of(column, width):
+    """The bits of each block of ``column`` in a ``width``-column table."""
+    step = block_rows(width)
+    return sorted(column[i:i + step].tobytes() for i in range(0, column.size, step))
+
+
+def test_a_time_axis_shared_across_calls_is_formatted_once(tmp_path):
+    """A column that recurs in the tables of a call, such as compare's time
+    axis, is formatted once per block and its text reused by a later call
+    through the same store; after each call the store holds the text of
+    that call's recurring blocks only, and every file holds the bytes of a
+    table written alone."""
+    n = 2 * block_rows(3) + 1
+    t, rng = np.arange(float(n)), np.random.default_rng(7)
+
+    def point():
+        return {stem: (["t", "x", "u"], np.column_stack([t, rng.standard_normal((n, 2))]))
+                for stem in ("quantum", "difference")}
+
+    texts, kept = ColumnTexts(), []
+    for i in range(2):
+        tables = point()
+        out = tmp_path / f"point_{i}"
+        out.mkdir()
+        write_tables(out, tables, "csv", texts)
+        for stem, table in tables.items():
+            alone = write_table(tmp_path, "alone", *table, "csv")
+            assert (out / f"{stem}.csv").read_bytes() == alone.read_bytes()
+        assert sorted(texts._kept) == _blocks_of(t, 3)
+        kept.append(dict(texts._kept))
+    # the second call looked the text up; formatting it again would make new strings
+    assert all(kept[1][key] is text for key, text in kept[0].items())
+
+    s = t[::-1].copy()
+    shared = {stem: (["s", "x", "y"], np.column_stack([s, rng.standard_normal((n, 2))]))
+              for stem in ("a", "b")}
+    write_tables(tmp_path, shared, "csv", texts)
+    assert sorted(texts._kept) == _blocks_of(s, 3)
+    write_tables(tmp_path, {"alone": point()["quantum"]}, "csv", texts)
+    assert texts._kept == {}
