@@ -4,7 +4,8 @@ Subcommands mirror the experiment tags: learn, evolve, compare, figure1,
 sweep.  Every run writes columnar data plus meta.json into the output
 directory.  Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 divergence detected (partial data is still written), 1 anything else.
-Failures also emit a one-line JSON report on stderr.
+Failures also emit a one-line JSON report on stderr: for exit 3 and 4 the
+object the run's error.json holds.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import json
 import sys
 
 from .config import EXPERIMENTS, OUTPUT_FORMATS, default_config, load_config
-from .errors import ConfigError, NumericalError
-from .experiments import (EXIT_CONFIG, EXIT_NUMERICAL, ExperimentResult,
-                          run_experiment)
+from .errors import ConfigError
+from .experiments import EXIT_CONFIG, ExperimentResult, run_experiment
 
 _HELP = {
     "learn": "discrete learning trajectory (momentum descent with a disruptor)",
@@ -46,10 +46,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(code: int, status: str, message: str, step=None) -> None:
-    report = {"exit_code": code, "status": status,
-              "error": {"message": message, "step": step}}
+def _print_report(report: dict) -> None:
     print(json.dumps(report, sort_keys=True), file=sys.stderr)
+
+
+def _report_error(code: int, status: str, err: Exception) -> int:
+    """Report a config or I/O error, where no run exists; returns its exit code."""
+    _print_report({"exit_code": code, "status": status,
+                   "error": {"message": str(err), "step": None}})
+    return code
 
 
 def _summarize(result: ExperimentResult) -> str:
@@ -75,33 +80,18 @@ def _summarize(result: ExperimentResult) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = load_config(args.config, experiment=args.command)
-        else:
-            cfg = default_config(args.command)
-    except ConfigError as err:
-        _report_error(EXIT_CONFIG, "config_error", str(err))
-        return EXIT_CONFIG
-
-    try:
+        cfg = (load_config(args.config, experiment=args.command) if args.config is not None
+               else default_config(args.command))
         result = run_experiment(cfg, out_dir=args.out, fmt=args.format)
     except ConfigError as err:
-        _report_error(EXIT_CONFIG, "config_error", str(err))
-        return EXIT_CONFIG
-    except NumericalError as err:
-        _report_error(EXIT_NUMERICAL, "numerical_failure", str(err), step=err.step)
-        return EXIT_NUMERICAL
+        return _report_error(EXIT_CONFIG, "config_error", err)
     except OSError as err:
-        _report_error(1, "io_error", str(err))
-        return 1
+        return _report_error(1, "io_error", err)
 
     if not args.quiet:
         print(_summarize(result))
-    if result.exit_code != 0:
-        error = result.meta.get("error", {})
-        _report_error(result.exit_code, result.meta["status"],
-                      error.get("message", result.meta["status"]),
-                      step=error.get("step"))
+    if result.report is not None:
+        _print_report(result.report)
     return result.exit_code
 
 

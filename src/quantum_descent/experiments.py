@@ -1,12 +1,13 @@
 """Experiment orchestration: learn / evolve / compare / figure1 / sweep.
 
-Each experiment is computed in memory first and persisted afterwards.  A
-sweep computes, writes and drops one point at a time, in config order, so it
-holds one point's tables plus every point's summary row and metadata, and
-the text of the column blocks the last point's tables repeated, such as
-compare's time axis (see :class:`~quantum_descent.output.ColumnTexts`).  Data
-files are deterministic; only the wall-time field in the metadata varies
-between identical runs.
+Each experiment is validated, computed in memory and written by one code
+path, and a sweep point is such a run in its own directory.  A sweep
+computes, writes and drops one point at a time, in config order, so it holds
+one point's tables plus every point's summary row and metadata, and the text
+of the column blocks the last point's tables repeated, such as compare's time
+axis (see :class:`~quantum_descent.output.ColumnTexts`).  Data files are
+deterministic; only the wall-time field in the metadata varies between
+identical runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import platform
 import re
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,8 @@ from .config import ExperimentConfig
 from .dynamics import EvolutionRecord, check_propagation, evolve
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
-from .learner import (FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
-                      run_learner, run_momentum_gd)
+from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun,
+                      ZeroDisruptor, run_learner, run_momentum_gd)
 from .output import (OUTPUT_FORMATS, ColumnTexts, read_meta, read_table, write_meta,
                      write_tables)
 
@@ -40,11 +42,15 @@ POINT_DIR = re.compile(r"point_[0-9]{3,}")
 
 @dataclass
 class ComputedRun:
-    """In-memory result of one experiment: tables keyed by file stem."""
+    """In-memory result of one experiment: tables keyed by file stem, and
+    its sweep-summary row ``(steps, final_x, final_u)``, where steps is -1 if
+    no learner ran.  A failed run's ``meta["error"]`` holds the ``type``,
+    ``message`` and ``step`` of its failure."""
 
     tables: dict
     meta: dict
     exit_code: int
+    summary: tuple = (-1, np.nan, np.nan)
 
 
 @dataclass
@@ -53,6 +59,12 @@ class ExperimentResult:
     out_dir: Path
     files: tuple
     meta: dict
+
+    @property
+    def report(self) -> dict | None:
+        """The failure report error.json holds; None for a run that exited 0."""
+        return None if self.exit_code == EXIT_OK else {
+            "exit_code": self.exit_code, "status": self.meta["status"], "error": self.meta["error"]}
 
 
 def _ground_state_width(cfg: ExperimentConfig) -> float:
@@ -103,23 +115,17 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
 
 
-def _builds_wave(cfg: ExperimentConfig) -> bool:
-    """Whether the run builds and propagates a wavefunction.
-
-    evolve and figure1 do, and so does a field-sampled disruptor unless
-    hbar = 0 (it is then the zero disruptor, see :func:`_build_disruptor`,
-    so learner-only runs keep hbar = 0 and any grid size).
-    """
-    return (cfg.experiment in ("evolve", "figure1")
-            or (cfg.disruptor.kind == "field_sampled" and cfg.physics.hbar > 0.0))
-
-
-def _check_propagation(cfg: ExperimentConfig) -> None:
-    """Reject, naming the key, settings the wave propagator cannot run with
-    (the first key that :func:`check_propagation` rejects), a Gaussian whose
-    momentum p0 = m u0 overflows, and a field-sampled learner that starts
-    off the grid its field lives on."""
-    if not _builds_wave(cfg):
+def _validate(cfg: ExperimentConfig) -> None:
+    """Reject, naming the key, a potential that cannot be built and, where the
+    run builds a wave (evolve, figure1, and a field-sampled disruptor unless
+    hbar = 0, where it is the zero disruptor, see :func:`_build_disruptor`),
+    settings its propagator cannot run with (the first key that
+    :func:`check_propagation` rejects), a Gaussian whose momentum p0 = m u0
+    overflows, a field-sampled learner that starts off the grid its field
+    lives on, and an initial state that cannot be built."""
+    cfg.build_potential()
+    if cfg.experiment not in ("evolve", "figure1") and (
+            cfg.disruptor.kind != "field_sampled" or cfg.physics.hbar <= 0.0):
         return
     try:
         check_propagation(cfg.grid, cfg.physics)
@@ -135,6 +141,7 @@ def _check_propagation(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"'initial.x0': a field-sampled learner samples its disruptor "
                           f"on the grid [{grid.x_min}, {grid.x_max}], so it must start "
                           f"there, got x0={x0}")
+    _initial_wavefunction(cfg)
 
 
 def _build_disruptor(cfg: ExperimentConfig):
@@ -148,12 +155,26 @@ def _build_disruptor(cfg: ExperimentConfig):
 
 
 def _learner_meta(run: LearnerRun) -> dict:
-    return {
-        "outcome": run.outcome,
-        "steps_taken": int(run.t[-1]),
-        "final_x": float(run.x[-1]),
-        "final_u": float(run.u[-1]),
-    }
+    return {"outcome": run.outcome, "steps_taken": int(run.t[-1]),
+            "final_x": float(run.x[-1]), "final_u": float(run.u[-1])}
+
+
+_learner_summary = itemgetter("steps_taken", "final_x", "final_u")
+
+
+def _divergence_code(meta: dict, runs: dict) -> int:
+    """EXIT_DIVERGED, with ``meta["error"]`` naming the first of ``runs``
+    ({name: LearnerRun}) to diverge and its trajectory row that left the
+    stable region, if one did; EXIT_OK otherwise."""
+    left = [(int(run.t[-1]), name, run.x[-1]) for name, run in runs.items()
+            if run.outcome == "diverged"]
+    if not left:
+        return EXIT_OK
+    step, name, x = min(left, key=itemgetter(0))
+    meta["error"] = {"type": "Divergence", "step": step, "message": (
+        f"the {name} left the stable region (|x| <= {DIVERGENCE_LIMIT:g}, and the "
+        f"grid of a field-sampled disruptor) at step {step}: x = {x:.6g}")}
+    return EXIT_DIVERGED
 
 
 def _evolve_trajectory(rec: EvolutionRecord, cfg: ExperimentConfig) -> np.ndarray:
@@ -162,41 +183,34 @@ def _evolve_trajectory(rec: EvolutionRecord, cfg: ExperimentConfig) -> np.ndarra
     return np.column_stack([rec.times, rec.x_mean, u_mean, v_vals, rec.dis_center])
 
 
-def _density_table(rec: EvolutionRecord):
-    header = ["x"] + [f"rho_t{k}" for k in range(len(rec.snapshot_times))]
-    rows = np.column_stack([rec.grid.x, rec.densities])
-    return header, rows
-
-
 def _evolve_meta(rec: EvolutionRecord) -> dict:
-    return {
-        "snapshot_times": [float(t) for t in rec.snapshot_times],
-        "norm_initial": float(rec.norm[0]),
-        "norm_final": float(rec.norm[-1]),
-        "norm_max_drift": float(np.max(np.abs(rec.norm - rec.norm[0]))),
-        "final_x_mean": float(rec.x_mean[-1]),
-        "final_p_mean": float(rec.p_mean[-1]),
-    }
+    return {"snapshot_times": [float(t) for t in rec.snapshot_times],
+            "norm_initial": float(rec.norm[0]), "norm_final": float(rec.norm[-1]),
+            "norm_max_drift": float(np.max(np.abs(rec.norm - rec.norm[0]))),
+            "final_x_mean": float(rec.x_mean[-1]), "final_p_mean": float(rec.p_mean[-1])}
 
 
 def _compute_learn(cfg: ExperimentConfig) -> ComputedRun:
     run = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
                       _build_disruptor(cfg), cfg.physics, steps=cfg.run.steps,
                       stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
-    code = EXIT_DIVERGED if run.outcome == "diverged" else EXIT_OK
-    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, run.rows)},
-                       _learner_meta(run), code)
+    meta = _learner_meta(run)
+    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, run.rows)}, meta,
+                       _divergence_code(meta, {"learner": run}), _learner_summary(meta))
 
 
 def _compute_evolve(cfg: ExperimentConfig) -> ComputedRun:
     psi0 = _initial_wavefunction(cfg)
     rec = evolve(psi0, cfg.build_potential(), cfg.physics, cfg.run.dt, cfg.run.t_final,
                  cfg.run.snapshot_every)
+    trajectory = _evolve_trajectory(rec, cfg)
     tables = {
-        "trajectory": (TRAJECTORY_HEADER, _evolve_trajectory(rec, cfg)),
-        "density": _density_table(rec),
+        "trajectory": (TRAJECTORY_HEADER, trajectory),
+        "density": (["x"] + [f"rho_t{k}" for k in range(len(rec.snapshot_times))],
+                    np.column_stack([rec.grid.x, rec.densities])),
     }
-    return ComputedRun(tables, _evolve_meta(rec), EXIT_OK)
+    # no learner: the summary's final state is the trajectory's last <x> and <p>/m
+    return ComputedRun(tables, _evolve_meta(rec), EXIT_OK, (-1, *trajectory[-1, 1:3].tolist()))
 
 
 def _compute_compare(cfg: ExperimentConfig) -> ComputedRun:
@@ -218,15 +232,13 @@ def _compute_compare(cfg: ExperimentConfig) -> ComputedRun:
         "max_abs_u_difference": float(np.max(np.abs(diff[:, 2]))),
         "compared_rows": int(n),
     }
-    code = EXIT_OK
-    if "diverged" in (quantum.outcome, classical.outcome):
-        code = EXIT_DIVERGED
+    code = _divergence_code(meta, {"quantum learner": quantum, "classical twin": classical})
     tables = {
         "trajectory_quantum": (TRAJECTORY_HEADER, rows_q),
         "trajectory_classical": (TRAJECTORY_HEADER, rows_c),
         "difference": (TRAJECTORY_HEADER, diff),
     }
-    return ComputedRun(tables, meta, code)
+    return ComputedRun(tables, meta, code, _learner_summary(meta["quantum"]))
 
 
 def _compute_figure1(cfg: ExperimentConfig) -> ComputedRun:
@@ -241,11 +253,13 @@ def _compute_figure1(cfg: ExperimentConfig) -> ComputedRun:
         "density_argmax_first": float(x[int(np.argmax(density_rows[:, 1]))]),
         "density_argmax_last": float(x[int(np.argmax(density_rows[:, -1]))]),
     }
+    if "error" in learner.meta:
+        meta["error"] = learner.meta.pop("error")
     tables = {
         "density": (density_header, density_rows),
         "trajectory": learner.tables["trajectory"],
     }
-    return ComputedRun(tables, meta, max(pde.exit_code, learner.exit_code))
+    return ComputedRun(tables, meta, max(pde.exit_code, learner.exit_code), learner.summary)
 
 
 def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
@@ -261,36 +275,28 @@ def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     sweep = cfg.sweep
-    # validate every point before computing any of them: its propagation
-    # settings and start, its potential and, where it builds one, its
-    # initial state
+    # validate every point before computing any of them
     points = cfg.sweep_points()
     for value, point in zip(sweep.values, points):
         try:
-            _check_propagation(point)
-            point.build_potential()
-            if _builds_wave(point):
-                _initial_wavefunction(point)
+            _validate(point)
         except ConfigError as err:
             raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
-    # compute, write and drop one point at a time; keep its summary row and
-    # meta, and the text of the columns its tables repeat (compare's time axis)
+    # compute, write and drop one point at a time, each as a run alone; keep
+    # its summary row and meta, and the text of the columns its tables
+    # repeat (compare's time axis)
     summary_rows, point_meta, texts = [], [], ColumnTexts()
     for i, (value, point) in enumerate(zip(sweep.values, points)):
+        t0 = time.perf_counter()
         comp = _compute_point(point)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        files = write_tables(point_dir, comp.tables, fmt, texts)
-        write_meta(point_dir / "meta.json", _assemble_meta(point, point_dir, fmt, comp, files))
+        _write_run(point, point_dir, fmt, comp, t0, texts)
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
-        out = comp.meta.get("learner") or comp.meta.get("quantum") or comp.meta
-        # index, exit code and step count stay integers in the written table
-        summary_rows.append([i, float(value), int(comp.exit_code),
-                             int(out.get("steps_taken", -1)),
-                             float(out.get("final_x", out.get("final_x_mean", np.nan))),
-                             float(out.get("final_u", out.get("final_p_mean", np.nan)))])
+        # index, exit code and step count are ints, written as integers
+        summary_rows.append([i, float(value), comp.exit_code, *comp.summary])
         del comp
 
     codes = [meta["exit_code"] for meta in point_meta]
@@ -299,14 +305,25 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     header = ["index", "value", "exit_code", "steps", "final_x", "final_u"]
     meta = {"parameter": sweep.parameter, "sub_experiment": sweep.experiment,
             "points": point_meta}
+    if exit_code != EXIT_OK:
+        # the first point that failed as the sweep did speaks for it
+        first = point_meta[codes.index(exit_code)]
+        failed = ", ".join(str(i) for i, code in enumerate(codes) if code != EXIT_OK)
+        meta["error"] = {**first["error"], "message": (
+            f"sweep points {failed} of {len(codes)} failed; point {first['index']} "
+            f"({sweep.parameter} = {first['value']}): {first['error']['message']}")}
     return ComputedRun({"sweep_summary": (header, summary_rows)}, meta, exit_code)
 
 
-def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,
-                   comp: ComputedRun, files: list) -> dict:
+def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun,
+               t0: float, texts: ColumnTexts | None = None) -> ExperimentResult:
+    """Write a computed run into ``out_dir``: its tables (``texts`` as in
+    :func:`~quantum_descent.output.write_tables`), then meta.json with the
+    wall time since ``t0``, then, if it failed, error.json."""
+    files = write_tables(out_dir, comp.tables, fmt, texts)
     effective = cfg.effective_dict()
     effective["output"] = {"directory": str(out_dir), "format": fmt}
-    return {
+    meta = {
         "experiment": cfg.experiment,
         "effective_config": effective,
         "status": {EXIT_OK: "ok", EXIT_NUMERICAL: "numerical_failure",
@@ -318,7 +335,14 @@ def _assemble_meta(cfg: ExperimentConfig, out_dir: Path, fmt: str,
             "python": platform.python_version(),
         },
         **comp.meta,
+        "wall_time_s": time.perf_counter() - t0,
     }
+    write_meta(out_dir / "meta.json", meta)
+    files += ["meta.json"] + (["error.json"] if comp.exit_code != EXIT_OK else [])
+    result = ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files)), meta)
+    if result.report is not None:
+        write_meta(out_dir / "error.json", result.report)
+    return result
 
 
 def _earlier_meta(meta_path: Path) -> dict:
@@ -396,24 +420,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # and reports first, so that a run failing before it writes them leaves
     # none behind
     _remove_earlier_run(out_dir)
-    meta_path, error_path = out_dir / "meta.json", out_dir / "error.json"
-
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
     else:
-        _check_propagation(cfg)
+        _validate(cfg)
         comp = _compute_point(cfg)
-
-    files = write_tables(out_dir, comp.tables, fmt)
-    meta = _assemble_meta(cfg, out_dir, fmt, comp, files)
-    meta["wall_time_s"] = time.perf_counter() - t0
-    write_meta(meta_path, meta)
-    if comp.exit_code != EXIT_OK:
-        report = {"exit_code": comp.exit_code, "status": meta["status"],
-                  "error": comp.meta.get("error",
-                                         {"type": "Divergence",
-                                          "message": "trajectory left the guard region"})}
-        write_meta(error_path, report)
-        files.append("error.json")
-    return ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files + ["meta.json"])),
-                            meta)
+    return _write_run(cfg, out_dir, fmt, comp, t0)

@@ -206,6 +206,71 @@ def test_divergence_exit_4_with_partial_data(tmp_path, capsys):
     assert (out / "error.json").exists()
 
 
+DIVERGING_SWEEP = (DIVERGING_LEARN.replace("experiment: learn", "experiment: sweep")
+                   + "sweep: {parameter: physics.mu, values: [0.0, 0.5], experiment: learn}\n")
+FAILING_RUNS = {
+    "numerical_sweep": ("sweep", 3, "experiment: sweep\n" + OVERFLOWING_POTENTIAL
+                        + "initial: {kind: gaussian, x0: 0.0}\n"
+                        "run: {t_final: 0.1, dt: 0.01}\ngrid: {n: 256}\n"
+                        "sweep: {parameter: physics.mu, values: [0.5, 1.0], "
+                        "experiment: evolve}\n"),
+    "diverging_sweep": ("sweep", 4, DIVERGING_SWEEP),
+    "diverging_learn": ("learn", 4, DIVERGING_LEARN),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing potential
+@pytest.mark.parametrize("name", FAILING_RUNS)
+def test_a_failure_has_one_report_in_error_json_meta_and_stderr(tmp_path, capsys, name):
+    """stderr's one line is the error.json object, whose error is meta.json's.
+    A divergence's step is the steps_taken of the run that left the stable
+    region; a sweep's error is that of its first point to fail as the sweep
+    did, names every failed point, and each failed point holds its own
+    error.json."""
+    command, code, text = FAILING_RUNS[name]
+    cfg = _write(tmp_path, "c.yaml", text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    report = json.loads((out / "error.json").read_text())
+    assert json.loads(lines[0]) == report
+    meta = read_meta(out / "meta.json")
+    assert report == {"exit_code": code, "status": meta["status"], "error": meta["error"]}
+    error = report["error"]
+    assert set(error) == {"type", "message", "step"}
+    run = meta
+    if command == "sweep":
+        assert [p["exit_code"] for p in meta["points"]] == [code, code]
+        assert error["message"].startswith("sweep points 0, 1 of 2 failed; point 0 ")
+        run = meta["points"][0]
+        assert error == {**run["error"], "message": error["message"]}
+        assert error["message"].endswith(run["error"]["message"])
+        for point in meta["points"]:
+            assert json.loads((out / point["directory"] / "error.json").read_text()) == {
+                "exit_code": code, "status": meta["status"], "error": point["error"]}
+    if code == 3:
+        assert error["type"] == "NumericalError"
+        assert error["step"] == 1
+    else:
+        assert error["type"] == "Divergence"
+        assert error["step"] == run["steps_taken"] > 0
+        assert f"at step {run['steps_taken']}:" in error["message"]
+
+
+def test_compare_divergence_names_the_first_twin_to_leave(tmp_path, capsys):
+    """Both twins of a zero-disruptor compare leave together; the report
+    names the quantum learner and the step of its last row."""
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_LEARN.replace("learn", "compare"))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    meta = read_meta(out / "meta.json")
+    assert json.loads(capsys.readouterr().err)["error"] == meta["error"]
+    assert meta["error"]["message"].startswith("the quantum learner left the stable region")
+    _, rows = read_table(out / "trajectory_quantum.csv")
+    assert meta["error"]["step"] == meta["quantum"]["steps_taken"] == rows[-1, 0]
+
+
 def test_successful_run_removes_an_earlier_error_report(tmp_path):
     """A directory describes the last run only: exit 0 drops a stale error.json."""
     out = tmp_path / "same"
@@ -684,6 +749,22 @@ def test_sweep_summary_json_integer_columns(tmp_path):
     assert '"rows": [\n  [\n   0,\n   0.5,\n   0,\n' in text
 
 
+def test_evolve_sweep_summary_holds_each_points_last_trajectory_row(tmp_path):
+    """An evolve point's summary row is steps -1 and its trajectory's last
+    <x> and <p>/m, at any mass."""
+    cfg = _write(tmp_path, "c.yaml",
+                 "experiment: sweep\ngrid: {n: 512}\n"
+                 "run: {t_final: 0.5, dt: 0.005, snapshot_every: 50}\n"
+                 "sweep: {parameter: physics.m, values: [1.0, 4.0], experiment: evolve}\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, summary = read_table(out / "sweep_summary.csv")
+    for i in range(2):
+        _, trajectory = read_table(out / f"point_{i:03d}" / "trajectory.csv")
+        assert summary[i, 3] == -1
+        assert list(summary[i, 4:]) == list(trajectory[-1, 1:3]), i
+
+
 def test_sweep_determinism(tmp_path):
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: sweep\n"
@@ -724,6 +805,29 @@ def test_each_sweep_point_writes_the_bytes_of_its_compare_alone(tmp_path):
             assert sorted(f.name for f in d.iterdir() if f.name != "meta.json") == files
         for name in files:
             assert (point / name).read_bytes() == (alone / name).read_bytes(), (i, name)
+
+
+def test_each_failed_sweep_point_writes_the_files_of_its_run_alone(tmp_path, capsys):
+    """Each point of a diverging learn sweep holds the tables and error.json
+    of a learn run alone from its meta.json's effective config, byte for
+    byte, and a meta.json with its own wall time."""
+    import yaml
+    cfg = _write(tmp_path, "c.yaml", DIVERGING_SWEEP)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    for i in range(2):
+        point = out / f"point_{i:03d}"
+        meta = read_meta(point / "meta.json")
+        assert meta["wall_time_s"] > 0.0
+        echo = _write(tmp_path, f"point_{i}.yaml", yaml.safe_dump(meta["effective_config"]))
+        alone = tmp_path / f"alone_{i}"
+        assert main(["learn", "--config", echo, "--out", str(alone), "--quiet"]) == 4
+        files = ["error.json", "trajectory.csv"]
+        for d in (point, alone):
+            assert sorted(f.name for f in d.iterdir() if f.name != "meta.json") == files
+        for name in files:
+            assert (point / name).read_bytes() == (alone / name).read_bytes(), (i, name)
+    capsys.readouterr()
 
 
 def test_sweep_writes_each_point_before_the_next_computes(tmp_path, monkeypatch):
