@@ -1,13 +1,13 @@
 """Experiment orchestration: learn / evolve / compare / figure1 / sweep.
 
-Each experiment is validated, computed in memory and written by one code
-path, and a sweep point is such a run in its own directory.  A sweep
-computes, writes and drops one point at a time, in config order, so it holds
-one point's tables plus every point's summary row and metadata, and the text
-of the column blocks the last point's tables repeated, such as compare's time
-axis (see :class:`~quantum_descent.output.ColumnTexts`).  Data files are
-deterministic; only the wall-time field in the metadata varies between
-identical runs.
+Each experiment is prepared (validated and built once), computed in memory and
+written by one code path, and a sweep point is such a run in its own
+directory.  A sweep prepares every point, then computes, writes and drops one
+point at a time, in config order, so it holds one point's tables plus every
+point's summary row, metadata and initial state, and the text of the column
+blocks the last point's tables repeated, such as compare's time axis (see
+:class:`~quantum_descent.output.ColumnTexts`).  Data files are deterministic;
+only the wall-time field in the metadata varies between identical runs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .config import ExperimentConfig
 from .dynamics import EvolutionRecord, check_propagation, evolve
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
-from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun,
+from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun, PotentialSpec,
                       ZeroDisruptor, run_learner, run_momentum_gd)
 from .output import (OUTPUT_FORMATS, ColumnTexts, read_meta, read_table, write_meta,
                      write_tables)
@@ -65,6 +66,13 @@ class ExperimentResult:
         """The failure report error.json holds; None for a run that exited 0."""
         return None if self.exit_code == EXIT_OK else {
             "exit_code": self.exit_code, "status": self.meta["status"], "error": self.meta["error"]}
+
+
+class PreparedRun(NamedTuple):
+    """A validated run, with the potential and the initial state (or None) it built."""
+    cfg: ExperimentConfig
+    potential: PotentialSpec
+    psi0: Wavefunction | None
 
 
 def _ground_state_width(cfg: ExperimentConfig) -> float:
@@ -108,6 +116,8 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         if rows.ndim != 2 or rows.shape[1] < 3:
             raise ValueError(f"needs rows of three values x,re,im, got shape {rows.shape}")
         xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
+        if not np.all(np.diff(xs) > 0):
+            raise ValueError("x samples must be strictly increasing")
         values = np.interp(cfg.grid.x, xs, re) + 1j * np.interp(cfg.grid.x, xs, im)
         return Wavefunction(values, cfg.grid).normalized()
     except ValueError as err:
@@ -115,18 +125,18 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    """Reject, naming the key, a potential that cannot be built and, where the
-    run builds a wave (evolve, figure1, and a field-sampled disruptor unless
-    hbar = 0, where it is the zero disruptor, see :func:`_build_disruptor`),
-    settings its propagator cannot run with (the first key that
+def _prepare(cfg: ExperimentConfig) -> PreparedRun:
+    """Build the run's potential and, where it propagates a wave (evolve,
+    figure1, and a field-sampled disruptor unless hbar = 0), its initial
+    state.  Reject, naming the key, a potential that cannot be built and, for
+    a wave, settings its propagator cannot run with (the first key that
     :func:`check_propagation` rejects), a Gaussian whose momentum p0 = m u0
     overflows, a field-sampled learner that starts off the grid its field
     lives on, and an initial state that cannot be built."""
-    cfg.build_potential()
+    potential = cfg.build_potential()
     if cfg.experiment not in ("evolve", "figure1") and (
             cfg.disruptor.kind != "field_sampled" or cfg.physics.hbar <= 0.0):
-        return
+        return PreparedRun(cfg, potential, None)
     try:
         check_propagation(cfg.grid, cfg.physics)
     except ValueError as err:
@@ -141,17 +151,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"'initial.x0': a field-sampled learner samples its disruptor "
                           f"on the grid [{grid.x_min}, {grid.x_max}], so it must start "
                           f"there, got x0={x0}")
-    _initial_wavefunction(cfg)
+    return PreparedRun(cfg, potential, _initial_wavefunction(cfg))
 
 
-def _build_disruptor(cfg: ExperimentConfig):
-    """The configured disruptor; at hbar = 0 a field-sampled one vanishes
-    identically, so it is the zero disruptor and no wave is built."""
-    if cfg.disruptor.kind == "zero" or cfg.physics.hbar == 0.0:
+def _build_disruptor(run: PreparedRun):
+    """The configured disruptor, from the run's initial state; the zero one where
+    the run built none (a field-sampled one at hbar = 0 vanishes identically)."""
+    if run.cfg.disruptor.kind == "zero" or run.psi0 is None:
         return ZeroDisruptor()
-    return FieldSampledDisruptor(_initial_wavefunction(cfg), cfg.build_potential(),
-                                 cfg.physics, pde_dt=cfg.disruptor.pde_dt,
-                                 macro_time=cfg.run.time_scale)
+    return FieldSampledDisruptor(run.psi0, run.potential, run.cfg.physics,
+                                 pde_dt=run.cfg.disruptor.pde_dt,
+                                 macro_time=run.cfg.run.time_scale)
 
 
 def _learner_meta(run: LearnerRun) -> dict:
@@ -177,9 +187,9 @@ def _divergence_code(meta: dict, runs: dict) -> int:
     return EXIT_DIVERGED
 
 
-def _evolve_trajectory(rec: EvolutionRecord, cfg: ExperimentConfig) -> np.ndarray:
-    v_vals = np.asarray(cfg.build_potential().evaluate(rec.x_mean), dtype=float)
-    u_mean = rec.p_mean / cfg.physics.m
+def _evolve_trajectory(rec: EvolutionRecord, run: PreparedRun) -> np.ndarray:
+    v_vals = np.asarray(run.potential.evaluate(rec.x_mean), dtype=float)
+    u_mean = rec.p_mean / run.cfg.physics.m
     return np.column_stack([rec.times, rec.x_mean, u_mean, v_vals, rec.dis_center])
 
 
@@ -190,20 +200,20 @@ def _evolve_meta(rec: EvolutionRecord) -> dict:
             "final_x_mean": float(rec.x_mean[-1]), "final_p_mean": float(rec.p_mean[-1])}
 
 
-def _compute_learn(cfg: ExperimentConfig) -> ComputedRun:
-    run = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
-                      _build_disruptor(cfg), cfg.physics, steps=cfg.run.steps,
-                      stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
-    meta = _learner_meta(run)
-    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, run.rows)}, meta,
-                       _divergence_code(meta, {"learner": run}), _learner_summary(meta))
+def _compute_learn(run: PreparedRun) -> ComputedRun:
+    learner = run_learner(run.cfg.initial.x0, run.cfg.initial.u0, run.potential,
+                          _build_disruptor(run), run.cfg.physics, steps=run.cfg.run.steps,
+                          stop_tol=run.cfg.run.stop_tol, time_scale=run.cfg.run.time_scale)
+    meta = _learner_meta(learner)
+    return ComputedRun({"trajectory": (TRAJECTORY_HEADER, learner.rows)}, meta,
+                       _divergence_code(meta, {"learner": learner}), _learner_summary(meta))
 
 
-def _compute_evolve(cfg: ExperimentConfig) -> ComputedRun:
-    psi0 = _initial_wavefunction(cfg)
-    rec = evolve(psi0, cfg.build_potential(), cfg.physics, cfg.run.dt, cfg.run.t_final,
+def _compute_evolve(run: PreparedRun) -> ComputedRun:
+    cfg = run.cfg
+    rec = evolve(run.psi0, run.potential, cfg.physics, cfg.run.dt, cfg.run.t_final,
                  cfg.run.snapshot_every)
-    trajectory = _evolve_trajectory(rec, cfg)
+    trajectory = _evolve_trajectory(rec, run)
     tables = {
         "trajectory": (TRAJECTORY_HEADER, trajectory),
         "density": (["x"] + [f"rho_t{k}" for k in range(len(rec.snapshot_times))],
@@ -213,11 +223,12 @@ def _compute_evolve(cfg: ExperimentConfig) -> ComputedRun:
     return ComputedRun(tables, _evolve_meta(rec), EXIT_OK, (-1, *trajectory[-1, 1:3].tolist()))
 
 
-def _compute_compare(cfg: ExperimentConfig) -> ComputedRun:
-    quantum = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
-                          _build_disruptor(cfg), cfg.physics, steps=cfg.run.steps,
+def _compute_compare(run: PreparedRun) -> ComputedRun:
+    cfg = run.cfg
+    quantum = run_learner(cfg.initial.x0, cfg.initial.u0, run.potential,
+                          _build_disruptor(run), cfg.physics, steps=cfg.run.steps,
                           stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
-    classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
+    classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, run.potential,
                                 alpha=cfg.physics.lam, beta=cfg.physics.beta,
                                 steps=cfg.run.steps, stop_tol=cfg.run.stop_tol)
     rows_q = quantum.rows
@@ -241,10 +252,10 @@ def _compute_compare(cfg: ExperimentConfig) -> ComputedRun:
     return ComputedRun(tables, meta, code, _learner_summary(meta["quantum"]))
 
 
-def _compute_figure1(cfg: ExperimentConfig) -> ComputedRun:
+def _compute_figure1(run: PreparedRun) -> ComputedRun:
     """Density relaxation (main panel) plus the discrete learner inset."""
-    pde = _compute_evolve(cfg)
-    learner = _compute_learn(cfg)
+    pde = _compute_evolve(run)
+    learner = _compute_learn(run)
     density_header, density_rows = pde.tables["density"]
     x = density_rows[:, 0]
     meta = {
@@ -262,11 +273,11 @@ def _compute_figure1(cfg: ExperimentConfig) -> ComputedRun:
     return ComputedRun(tables, meta, max(pde.exit_code, learner.exit_code), learner.summary)
 
 
-def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
+def _compute_point(run: PreparedRun) -> ComputedRun:
     computer = {"learn": _compute_learn, "evolve": _compute_evolve,
-                "compare": _compute_compare, "figure1": _compute_figure1}[cfg.experiment]
+                "compare": _compute_compare, "figure1": _compute_figure1}[run.cfg.experiment]
     try:
-        return computer(cfg)
+        return computer(run)
     except NumericalError as err:
         meta = {"error": {"type": type(err).__name__, "message": str(err),
                           "step": err.step}}
@@ -275,11 +286,11 @@ def _compute_point(cfg: ExperimentConfig) -> ComputedRun:
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     sweep = cfg.sweep
-    # validate every point before computing any of them
-    points = cfg.sweep_points()
-    for value, point in zip(sweep.values, points):
+    # prepare every point before computing any of them
+    runs = []
+    for value, point in zip(sweep.values, cfg.sweep_points()):
         try:
-            _validate(point)
+            runs.append(_prepare(point))
         except ConfigError as err:
             raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
@@ -287,12 +298,12 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     # its summary row and meta, and the text of the columns its tables
     # repeat (compare's time axis)
     summary_rows, point_meta, texts = [], [], ColumnTexts()
-    for i, (value, point) in enumerate(zip(sweep.values, points)):
+    for i, (value, run) in enumerate(zip(sweep.values, runs)):
         t0 = time.perf_counter()
-        comp = _compute_point(point)
+        comp = _compute_point(run)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        _write_run(point, point_dir, fmt, comp, t0, texts)
+        _write_run(run.cfg, point_dir, fmt, comp, t0, texts)
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         # index, exit code and step count are ints, written as integers
@@ -423,6 +434,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if cfg.experiment == "sweep":
         comp = _run_sweep(cfg, out_dir, fmt)
     else:
-        _validate(cfg)
-        comp = _compute_point(cfg)
+        comp = _compute_point(_prepare(cfg))
     return _write_run(cfg, out_dir, fmt, comp, t0)

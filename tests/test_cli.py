@@ -18,7 +18,7 @@ import pytest
 
 from quantum_descent import experiments
 from quantum_descent.cli import main
-from quantum_descent.config import parse_config
+from quantum_descent.config import ExperimentConfig, parse_config
 from quantum_descent.dynamics import damped_oscillator_closed_form
 from quantum_descent.errors import ConfigError
 from quantum_descent.experiments import run_experiment
@@ -383,7 +383,7 @@ def test_propagator_settings_that_cannot_run_exit_2(tmp_path, capsys, experiment
 def test_coherent_state_with_a_width_exit_2(tmp_path, capsys, experiment, config):
     """A coherent state has the trap's ground-state width, so a configured
     width is a config error naming the key, found before anything computes
-    (a sweep's, when its points are validated), not a width left unused."""
+    (a sweep's, when its points are prepared), not a width left unused."""
     cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n"
                  "initial: {kind: coherent, x0: -5.0, sigma: 2.0}\n" + config)
     out = tmp_path / "o"
@@ -400,9 +400,9 @@ def _count_point_computations(monkeypatch):
     calls = []
     compute = experiments._compute_point
 
-    def counted(cfg):
-        calls.append(cfg)
-        return compute(cfg)
+    def counted(run):
+        calls.append(run)
+        return compute(run)
 
     monkeypatch.setattr(experiments, "_compute_point", counted)
     return calls
@@ -427,7 +427,7 @@ SWEEP_IDS = ["coherent_x0_off_the_grid", "negative_omega", "zero_quartic_c"]
 def test_sweep_point_that_cannot_be_built_exits_2_before_any_point_computes(
         tmp_path, capsys, monkeypatch, config, message):
     """A point whose potential or initial state cannot be built is a config
-    error naming the sweep value, found while the points are validated: no
+    error naming the sweep value, found while the points are prepared: no
     point computes, nothing is written and stderr carries the one report."""
     calls = _count_point_computations(monkeypatch)
     cfg = _write(tmp_path, "c.yaml", "experiment: sweep\n" + config)
@@ -452,6 +452,59 @@ def test_sweep_validation_raises_before_any_point_computes(tmp_path, monkeypatch
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_experiment(cfg, out_dir=tmp_path / "o")
     assert calls == []
+
+
+def _count_builds(monkeypatch):
+    """Wrap what builds a run's inputs: the read of a custom initial table,
+    the initial state and the potential.  The returned dict counts calls."""
+    counts = {"table": 0, "psi0": 0, "potential": 0}
+
+    def counted(key, build):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "read_table", counted("table", experiments.read_table))
+    monkeypatch.setattr(experiments, "_initial_wavefunction",
+                        counted("psi0", experiments._initial_wavefunction))
+    monkeypatch.setattr(ExperimentConfig, "build_potential",
+                        counted("potential", ExperimentConfig.build_potential))
+    return counts
+
+
+FIELD_SAMPLED = "disruptor: {kind: field_sampled}\n"
+
+
+@pytest.mark.parametrize("experiment,config,states,potentials", [
+    ("learn", FIELD_SAMPLED + "run: {steps: 10}\n", 1, 1),
+    ("evolve", "run: {t_final: 0.2}\n", 1, 1),
+    ("compare", FIELD_SAMPLED + "run: {steps: 10}\n", 1, 1),
+    ("figure1", FIELD_SAMPLED + "run: {steps: 10, t_final: 0.2}\n", 1, 1),
+    ("sweep", FIELD_SAMPLED + "run: {steps: 10}\n"
+     "sweep: {parameter: physics.mu, values: [0.2, 0.4, 0.6], experiment: learn}\n", 3, 3),
+    ("sweep", "run: {steps: 10}\n"
+     "sweep: {parameter: physics.mu, values: [0.2, 0.4, 0.6, 0.8], experiment: compare}\n",
+     0, 4),
+], ids=["learn", "evolve", "compare", "figure1", "field_sampled_learn_sweep",
+        "zero_disruptor_compare_sweep"])
+def test_a_run_builds_its_potential_and_initial_state_once(tmp_path, monkeypatch, experiment,
+                                                           config, states, potentials):
+    """Preparing a run builds its potential and, if it propagates a wave, its
+    initial state, and the compute uses what it built: a run from a custom
+    table reads the table once, figure1's PDE and field-sampled learner share
+    one state, and a sweep builds one of each per point."""
+    x = np.linspace(-20.0, 20.0, 401)
+    table = tmp_path / "seed.csv"
+    np.savetxt(table, np.column_stack([x, np.exp(-(x + 3.0) ** 2 / 2.0), 0.0 * x]),
+               delimiter=",", header="x,re,im", comments="")
+    cfg = _write(tmp_path, "c.yaml", f"experiment: {experiment}\n"
+                 "grid: {x_min: -20.0, x_max: 20.0, n: 256}\n"
+                 f"initial: {{kind: custom, path: {json.dumps(str(table))}, x0: -3.0}}\n"
+                 + config)
+    counts = _count_builds(monkeypatch)
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert counts == {"table": states, "psi0": states, "potential": potentials}
 
 
 # m * u0 overflows to inf although m and u0 are finite
@@ -549,8 +602,14 @@ def test_field_sampled_at_hbar_0_is_the_zero_disruptor_run(tmp_path):
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n",
      "needs rows of three values x,re,im, got shape (3, 2)"),
     ("{kind: custom, path: TABLE}", "", "is empty"),
+    # np.interp does not check its sample points: a reversed table ran, flat at 1/40
+    ("{kind: custom, path: TABLE}", "x,re,im\n1.0,0.6,0.0\n0.0,1.0,0.0\n-1.0,0.6,0.0\n",
+     "x samples must be strictly increasing"),
+    ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.6,0.0\n0.0,1.0,0.0\n0.0,0.8,0.0\n",
+     "x samples must be strictly increasing"),
 ], ids=["all_zero_custom", "nan_custom", "coherent_off_the_grid", "non_numeric_custom",
-        "header_only_custom", "two_column_custom", "empty_custom"])
+        "header_only_custom", "two_column_custom", "empty_custom", "reversed_x_custom",
+        "repeated_x_custom"])
 def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, message):
     if table is not None:
         path = tmp_path / "seed.csv"
@@ -836,9 +895,9 @@ def test_sweep_writes_each_point_before_the_next_computes(tmp_path, monkeypatch)
     written = []
     compute = experiments._compute_point
 
-    def recording(cfg):
+    def recording(run):
         written.append(sorted(p.parent.name for p in out.glob("point_*/meta.json")))
-        return compute(cfg)
+        return compute(run)
 
     monkeypatch.setattr(experiments, "_compute_point", recording)
     cfg = _write(tmp_path, "c.yaml",
