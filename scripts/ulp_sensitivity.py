@@ -46,10 +46,10 @@ def learner_rows(cfg, factor: complex) -> np.ndarray:
     psi0 = gaussian_packet(cfg.grid, init.x0, p0=cfg.p0, sigma=init.sigma,
                            hbar=cfg.physics.hbar)
     disruptor = FieldSampledDisruptor(Wavefunction(psi0.values * factor, cfg.grid),
-                                      cfg.build_potential(), cfg.physics,
+                                      cfg.potential.spec, cfg.physics,
                                       pde_dt=cfg.disruptor.pde_dt,
                                       macro_time=cfg.run.time_scale)
-    run = run_learner(init.x0, init.u0, cfg.build_potential(), disruptor, cfg.physics,
+    run = run_learner(init.x0, init.u0, cfg.potential.spec, disruptor, cfg.physics,
                       steps=cfg.run.steps, stop_tol=cfg.run.stop_tol,
                       time_scale=cfg.run.time_scale)
     return run.rows

@@ -12,7 +12,7 @@ independent cross-checks.
 
 from ._version import __version__
 from .config import (DisruptorConfig, ExperimentConfig, InitialConfig,
-                     OutputConfig, RunConfig, SweepConfig, default_config,
+                     OutputConfig, PotentialConfig, RunConfig, SweepConfig, default_config,
                      load_config, parse_config)
 from .dynamics import (EvolutionRecord, KostinPropagator,
                        damped_oscillator_closed_form, evolve)
@@ -35,7 +35,7 @@ __all__ = [
     "FieldSampledDisruptor", "run_learner", "run_momentum_gd",
     "KostinPropagator", "EvolutionRecord", "evolve",
     "damped_oscillator_closed_form",
-    "ExperimentConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
+    "ExperimentConfig", "PotentialConfig", "InitialConfig", "DisruptorConfig", "RunConfig",
     "OutputConfig", "SweepConfig", "parse_config", "load_config",
     "default_config", "ExperimentResult", "run_experiment",
 ]

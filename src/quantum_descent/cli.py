@@ -53,7 +53,7 @@ def _print_report(report: dict) -> None:
 def _report_error(code: int, status: str, err: Exception) -> int:
     """Report a config or I/O error, where no run exists; returns its exit code."""
     _print_report({"exit_code": code, "status": status,
-                   "error": {"message": str(err), "step": None}})
+                   "error": {"type": type(err).__name__, "message": str(err), "step": None}})
     return code
 
 

@@ -38,13 +38,6 @@ _RUN_OVERRIDES = {
     "evolve": {"t_final": 10.0, "dt": 1e-3, "snapshot_every": 1000},
 }
 
-_POTENTIAL_KEYS = {
-    "harmonic": {"kind", "omega"},
-    "quartic": {"kind", "c"},
-    "polynomial": {"kind", "coefficients"},
-    "tabulated": {"kind", "x", "V", "h"},
-}
-
 _SWEEPABLE = {
     "physics.m", "physics.hbar", "physics.mu",
     "potential.omega", "potential.c",
@@ -56,11 +49,9 @@ def _set_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> Exp
     """``cfg`` with the key that ``parameter`` (one of ``_SWEEPABLE``) names set to ``value``."""
     section, key = parameter.split(".", 1)
     old = getattr(cfg, section)
-    if section == "potential":
-        if key not in old:
-            raise ConfigError(f"sweep parameter {parameter} does not apply to a "
-                              f"{old['kind']} potential")
-        return replace(cfg, potential={**old, key: value})
+    if not hasattr(old, key):
+        raise ConfigError(f"sweep parameter {parameter} does not apply to a "
+                          f"{old.kind} potential")
     try:
         return replace(cfg, **{section: replace(old, **{key: value})})
     except ValueError as err:
@@ -68,18 +59,63 @@ def _set_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> Exp
 
 
 class _Loader(yaml.SafeLoader):
-    """YAML 1.1's safe loader, also reading a plain scalar such as 1e-8 (an
-    exponent but no dot), which YAML 1.1 leaves a string, as a float."""
+    """YAML 1.1's safe loader, also reading as a float a plain scalar with an
+    exponent that YAML 1.1 leaves a string: one without a dot (1e-8), or with
+    a dot and an unsigned exponent (1.5e2, .5e2, 1.e2)."""
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
-                              list("-+0123456789"))
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def _key(default, **check):
     """A schema field: the key's default, and its ``bound`` or ``choices``."""
     return field(default=default, metadata=check)
+
+
+@dataclass(frozen=True)
+class PotentialConfig:
+    """The goal function V.  Each kind is a subclass whose fields after
+    ``kind`` are the arguments, in order, of the PotentialSpec constructor of
+    that name; ``spec`` is built from them, and so checked, on construction."""
+
+    kind: str = "harmonic"
+    spec: PotentialSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        args = (getattr(self, f.name) for f in _schema(type(self))[1:])
+        try:
+            object.__setattr__(self, "spec", getattr(PotentialSpec, self.kind)(*args))
+        except ValueError as err:
+            raise ConfigError(f"potential: {err}") from err
+
+
+@dataclass(frozen=True)
+class HarmonicConfig(PotentialConfig):
+    omega: float = 1.0
+
+
+@dataclass(frozen=True)
+class QuarticConfig(PotentialConfig):
+    c: float = 1.0
+
+
+@dataclass(frozen=True)
+class PolynomialConfig(PotentialConfig):
+    coefficients: tuple = ()
+
+
+@dataclass(frozen=True)
+class TabulatedConfig(PotentialConfig):
+    x: tuple = ()
+    V: tuple = ()
+    h: float = DEFAULT_GRAD_STEP
+
+
+_POTENTIALS = {"harmonic": HarmonicConfig, "quartic": QuarticConfig,
+               "polynomial": PolynomialConfig, "tabulated": TabulatedConfig}
 
 
 @dataclass(frozen=True)
@@ -141,15 +177,12 @@ class ExperimentConfig:
     experiment: str
     grid: SpatialGrid
     physics: PhysicsParams
-    potential: dict
+    potential: PotentialConfig
     initial: InitialConfig
     disruptor: DisruptorConfig
     run: RunConfig
     output: OutputConfig
     sweep: SweepConfig | None = None
-
-    def build_potential(self) -> PotentialSpec:
-        return _build_potential(self.potential)
 
     @property
     def p0(self) -> float:
@@ -169,7 +202,7 @@ class ExperimentConfig:
             if is_dataclass(value):
                 out[f.name] = _echo(value)
             elif value is not None:
-                out[f.name] = dict(value) if isinstance(value, dict) else value
+                out[f.name] = value
         return out
 
 
@@ -257,41 +290,6 @@ def _values(schema, section: dict, name: str, defaults: dict | None = None) -> d
             for f in _schema(schema)}
 
 
-def _build_potential(pot: dict) -> PotentialSpec:
-    kind = pot["kind"]
-    try:
-        if kind == "harmonic":
-            return PotentialSpec.harmonic(pot["omega"])
-        if kind == "quartic":
-            return PotentialSpec.quartic(pot["c"])
-        if kind == "polynomial":
-            return PotentialSpec.polynomial(pot["coefficients"])
-        return PotentialSpec.tabulated(pot["x"], pot["V"], h=pot["h"])
-    except ValueError as err:
-        raise ConfigError(f"potential: {err}") from err
-
-
-def _parse_potential(section: dict) -> dict:
-    kind = _as_str(section.get("kind", "harmonic"), "potential.kind", tuple(_POTENTIAL_KEYS))
-    _reject_unknown(section, _POTENTIAL_KEYS[kind], "potential")
-    pot: dict = {"kind": kind}
-    if kind == "harmonic":
-        pot["omega"] = _as_float(section.get("omega", 1.0), "potential.omega")
-    elif kind == "quartic":
-        pot["c"] = _as_float(section.get("c", 1.0), "potential.c")
-    elif kind == "polynomial":
-        pot["coefficients"] = list(_as_floats(section.get("coefficients"),
-                                              "potential.coefficients"))
-    else:  # tabulated
-        for key in ("x", "V"):
-            if not isinstance(section.get(key), list):
-                raise ConfigError(f"'potential.{key}' must be a list for tabulated potentials")
-            pot[key] = [_as_float(v, f"potential.{key}") for v in section[key]]
-        pot["h"] = _as_float(section.get("h", DEFAULT_GRAD_STEP), "potential.h")
-    _build_potential(pot)  # validate parameter invariants now
-    return pot
-
-
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse and validate a YAML config document.
 
@@ -330,7 +328,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"physics: {err}") from err
 
-    potential = _parse_potential(_require_mapping(raw.get("potential"), "potential"))
+    pot_sec = _require_mapping(raw.get("potential"), "potential")
+    kind = _as_str(pot_sec.get("kind", PotentialConfig.kind), "potential.kind", tuple(_POTENTIALS))
+    schema = _POTENTIALS[kind]
+    potential = schema(**_values(schema, _section(raw, "potential", schema), "potential"))
 
     init_sec = _section(raw, "initial", InitialConfig, extra=("p0",))
     init = _values(InitialConfig, init_sec, "initial")

@@ -27,8 +27,8 @@ from .config import ExperimentConfig
 from .dynamics import EvolutionRecord, check_propagation, evolve
 from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
-from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun, PotentialSpec,
-                      ZeroDisruptor, run_learner, run_momentum_gd)
+from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
+                      run_learner, run_momentum_gd)
 from .output import (OUTPUT_FORMATS, ColumnTexts, read_meta, read_table, write_meta,
                      write_tables)
 
@@ -58,7 +58,6 @@ class ComputedRun:
 class ExperimentResult:
     exit_code: int
     out_dir: Path
-    files: tuple
     meta: dict
 
     @property
@@ -69,16 +68,15 @@ class ExperimentResult:
 
 
 class PreparedRun(NamedTuple):
-    """A validated run, with the potential and the initial state (or None) it built."""
+    """A validated run, with the initial state (or None) it built."""
     cfg: ExperimentConfig
-    potential: PotentialSpec
     psi0: Wavefunction | None
 
 
 def _ground_state_width(cfg: ExperimentConfig) -> float:
     """Standard deviation of the density of the harmonic trap's ground state
     for mass m: its variance is hbar / (2 omega sqrt(m))."""
-    omega, m, hbar = cfg.potential["omega"], cfg.physics.m, cfg.physics.hbar
+    omega, m, hbar = cfg.potential.omega, cfg.physics.m, cfg.physics.hbar
     return 1.0 / np.sqrt(2.0 * omega * np.sqrt(m) / hbar)
 
 
@@ -89,7 +87,7 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
     with p0 = m u0, and so is a Gaussian without a width in a harmonic trap.
     """
     init = cfg.initial
-    harmonic = cfg.potential["kind"] == "harmonic"
+    harmonic = cfg.potential.kind == "harmonic"
     if init.kind == "coherent" and not harmonic:
         raise ConfigError("a coherent initial state needs a harmonic potential "
                           "(its width is set by the trap frequency)")
@@ -126,17 +124,16 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
 
 
 def _prepare(cfg: ExperimentConfig) -> PreparedRun:
-    """Build the run's potential and, where it propagates a wave (evolve,
-    figure1, and a field-sampled disruptor unless hbar = 0), its initial
-    state.  Reject, naming the key, a potential that cannot be built and, for
-    a wave, settings its propagator cannot run with (the first key that
+    """Build, where the run propagates a wave (evolve, figure1, and a
+    field-sampled disruptor unless hbar = 0), its initial state; the parsed
+    config has built its potential.  Reject, naming the key, for a wave,
+    settings its propagator cannot run with (the first key that
     :func:`check_propagation` rejects), a Gaussian whose momentum p0 = m u0
     overflows, a field-sampled learner that starts off the grid its field
     lives on, and an initial state that cannot be built."""
-    potential = cfg.build_potential()
     if cfg.experiment not in ("evolve", "figure1") and (
             cfg.disruptor.kind != "field_sampled" or cfg.physics.hbar <= 0.0):
-        return PreparedRun(cfg, potential, None)
+        return PreparedRun(cfg, None)
     try:
         check_propagation(cfg.grid, cfg.physics)
     except ValueError as err:
@@ -151,7 +148,7 @@ def _prepare(cfg: ExperimentConfig) -> PreparedRun:
         raise ConfigError(f"'initial.x0': a field-sampled learner samples its disruptor "
                           f"on the grid [{grid.x_min}, {grid.x_max}], so it must start "
                           f"there, got x0={x0}")
-    return PreparedRun(cfg, potential, _initial_wavefunction(cfg))
+    return PreparedRun(cfg, _initial_wavefunction(cfg))
 
 
 def _build_disruptor(run: PreparedRun):
@@ -159,7 +156,7 @@ def _build_disruptor(run: PreparedRun):
     the run built none (a field-sampled one at hbar = 0 vanishes identically)."""
     if run.cfg.disruptor.kind == "zero" or run.psi0 is None:
         return ZeroDisruptor()
-    return FieldSampledDisruptor(run.psi0, run.potential, run.cfg.physics,
+    return FieldSampledDisruptor(run.psi0, run.cfg.potential.spec, run.cfg.physics,
                                  pde_dt=run.cfg.disruptor.pde_dt,
                                  macro_time=run.cfg.run.time_scale)
 
@@ -188,7 +185,7 @@ def _divergence_code(meta: dict, runs: dict) -> int:
 
 
 def _evolve_trajectory(rec: EvolutionRecord, run: PreparedRun) -> np.ndarray:
-    v_vals = np.asarray(run.potential.evaluate(rec.x_mean), dtype=float)
+    v_vals = np.asarray(run.cfg.potential.spec.evaluate(rec.x_mean), dtype=float)
     u_mean = rec.p_mean / run.cfg.physics.m
     return np.column_stack([rec.times, rec.x_mean, u_mean, v_vals, rec.dis_center])
 
@@ -201,9 +198,10 @@ def _evolve_meta(rec: EvolutionRecord) -> dict:
 
 
 def _compute_learn(run: PreparedRun) -> ComputedRun:
-    learner = run_learner(run.cfg.initial.x0, run.cfg.initial.u0, run.potential,
-                          _build_disruptor(run), run.cfg.physics, steps=run.cfg.run.steps,
-                          stop_tol=run.cfg.run.stop_tol, time_scale=run.cfg.run.time_scale)
+    cfg = run.cfg
+    learner = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
+                          _build_disruptor(run), cfg.physics, steps=cfg.run.steps,
+                          stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
     meta = _learner_meta(learner)
     return ComputedRun({"trajectory": (TRAJECTORY_HEADER, learner.rows)}, meta,
                        _divergence_code(meta, {"learner": learner}), _learner_summary(meta))
@@ -211,7 +209,7 @@ def _compute_learn(run: PreparedRun) -> ComputedRun:
 
 def _compute_evolve(run: PreparedRun) -> ComputedRun:
     cfg = run.cfg
-    rec = evolve(run.psi0, run.potential, cfg.physics, cfg.run.dt, cfg.run.t_final,
+    rec = evolve(run.psi0, cfg.potential.spec, cfg.physics, cfg.run.dt, cfg.run.t_final,
                  cfg.run.snapshot_every)
     trajectory = _evolve_trajectory(rec, run)
     tables = {
@@ -225,10 +223,10 @@ def _compute_evolve(run: PreparedRun) -> ComputedRun:
 
 def _compute_compare(run: PreparedRun) -> ComputedRun:
     cfg = run.cfg
-    quantum = run_learner(cfg.initial.x0, cfg.initial.u0, run.potential,
+    quantum = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
                           _build_disruptor(run), cfg.physics, steps=cfg.run.steps,
                           stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
-    classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, run.potential,
+    classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
                                 alpha=cfg.physics.lam, beta=cfg.physics.beta,
                                 steps=cfg.run.steps, stop_tol=cfg.run.stop_tol)
     rows_q = quantum.rows
@@ -349,8 +347,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun
         "wall_time_s": time.perf_counter() - t0,
     }
     write_meta(out_dir / "meta.json", meta)
-    files += ["meta.json"] + (["error.json"] if comp.exit_code != EXIT_OK else [])
-    result = ExperimentResult(comp.exit_code, out_dir, tuple(sorted(files)), meta)
+    result = ExperimentResult(comp.exit_code, out_dir, meta)
     if result.report is not None:
         write_meta(out_dir / "error.json", result.report)
     return result
@@ -419,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
     ``out_dir`` and ``fmt`` override the config's output section (the CLI
     passes its --out/--format flags here).  Returns the exit status alongside
-    the written file names; numerical failures are reported, not raised.
+    the run's metadata; numerical failures are reported, not raised.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir if out_dir is not None else cfg.output.directory)

@@ -192,14 +192,14 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     same_meta = meta1 == meta2
 
     # independent in-memory recomputation vs the emitted files, value-exact
-    run = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.build_potential(),
+    run = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
                       ZeroDisruptor(), cfg.physics, steps=cfg.run.steps,
                       stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
     _, traj = read_table(tmp_path / "r1" / "trajectory.csv")
     # the default config has hbar = m = 1, where the coherent width is 1/sqrt(2 omega)
     psi0 = gaussian_packet(cfg.grid, cfg.initial.x0, p0=cfg.p0,
-                           sigma=1.0 / np.sqrt(2.0 * cfg.potential["omega"]))
-    rec = evolve(psi0, cfg.build_potential(), cfg.physics, cfg.run.dt, cfg.run.t_final,
+                           sigma=1.0 / np.sqrt(2.0 * cfg.potential.omega))
+    rec = evolve(psi0, cfg.potential.spec, cfg.physics, cfg.run.dt, cfg.run.t_final,
                  cfg.run.snapshot_every)
     _, dens = read_table(tmp_path / "r1" / "density.csv")
     round_trip = (np.array_equal(traj, run.rows)

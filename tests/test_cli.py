@@ -18,10 +18,11 @@ import pytest
 
 from quantum_descent import experiments
 from quantum_descent.cli import main
-from quantum_descent.config import ExperimentConfig, parse_config
+from quantum_descent.config import parse_config
 from quantum_descent.dynamics import damped_oscillator_closed_form
 from quantum_descent.errors import ConfigError
 from quantum_descent.experiments import run_experiment
+from quantum_descent.learner import PotentialSpec
 from quantum_descent.output import read_meta, read_table
 
 NOISE_KEYS = {"wall_time_s"}
@@ -138,6 +139,9 @@ def test_config_error_exit_2(tmp_path, capsys):
     report = json.loads(capsys.readouterr().err)
     assert report["exit_code"] == 2
     assert "gamma" in report["error"]["message"]
+    # the keys of a run failure's report too
+    assert report["error"].keys() == {"type", "message", "step"}
+    assert report["error"]["type"] == "ConfigError"
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -456,7 +460,8 @@ def test_sweep_validation_raises_before_any_point_computes(tmp_path, monkeypatch
 
 def _count_builds(monkeypatch):
     """Wrap what builds a run's inputs: the read of a custom initial table,
-    the initial state and the potential.  The returned dict counts calls."""
+    the initial state and the potential, by its four constructors, so a build
+    while the config is parsed counts too.  The returned dict counts calls."""
     counts = {"table": 0, "psi0": 0, "potential": 0}
 
     def counted(key, build):
@@ -468,8 +473,8 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(experiments, "read_table", counted("table", experiments.read_table))
     monkeypatch.setattr(experiments, "_initial_wavefunction",
                         counted("psi0", experiments._initial_wavefunction))
-    monkeypatch.setattr(ExperimentConfig, "build_potential",
-                        counted("potential", ExperimentConfig.build_potential))
+    for kind in ("harmonic", "quartic", "polynomial", "tabulated"):
+        monkeypatch.setattr(PotentialSpec, kind, counted("potential", getattr(PotentialSpec, kind)))
     return counts
 
 
@@ -482,18 +487,23 @@ FIELD_SAMPLED = "disruptor: {kind: field_sampled}\n"
     ("compare", FIELD_SAMPLED + "run: {steps: 10}\n", 1, 1),
     ("figure1", FIELD_SAMPLED + "run: {steps: 10, t_final: 0.2}\n", 1, 1),
     ("sweep", FIELD_SAMPLED + "run: {steps: 10}\n"
-     "sweep: {parameter: physics.mu, values: [0.2, 0.4, 0.6], experiment: learn}\n", 3, 3),
+     "sweep: {parameter: physics.mu, values: [0.2, 0.4, 0.6], experiment: learn}\n", 3, 1),
     ("sweep", "run: {steps: 10}\n"
      "sweep: {parameter: physics.mu, values: [0.2, 0.4, 0.6, 0.8], experiment: compare}\n",
-     0, 4),
+     0, 1),
+    ("sweep", "potential: {kind: harmonic, omega: 1.0}\nrun: {steps: 10}\n"
+     "sweep: {parameter: potential.omega, values: [0.5, 1.5, 2.0], experiment: learn}\n",
+     0, 1 + 3),
 ], ids=["learn", "evolve", "compare", "figure1", "field_sampled_learn_sweep",
-        "zero_disruptor_compare_sweep"])
+        "zero_disruptor_compare_sweep", "potential_omega_sweep"])
 def test_a_run_builds_its_potential_and_initial_state_once(tmp_path, monkeypatch, experiment,
                                                            config, states, potentials):
-    """Preparing a run builds its potential and, if it propagates a wave, its
-    initial state, and the compute uses what it built: a run from a custom
-    table reads the table once, figure1's PDE and field-sampled learner share
-    one state, and a sweep builds one of each per point."""
+    """Parsing a config builds its potential, preparing a run builds its
+    initial state if it propagates a wave, and the compute uses what they
+    built: a run from a custom table reads the table once, figure1's PDE and
+    field-sampled learner share one state, a sweep builds one state per point
+    and shares the parsed potential, and a sweep over a potential key builds
+    one more potential per point."""
     x = np.linspace(-20.0, 20.0, 401)
     table = tmp_path / "seed.csv"
     np.savetxt(table, np.column_stack([x, np.exp(-(x + 3.0) ** 2 / 2.0), 0.0 * x]),

@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from quantum_descent.cli import main
-from quantum_descent.config import (ExperimentConfig, default_config,
-                                    load_config, parse_config)
+from quantum_descent.config import (ExperimentConfig, HarmonicConfig, QuarticConfig,
+                                    default_config, load_config, parse_config)
 from quantum_descent.errors import ConfigError
 from quantum_descent.output import read_meta
 
@@ -16,7 +16,7 @@ def test_minimal_figure1_fills_documented_defaults():
     assert cfg.physics.m == 1.0
     assert cfg.physics.mu == 1.0
     assert cfg.physics.hbar == 1.0
-    assert cfg.potential == {"kind": "harmonic", "omega": 1.0}
+    assert cfg.potential == HarmonicConfig(kind="harmonic", omega=1.0)
     assert cfg.initial.x0 == -5.0
     assert cfg.initial.u0 == 0.0
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n) == (-20.0, 20.0, 2048)
@@ -113,30 +113,36 @@ def test_momentum_alias_must_give_a_finite_velocity():
 
 def test_exponent_without_a_dot_is_a_number():
     """The README writes defaults as 1e-8, 1e-6 and 1e-3, forms YAML 1.1
-    leaves strings; they parse as floats, while a quoted one stays a string
-    and an integer stays an integer."""
+    leaves strings, as are 1.5e2, .5e2 and 1.e2; they parse as floats, while
+    a quoted one or one without digits stays a string and an integer stays
+    an integer."""
     cfg = parse_config("experiment: learn\nrun: {stop_tol: 1e-8, steps: 200, dt: 1e-3}\n"
                        "potential: {kind: tabulated, x: [-1, 0, 1], V: [1, 0, 1], h: 1e-6}\n")
     assert cfg.run.stop_tol == 1e-8
     assert cfg.run.dt == 1e-3
-    assert cfg.potential["h"] == 1e-6
+    assert cfg.potential.h == 1e-6
     assert cfg.run.steps == 200 and isinstance(cfg.run.steps, int)
     signed = parse_config("experiment: learn\nphysics: {mu: 5E-1}\ninitial: {x0: -2e+0}\n")
     assert (signed.physics.mu, signed.initial.x0) == (0.5, -2.0)
-    with pytest.raises(ConfigError, match="'run.stop_tol' must be a number"):
-        parse_config("experiment: learn\nrun: {stop_tol: '1e-8'}\n")
+    # YAML 1.1 also wants a sign on an exponent after a dot
+    for text, value in [("1.5e2", 150.0), ("1.5E2", 150.0), (".5e2", 50.0), ("1.e2", 100.0),
+                        ("-1.5e2", -150.0), ("1_5.0e1", 150.0)]:
+        assert parse_config(f"experiment: learn\ninitial: {{x0: {text}}}\n").initial.x0 == value
+    for text in ("'1e-8'", "'1.5e2'", "e5", ".e5", "1.5e"):
+        with pytest.raises(ConfigError, match="'run.stop_tol' must be a number"):
+            parse_config(f"experiment: learn\nrun: {{stop_tol: {text}}}\n")
 
 
 def test_potential_kinds_parse():
     quartic = parse_config("experiment: learn\npotential: {kind: quartic, c: 2.0}\n")
-    assert quartic.potential == {"kind": "quartic", "c": 2.0}
+    assert quartic.potential == QuarticConfig(kind="quartic", c=2.0)
     poly = parse_config(
         "experiment: learn\npotential: {kind: polynomial, coefficients: [0, 0, 0.5]}\n")
-    assert poly.build_potential().gradient(3.0) == pytest.approx(3.0)
+    assert poly.potential.spec.gradient(3.0) == pytest.approx(3.0)
     tab = parse_config(
         "experiment: learn\n"
         "potential: {kind: tabulated, x: [-1, 0, 1], V: [0.5, 0.0, 0.5]}\n")
-    assert tab.build_potential().evaluate(1.0) == pytest.approx(0.5)
+    assert tab.potential.spec.evaluate(1.0) == pytest.approx(0.5)
 
 
 def test_potential_kind_specific_keys():

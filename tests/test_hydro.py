@@ -19,6 +19,8 @@ k = 2 pi / L, has closed forms at every grid point, seam included:
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantum_descent.fields import EPS_NODE, PhysicsParams, build_grid
 from quantum_descent.hydro import (disruptor_field, quantum_potential,
@@ -187,3 +189,38 @@ def test_sample_field_rejects_outside_domain():
         with pytest.raises(ValueError):
             sample_field(field, grid, x)
 
+
+def _mean_disruptor_ratio(R, grid, params):
+    """|<Dis>_rho| / <|Dis|>_rho on the grid, with rho = R^2."""
+    dis = disruptor_field(R, grid, params)
+    rho = R * R
+    return abs(np.sum(rho * dis)) / np.sum(rho * np.abs(dis))
+
+
+@given(centre=st.floats(-4.0, 4.0), widths=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+       gap=st.floats(0.1, 1.0), left=st.booleans(), weight_ratio=st.floats(1.5, 10.0))
+@settings(max_examples=50, deadline=None)
+def test_disruptor_averages_to_zero_as_dx_squared(centre, widths, gap, left, weight_ratio):
+    """rho dQ/dx is the divergence of a stress, so <Dis>_rho = 0 for any state;
+    the discrete mean vanishes as O(dx^2): each halving of dx divides
+    |<Dis>_rho| / <|Dis|>_rho by about 4.
+
+    R is a positive sum of two overlapping Gaussians, so it has no node, and
+    Dis depends on R alone.  Their centres lie in [-4, 4], gap (s1 + s2) apart
+    for a gap fraction in [0.1, 1]: one packet, or two with one centre, is
+    symmetric, and packets far apart are each symmetric, so their means
+    vanish to roundoff and show no dx^2 term.  The heavier packet is the narrower one
+    or as wide: where it is the wider, the dx^2 coefficient passes through
+    zero and the factor strays (3.32 and 3.84 at widths 1.12 and 0.74, weight
+    ratio 3.7, gap fraction 0.92)."""
+    narrow, wide = sorted(widths)
+    step = gap * (narrow + wide) * (-1.0 if left else 1.0)
+    other = centre + step if abs(centre + step) <= 4.0 else centre - step
+    ratios = []
+    for n in (1024, 2048, 4096):
+        grid = build_grid(-20.0, 20.0, n)
+        R = (np.exp(-(grid.x - centre) ** 2 / (2.0 * narrow**2))
+             + np.exp(-(grid.x - other) ** 2 / (2.0 * wide**2)) / weight_ratio)
+        ratios.append(_mean_disruptor_ratio(R, grid, P1))
+    assert 3.5 <= ratios[0] / ratios[1] <= 4.5
+    assert 3.5 <= ratios[1] / ratios[2] <= 4.5
