@@ -8,10 +8,11 @@ Each pair runs ``perfbench/run.py --trace 0`` of both checkouts, each its own
 copy, one after the other.  Even pairs run the parent first and odd pairs the
 change first, so a drift of the machine's speed within a pair does not
 favour one side.  Prints one JSON document: the end-to-end metrics of every
-pair, and per metric the median and interquartile range of each side plus
-the number of pairs the change wins.  Whether lower or higher is better is
-read from the change's ``BENCHMARK.json``.  A run that fails its checks or
-prints no result stops the comparison with exit code 1.
+pair, and per metric the median and interquartile range of each side, the
+number of pairs the change wins and a verdict (see :func:`verdict`).
+Whether lower or higher is better, and the bound by which a metric may
+worsen, are read from the change's ``BENCHMARK.json``.  A run that fails
+its checks or prints no result stops the comparison with exit code 1.
 """
 
 from __future__ import annotations
@@ -51,30 +52,56 @@ def median_iqr(values: list) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median and IQR, and the pairs the change wins.
+def verdict(stats: dict, bound: float) -> str:
+    """One metric's verdict from its summary ``stats`` and its ``bound``, a
+    fraction of the parent's median.
+
+    "gain": the change wins at least 9 of 10 pairs and its median is better
+    than the parent's by more than the parent's IQR.  "regression": its
+    median is worse than the parent's by more than the bound.  "unresolved":
+    the parent's IQR is wider than the bound.  "no change": anything else.
+    """
+    parent, change = stats["parent"], stats["change"]
+    sign = 1.0 if stats["better"] == "higher" else -1.0
+    better_by = sign * (change["median"] - parent["median"])
+    limit = bound * abs(parent["median"])
+    if 10 * stats["change_wins"] >= 9 * stats["pairs"] and better_by > parent["iqr"]:
+        return "gain"
+    if -better_by > limit:
+        return "regression"
+    if parent["iqr"] > limit:
+        return "unresolved"
+    return "no change"
+
+
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per metric: each side's median and IQR, the pairs the change wins and
+    the verdict.
 
     ``pairs`` holds ``{"parent": {metric: value}, "change": {...}}`` items;
-    ``better`` maps each metric to "lower" or "higher".
+    ``metrics`` maps each metric to its ``BENCHMARK.json`` entry, whose
+    "better" is "lower" or "higher" and whose "bound" is a fraction.
     """
     summary = {}
-    for name, direction in better.items():
+    for name, declared in metrics.items():
+        direction = declared["better"]
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         if direction == "higher":
             wins = sum(c > p for p, c in zip(parent, change))
         else:
             wins = sum(c < p for p, c in zip(parent, change))
-        summary[name] = {"better": direction, "parent": median_iqr(parent),
-                         "change": median_iqr(change), "change_wins": wins,
-                         "pairs": len(pairs)}
+        stats = {"better": direction, "parent": median_iqr(parent),
+                 "change": median_iqr(change), "change_wins": wins, "pairs": len(pairs)}
+        stats["verdict"] = verdict(stats, declared["bound"])
+        summary[name] = stats
     return summary
 
 
-def end_to_end_directions(checkout: Path) -> dict:
-    """{metric: "lower" | "higher"} of the checkout's end-to-end metrics."""
+def end_to_end_metrics(checkout: Path) -> dict:
+    """{metric: its entry} of the checkout's end-to-end metrics."""
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+    return {m["name"]: m for m in declared["end_to_end"]}
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,7 +125,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = end_to_end_directions(checkouts["change"])
+    metrics = end_to_end_metrics(checkouts["change"])
     pairs = []
     try:
         for i in range(args.pairs):
@@ -111,8 +138,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"ab_pairs: {err}", file=sys.stderr)
         return 1
+    summary = summarize(pairs, metrics)
+    for name, stats in summary.items():
+        print(f"{name}: {stats['verdict']}", file=sys.stderr)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "pairs": pairs, "summary": summarize(pairs, better)}, indent=1))
+                      "pairs": pairs, "summary": summary}, indent=1))
     return 0
 
 

@@ -28,6 +28,12 @@ EPS_NODE = 1e-12
 
 MIN_GRID_POINTS = 8
 
+# points of the amplitude window that fixes the disruptor at one position,
+# and the window's row of the first interpolation node of that position (the
+# second is the next row); see hydro.locate_window
+WINDOW = 6
+NODE = 2
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -48,6 +54,10 @@ class SpatialGrid:
         xs = self.x_min + dx * np.arange(self.n)
         xs.setflags(write=False)
         object.__setattr__(self, "_x", xs)
+        # the window of node j0 is ring[j0:j0 + WINDOW], wrapped at the seam
+        ring = (np.arange(self.n + WINDOW) - NODE) % self.n
+        ring.setflags(write=False)
+        object.__setattr__(self, "_ring", ring)
 
     @property
     def x(self) -> np.ndarray:

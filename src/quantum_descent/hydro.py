@@ -27,13 +27,7 @@ import math
 import numpy as np
 
 from .derivatives import first_derivative, second_derivative
-from .fields import EPS_NODE, PhysicsParams, SpatialGrid
-
-# points of the amplitude window that fixes Dis at one position, and the
-# window's row of the first interpolation node of that position (the second
-# is the next row)
-WINDOW = 6
-NODE = 2
+from .fields import EPS_NODE, NODE, WINDOW, PhysicsParams, SpatialGrid
 
 
 def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
@@ -97,7 +91,8 @@ def locate_window(grid: SpatialGrid, x: float) -> tuple:
 
     Dis at a point reads Q at its two neighbours and Q reads R at its own, so
     the interpolation nodes j0 and j0 + 1 of x need R at j0 - 2 .. j0 + 3,
-    wrapped around the seam.  Returns ``(window, frac)``: the nodes are the
+    wrapped around the seam.  Returns ``(window, frac)``, the window a
+    read-only slice of the grid's wrapped index ring: the nodes are the
     points ``window[NODE]`` and ``window[NODE + 1]``, so the field that
     :func:`disruptor_field` returns for ``R[window]`` is sampled at x as
     ``interpolate(dis[NODE], dis[NODE + 1], frac)``.  That equals the
@@ -106,4 +101,4 @@ def locate_window(grid: SpatialGrid, x: float) -> tuple:
     at the window's two ends, which alone can differ, are never read.
     """
     j0, _, frac = _nodes(grid, x)
-    return np.arange(j0 - NODE, j0 - NODE + WINDOW) % grid.n, frac
+    return grid._ring[j0:j0 + WINDOW], frac

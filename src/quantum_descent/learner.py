@@ -10,8 +10,11 @@ current position and the position then moves by the freshly updated velocity;
 this ordering makes the mu = 1 harmonic case converge in a single update and is
 the convention used everywhere in this package.  With a zero disruptor the two
 updates are arithmetically identical.  Both run in one loop on plain floats,
-:func:`run_learner` and :func:`run_momentum_gd`; the test suite keeps one-update
-versions of each as references they must equal to the bit.
+:func:`run_learner` and :func:`run_momentum_gd`, which writes the update out
+with no call per step but the gradient and a sampled disruptor's: the zero
+disruptor is a constant added without a call, and the classical twin adds
+-0.0, which changes no bit.  The test suite keeps one-update versions of each
+as references they must equal to the bit.
 
 The update's unit time step is 1; ``time_scale`` rescales the gradient and
 disruptor contributions together when a finer notional step is wanted.
@@ -113,7 +116,10 @@ class PotentialSpec:
 
 
 class ZeroDisruptor:
-    """Classical limit: the disruptor is identically zero."""
+    """Classical limit: the disruptor is identically zero, a ``constant`` the
+    learner loop adds without sampling it."""
+
+    constant = 0.0
 
     def sample(self, x: float) -> float:
         return 0.0
@@ -191,18 +197,23 @@ class LearnerRun:
     t, x, u, V, dis = (_column(j) for j in range(5))
 
 
-def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
-             stop_tol: float, update: Callable, contains: Callable) -> LearnerRun:
+def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int, stop_tol: float,
+             beta: float, rate: float, time_scale: float, dis) -> LearnerRun:
     """The loop both learners share, on plain floats.
 
-    ``update(x, u, g)`` returns the new velocity and the disruptor value from
-    the gradient g at x; the position then moves by the new velocity.  The
-    stop test's gradient is the next update's, and V is evaluated once over
-    the finished trajectory.
+    Each update takes ``u' = beta*u - rate*g + d`` (``beta*u + time_scale*(d
+    - rate*g)`` if ``time_scale`` != 1) from the gradient g at x and the
+    disruptor value d, then moves x by u'.  A disruptor with a ``constant``
+    (a zero) adds it with no call and records ``dis`` as 0.0; any other is
+    sampled, and checked with ``contains``, at every step.  The stop test's
+    gradient is the next update's, and V is evaluated once over the finished
+    trajectory.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     gradient = potential.gradient
+    d = getattr(dis, "constant", None)
+    sampled, unit = d is None, time_scale == 1.0
     x, u = float(x0), float(u0)
     xs, us, ds = [x], [u], [0.0]
     g = float(gradient(x))
@@ -210,15 +221,17 @@ def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
     for t in range(steps):
         if not math.isfinite(g):
             raise NumericalError(f"non-finite gradient {g} at x={x}", step=t)
-        try:
-            u, d = update(x, u, g)
-        except NumericalError as err:
-            raise NumericalError(f"learner update failed at step {t}: {err}", step=t) from err
+        if sampled:
+            try:
+                d = float(dis.sample(x))
+            except NumericalError as err:
+                raise NumericalError(f"learner update failed at step {t}: {err}", step=t) from err
+            ds.append(d)
+        u = beta * u - rate * g + d if unit else beta * u + time_scale * (d - rate * g)
         x = x + u
         xs.append(x)
         us.append(u)
-        ds.append(d)
-        if abs(x) > DIVERGENCE_LIMIT or not contains(x):
+        if abs(x) > DIVERGENCE_LIMIT or sampled and not dis.contains(x):
             outcome = "diverged"
             break
         g = float(gradient(x))
@@ -227,6 +240,7 @@ def _descend(x0: float, u0: float, potential: PotentialSpec, steps: int,
             break
     rows = np.empty((len(xs), 5))
     rows[:, 0] = np.arange(len(xs))
+    # a constant disruptor leaves ds at its one 0.0, which fills the column
     rows[:, 1], rows[:, 2], rows[:, 4] = xs, us, ds
     del xs, us, ds  # freed before V's temporaries, which would add to their peak
     rows[:, 3] = potential.evaluate(rows[:, 1])
@@ -244,16 +258,12 @@ def run_learner(x0: float, u0: float, potential: PotentialSpec,
     disruptor (the grid of a field-sampled one), instead of raising.  Any
     object with ``sample(x)`` and ``contains(x)`` serves as ``dis``.
     """
-    beta, lam, sample = params.beta, params.lam, dis.sample
-    if time_scale == 1.0:
-        def update(x, u, g):
-            d = float(sample(x))
-            return beta * u - lam * g + d, d
-    else:
-        def update(x, u, g):
-            d = float(sample(x))
-            return beta * u + time_scale * (d - lam * g), d
-    return _descend(x0, u0, potential, steps, stop_tol, update, dis.contains)
+    return _descend(x0, u0, potential, steps, stop_tol, params.beta, params.lam, time_scale,
+                    dis)
+
+
+class _NoDisruptor:
+    constant = -0.0  # the identity of addition: the classical update adds no term
 
 
 def run_momentum_gd(x0: float, u0: float, objective: PotentialSpec, alpha: float,
@@ -264,8 +274,4 @@ def run_momentum_gd(x0: float, u0: float, objective: PotentialSpec, alpha: float
         raise ValueError(f"learning rate must be positive, got alpha={alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"momentum factor must satisfy 0 <= beta <= 1, got beta={beta}")
-
-    def update(x, u, g):
-        return beta * u - alpha * g, 0.0
-
-    return _descend(x0, u0, objective, steps, stop_tol, update, ZeroDisruptor().contains)
+    return _descend(x0, u0, objective, steps, stop_tol, beta, alpha, 1.0, _NoDisruptor)

@@ -6,12 +6,14 @@ file reproduces the in-memory float64 exactly and two runs of the same config
 produce byte-identical files.  Text that would be the same is rendered once:
 a table equal to an earlier one of the same :func:`write_tables` call is a
 copy of that one's file; in CSV, a float column holding one value is
-formatted once per table, and a block of a float column whose bits recur in
+formatted once per table, a block of a float column whose bits recur in
 another table of the call is formatted once and reused (see
-:class:`ColumnTexts`, which a sweep carries through all its points).  Both
-formats stream a table to disk in blocks of about CELLS_PER_BLOCK cells
-(:func:`block_rows` rows), so a block's text is bounded whatever the table's
-width, and no table's text is held whole.
+:class:`ColumnTexts`, which a sweep carries through all its points), a block
+of a column in which some row repeats the row before formats each distinct
+value once, and a block with one column left to format is joined, not
+formatted row by row.  Both formats stream a table to disk in blocks of
+about CELLS_PER_BLOCK cells (:func:`block_rows` rows), so a block's text is
+bounded whatever the table's width, and no table's text is held whole.
 """
 
 from __future__ import annotations
@@ -126,25 +128,49 @@ def _constant_columns(rows: np.ndarray) -> list:
     return [rows[0, j] if same[j] else None for j in range(width)]
 
 
+def _distinct_texts(column: np.ndarray) -> list | None:
+    """The text of each value of a block's float column if some row repeats
+    the bits of the row before, each distinct bit pattern formatted once
+    (so -0.0 and 0.0 stay apart), else None."""
+    bits = column.view(np.uint64)
+    if not (bits[1:] == bits[:-1]).any():
+        return None
+    distinct, where = np.unique(bits, return_inverse=True)
+    texts = np.array([FLOAT_FMT % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[where].tolist()
+
+
 def _float_csv_blocks(rows: np.ndarray, texts: ColumnTexts | None):
     """The CSV text of a 2-D float64 array's rows, a block at a time.
 
-    Each block's columns are zipped, a column of one value as its text
-    formatted once and a recurring block (see :class:`ColumnTexts`) as its
-    kept text, and each row is one %-template applied to them.
+    A column of one value enters each row's template as its text formatted
+    once.  The other columns of a block are zipped, each as text where it
+    recurs in another table (see :class:`ColumnTexts`) or repeats a row
+    (see :func:`_distinct_texts`), else as floats to format, and each row is
+    one %-template applied to them.  A template of one field is the text
+    around that field, joined over its values.
     """
     constant = [None if v is None else FLOAT_FMT % v for v in _constant_columns(rows)]
     for block in _blocks(rows, rows.shape[1]):
         cells, columns = [], []
         for j, text in enumerate(constant):
             if text is None:
-                lines = None if texts is None else texts.lines(block[:, j])
-                text = FLOAT_FMT if lines is None else "%s"
-                columns.append(block[:, j].tolist() if lines is None else lines)
+                column = block[:, j]
+                lines = (texts and texts.lines(column)) or _distinct_texts(column)
+                text = field = FLOAT_FMT if lines is None else "%s"
+                columns.append(column.tolist() if lines is None else lines)
             cells.append(text)
         line = ",".join(cells) + "\n"
-        # a float's text holds no "%", so a line without columns is its own text
-        yield "".join([line % row for row in zip(*columns)]) if columns else line * len(block)
+        # a float's text holds no "%", so a line without columns is its own
+        # text, and the field of a line with one column is its first "%"
+        if not columns:
+            yield line * len(block)
+        elif len(columns) == 1:
+            head, _, tail = line.partition(field)
+            values = columns[0] if field == "%s" else [FLOAT_FMT % v for v in columns[0]]
+            yield head + (tail + head).join(values) + tail
+        else:
+            yield "".join([line % row for row in zip(*columns)])
 
 
 def _table_chunks(header: list, rows, fmt: str, texts: ColumnTexts | None):

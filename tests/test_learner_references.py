@@ -7,8 +7,9 @@ finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
 tables alike are written in blocks of about ``CELLS_PER_BLOCK`` cells
 (``block_rows(width)`` rows), a CSV row is formatted with one format string,
-a CSV column of one value once and a block of a column that recurs in
-another table of the call once, and a table equal to an earlier one of the
+a CSV column of one value once, a block of a column that recurs in
+another table of the call once, and each distinct value of a block of a
+column whose rows repeat once, and a table equal to an earlier one of the
 same ``write_tables`` call is a copy of its file.  None of this changes an
 operation or its order, so every row, outcome and written byte must equal
 what the plain versions give.  The plain
@@ -268,13 +269,15 @@ def learner_cases(draw):
     return coeffs, PhysicsParams(m=m, mu=mu), x0, u0, steps, stop_tol, time_scale, amp, bound
 
 
-@given(learner_cases())
+@given(learner_cases(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_run_learner_equals_per_step_loop_bitwise(case):
+def test_run_learner_equals_per_step_loop_bitwise(case, zero):
+    """A sampled disruptor and the zero one, whose constant the loop adds
+    without sampling it, both give the per-step loop's bits."""
     coeffs, params, x0, u0, steps, stop_tol, time_scale, amp, bound = case
 
     def dis():
-        return Fence(lambda x: amp * math.sin(3.0 * x), bound)
+        return ZeroDisruptor() if zero else Fence(lambda x: amp * math.sin(3.0 * x), bound)
 
     with np.errstate(all="ignore"):
         run = run_learner(x0, u0, PotentialSpec.polynomial(coeffs), dis(), params, steps,
@@ -294,6 +297,22 @@ def test_run_momentum_gd_equals_per_step_loop_bitwise(case):
         ref = ref_run_momentum_gd(x0, u0, ref_polynomial(coeffs), params.lam, params.beta,
                                   steps, stop_tol=stop_tol)
     assert_same_run(run, ref)
+
+
+def test_the_sign_of_zero_separates_the_twins():
+    """The zero disruptor adds +0.0 and the classical twin adds nothing, so
+    from u0 = -0.0 on a flat V the first velocity is +0.0 in one and -0.0 in
+    the other."""
+    params = PhysicsParams(m=1.0, mu=0.5)
+    flat = PotentialSpec.polynomial([1.0])
+    quantum = run_learner(-1.0, -0.0, flat, ZeroDisruptor(), params, 3)
+    classical = run_momentum_gd(-1.0, -0.0, flat, params.lam, params.beta, 3)
+    assert bits(quantum.u[1]) == bits(0.0)
+    assert bits(classical.u[1]) == bits(-0.0)
+    assert_same_run(quantum, ref_run_learner(-1.0, -0.0, ref_polynomial([1.0]),
+                                             ZeroDisruptor(), params, 3))
+    assert_same_run(classical, ref_run_momentum_gd(-1.0, -0.0, ref_polynomial([1.0]),
+                                                   params.lam, params.beta, 3))
 
 
 HILL = [0.0, 0.0, -0.5]  # V = -x^2/2 pushes outward
@@ -419,16 +438,30 @@ def test_empty_tables_write_the_reference_bytes(tmp_path, rows, fmt, ref):
 # values of the columns that hold one value: the signed zeros, which print
 # differently, NaN, the infinities, the smallest subnormal and a generic float
 CONSTANTS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -0.1234567890123456)
+# quiet NaNs of two payloads: one text, other bits
+NANS = tuple(np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64)
+             .view(np.float64))
+
+
+def _float_column(draw, n):
+    """``n`` values: one of CONSTANTS, values of a pool of two or three of
+    CONSTANTS and NANS, so rows repeat the row before them but the column
+    does not hold one value, or arbitrary floats."""
+    kind = draw(st.sampled_from(("constant", "pool", "any")))
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from(CONSTANTS)))
+    if kind == "pool":
+        pool = draw(st.lists(st.sampled_from(CONSTANTS + NANS), min_size=2, max_size=3))
+        return np.array([draw(st.sampled_from(pool)) for _ in range(n)], dtype=float)
+    return np.array(draw(st.lists(any_float, min_size=n, max_size=n)), dtype=float)
 
 
 @st.composite
 def float_table(draw, rows=st.sampled_from((0, 1, 2, 9))):
-    """A float64 table of 0, 1 or more rows whose columns each hold one value
-    of CONSTANTS or arbitrary floats."""
+    """A float64 table of 0, 1 or more rows of 1 to 5 columns (see
+    :func:`_float_column`)."""
     n = draw(rows)
-    columns = [np.full(n, draw(st.sampled_from(CONSTANTS))) if draw(st.booleans())
-               else np.array(draw(st.lists(any_float, min_size=n, max_size=n)), dtype=float)
-               for _ in range(draw(st.integers(1, 5)))]
+    columns = [_float_column(draw, n) for _ in range(draw(st.integers(1, 5)))]
     header = [f"c{i}" for i in range(len(columns))]
     return header, np.column_stack(columns).reshape(n, len(columns))
 
@@ -447,11 +480,6 @@ def _zero_sign_flipped(rows, cell):
     flat = rows.reshape(-1)
     flat[cell] = -0.0 if math.copysign(1.0, flat[cell]) > 0 else 0.0
     return rows
-
-
-# quiet NaNs of two payloads: one text, other bits
-NANS = tuple(np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64)
-             .view(np.float64))
 
 
 @st.composite
@@ -574,16 +602,25 @@ def test_twin_tables_write_the_reference_bytes(tmp_path, fmt, second):
 BLOCK_ROWS = {"empty": (0, 0), "one": (0, 1), "block_less_one": (1, -1), "block": (1, 0),
               "block_and_one": (1, 1), "two_blocks_and_one": (2, 1)}
 # the width of each kind of _block_table
-BLOCK_WIDTH = {"constant": 4, "int": 2, "mixed": 4, "wide": 12}
+BLOCK_WIDTH = {"constant": 4, "int": 2, "mixed": 4, "wide": 12, "converged": 5}
 
 
 def _block_table(kind, n):
     """A table of ``n`` rows: float64 columns beside constant ones, an int64
-    array, mixed rows of Python and numpy values, or a density-shaped float64
+    array, mixed rows of Python and numpy values, a density-shaped float64
     table of twelve columns, one of them constant, whose block size does not
-    divide the cell budget."""
+    divide the cell budget, or a trajectory that settles a third of the way
+    in, so that its x, u and V repeat the row before across a block
+    boundary, u in runs of either zero's sign."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
+    if kind == "converged":
+        t = np.arange(float(n))
+        settled = t >= n // 3
+        u = np.where(t // 7 % 2, -0.0, 0.0)
+        return ["t", "x", "u", "V", "dis"], np.column_stack(
+            [t, np.where(settled, -1.0, x), np.where(settled, u, rng.standard_normal(n)),
+             np.where(settled, -0.25, rng.standard_normal(n)), np.zeros(n)])
     if kind == "wide":
         return ["x"] + [f"rho_t{k}" for k in range(11)], np.column_stack(
             [np.arange(float(n)), np.full(n, 0.25), rng.standard_normal((n, 10))])

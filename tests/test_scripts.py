@@ -118,7 +118,8 @@ def test_ab_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch, capsys)
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "units_per_s", "better": "higher"}]}))
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "units_per_s", "better": "higher", "bound": 0.25}]}))
     canned = {"parent": iter([(1.0, 100.0), (1.2, 90.0), (1.1, 95.0), (1.3, 80.0)]),
               "change": iter([(0.9, 110.0), (1.0, 105.0), (1.2, 90.0), (0.8, 120.0)])}
     calls = []
@@ -143,6 +144,24 @@ def test_ab_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch, capsys)
     assert wall["parent"]["iqr"] == pytest.approx(1.225 - 1.075)
     assert units["change"]["median"] == pytest.approx(107.5)
     assert units["better"] == "higher" and units["pairs"] == 4
+    # 3 of 4 wins is no gain, and neither median is worse by a quarter
+    assert wall["verdict"] == units["verdict"] == "no change"
+
+    def verdict(parent, change, better="lower"):
+        pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+        return ab.summarize(pairs, {"m": {"better": better, "bound": 0.25}})["m"]["verdict"]
+
+    steady = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, IQR 0.045
+    assert verdict(steady, [v - 0.1 for v in steady]) == "gain"
+    assert verdict(steady, [v + 0.1 for v in steady], better="higher") == "gain"
+    # a tie counts for neither side: 9 wins of 10 pairs are a gain, 8 are not
+    assert verdict(steady, [v - 0.1 for v in steady[:9]] + steady[9:]) == "gain"
+    assert verdict(steady, [v - 0.1 for v in steady[:8]] + steady[8:]) == "no change"
+    assert verdict(steady, [v - 0.01 for v in steady]) == "no change"  # within the IQR
+    assert verdict(steady, [v + 0.3 for v in steady]) == "regression"  # 0.3 > 0.25 * 1.045
+    assert verdict(steady, [v - 0.3 for v in steady], better="higher") == "regression"
+    spread = [0.5, 1.5] * 5  # IQR 1.0, wider than a quarter of the median
+    assert verdict(spread, spread) == "unresolved"
 
 
 def test_ab_pairs_reads_the_last_line_and_rejects_failed_runs():
