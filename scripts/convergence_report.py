@@ -20,13 +20,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quantum_descent.dynamics import damped_oscillator_closed_form, evolve
-from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
+from quantum_descent.fields import PhysicsParams, SpatialGrid, gaussian_packet
 from quantum_descent.hydro import quantum_potential
 from quantum_descent.learner import PotentialSpec
 
 
 def propagator_errors(dts, t_final=5.0, mu=1.0, omega=1.0, n=2048):
-    grid = build_grid(-20.0, 20.0, n)
+    grid = SpatialGrid(-20.0, 20.0, n)
     params = PhysicsParams(m=1.0, hbar=1.0, mu=mu)
     potential = PotentialSpec.harmonic(omega)
     # the trap's ground state at hbar = m = 1, displaced to -5
@@ -45,7 +45,7 @@ def quantum_potential_errors(sizes, kappa=1.5, length=12.0):
     params = PhysicsParams(m=1.3, hbar=0.7, mu=1.0)
     k = 2.0 * np.pi / length
     for n in sizes:
-        grid = build_grid(-0.5 * length, 0.5 * length, n)
+        grid = SpatialGrid(-0.5 * length, 0.5 * length, n)
         y = k * grid.x
         q = quantum_potential(np.exp(kappa * np.cos(y)), grid, params)
         exact = -(params.hbar ** 2 / (2.0 * params.m)) * k ** 2 * (

@@ -19,8 +19,7 @@ from .dynamics import (EvolutionRecord, KostinPropagator,
 from .errors import ConfigError, NodeDominatedError, NumericalError
 from .experiments import ExperimentResult, run_experiment
 from .fields import (EPS_NODE, MadelungFields, PhysicsParams, SpatialGrid,
-                     Wavefunction, build_grid, gaussian_packet, norm,
-                     polar_decompose)
+                     Wavefunction, gaussian_packet, norm, polar_decompose)
 from .hydro import disruptor_field, quantum_potential, sample_field
 from .learner import (FieldSampledDisruptor, LearnerRun, PotentialSpec,
                       ZeroDisruptor, run_learner, run_momentum_gd)
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "ConfigError", "NumericalError", "NodeDominatedError",
     "SpatialGrid", "PhysicsParams", "Wavefunction", "MadelungFields",
-    "build_grid", "polar_decompose", "gaussian_packet", "norm", "EPS_NODE",
+    "polar_decompose", "gaussian_packet", "norm", "EPS_NODE",
     "quantum_potential", "disruptor_field", "sample_field",
     "PotentialSpec", "LearnerRun", "ZeroDisruptor",
     "FieldSampledDisruptor", "run_learner", "run_momentum_gd",

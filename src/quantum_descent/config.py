@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .fields import PhysicsParams, SpatialGrid, build_grid
+from .fields import PhysicsParams, SpatialGrid
 from .learner import DEFAULT_GRAD_STEP, PotentialSpec
 from .output import OUTPUT_FORMATS
 
@@ -30,8 +30,6 @@ EXPERIMENTS = ("learn", "evolve", "compare", "figure1", "sweep")
 INITIAL_KINDS = ("gaussian", "coherent", "custom")
 DISRUPTOR_KINDS = ("zero", "field_sampled")
 
-# SpatialGrid states no defaults of its own
-_GRID_DEFAULTS = {"x_min": -20.0, "x_max": 20.0, "n": 2048}
 # run defaults vary with the experiment: the flagship figure runs a short
 # coarse evolution, plain evolve favours accuracy over speed
 _RUN_OVERRIDES = {
@@ -318,7 +316,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"'grid.periodic' must be true, got {grid_sec['periodic']!r}: the "
                           "grid is periodic, and open grids are no longer in the package")
     try:
-        grid = build_grid(**_values(SpatialGrid, grid_sec, "grid", _GRID_DEFAULTS))
+        grid = SpatialGrid(**_values(SpatialGrid, grid_sec, "grid"))
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 

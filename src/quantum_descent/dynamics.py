@@ -227,7 +227,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     grid = psi0.grid
     prop = KostinPropagator(grid, potential, params, dt)  # checks dt > 0
     n_steps = max(0, math.ceil(t_final / dt - 1e-12))
-    values = np.array(psi0.values, dtype=np.complex128)
+    values = psi0.values  # read-only; step() returns a new array
 
     times = np.empty(n_steps + 1)
     x_mean = np.empty(n_steps + 1)

@@ -16,6 +16,7 @@ package boundary.  The momentum <p> is read from the state's DFT
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,36 +29,34 @@ EPS_NODE = 1e-12
 
 MIN_GRID_POINTS = 8
 
-# points of the amplitude window that fixes the disruptor at one position,
-# and the window's row of the first interpolation node of that position (the
-# second is the next row); see hydro.locate_window
-WINDOW = 6
-NODE = 2
-
 
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic 1-D position grid, x_j = x_min + j * dx.
 
     The n points exclude x_max, the seam that wraps back to x_min, so the
-    spacing is dx = (x_max - x_min) / n.
+    spacing is dx = (x_max - x_min) / n.  The bounds, coerced to float, must be
+    finite and increasing, and n an integer of at least MIN_GRID_POINTS.
     """
 
-    x_min: float
-    x_max: float
-    n: int
+    x_min: float = -20.0
+    x_max: float = 20.0
+    n: int = 2048
     dx: float = field(init=False)
 
     def __post_init__(self):
-        dx = (self.x_max - self.x_min) / self.n
-        object.__setattr__(self, "dx", dx)
-        xs = self.x_min + dx * np.arange(self.n)
+        x_min, x_max, n = float(self.x_min), float(self.x_max), operator.index(self.n)
+        if not (np.isfinite(x_min) and np.isfinite(x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
+        if x_max <= x_min:
+            raise ValueError(f"x_max must exceed x_min, got [{x_min}, {x_max}]")
+        if n < MIN_GRID_POINTS:
+            raise ValueError(f"grid needs at least {MIN_GRID_POINTS} points, got {n}")
+        dx = (x_max - x_min) / n
+        xs = x_min + dx * np.arange(n)
         xs.setflags(write=False)
-        object.__setattr__(self, "_x", xs)
-        # the window of node j0 is ring[j0:j0 + WINDOW], wrapped at the seam
-        ring = (np.arange(self.n + WINDOW) - NODE) % self.n
-        ring.setflags(write=False)
-        object.__setattr__(self, "_ring", ring)
+        for name, value in zip(("x_min", "x_max", "n", "dx", "_x"), (x_min, x_max, n, dx, xs)):
+            object.__setattr__(self, name, value)
 
     @property
     def x(self) -> np.ndarray:
@@ -66,18 +65,6 @@ class SpatialGrid:
 
     def contains(self, x: float) -> bool:
         return self.x_min <= x <= self.x_max
-
-
-def build_grid(x_min: float, x_max: float, n: int) -> SpatialGrid:
-    """Validate and construct a :class:`SpatialGrid`."""
-    if not (np.isfinite(x_min) and np.isfinite(x_max)):
-        raise ValueError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
-    if x_max <= x_min:
-        raise ValueError(f"x_max must exceed x_min, got [{x_min}, {x_max}]")
-    n = int(n)
-    if n < MIN_GRID_POINTS:
-        raise ValueError(f"grid needs at least {MIN_GRID_POINTS} points, got {n}")
-    return SpatialGrid(float(x_min), float(x_max), n)
 
 
 @dataclass(frozen=True)

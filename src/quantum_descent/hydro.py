@@ -23,11 +23,18 @@ its own.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 from .derivatives import first_derivative, second_derivative
-from .fields import EPS_NODE, NODE, WINDOW, PhysicsParams, SpatialGrid
+from .fields import EPS_NODE, PhysicsParams, SpatialGrid
+
+# points of the amplitude window that fixes the disruptor at one position,
+# and the window's row of the first interpolation node of that position (the
+# second is the next row); see locate_window
+WINDOW = 6
+NODE = 2
 
 
 def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
@@ -55,13 +62,13 @@ def disruptor_field(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> 
     return -first_derivative(q, grid.dx) / params.m
 
 
-def _nodes(grid: SpatialGrid, x: float) -> tuple:
-    """The interpolation nodes j0, j1 of x on the grid and x's fraction of the way."""
+def _cell(grid: SpatialGrid, x: float) -> tuple:
+    """The cell j0 of x, from point j0 to the next (wrapped), and x's fraction of it."""
     if not grid.contains(x):  # also false for NaN and infinities
         raise ValueError(f"x={x} outside grid domain [{grid.x_min}, {grid.x_max}]")
-    t = (x - grid.x_min) / grid.dx
-    j0 = min(max(math.floor(t), 0), grid.n - 1)
-    return j0, (j0 + 1) % grid.n, t - j0
+    t = (x - grid.x_min) / grid.dx  # >= 0, as x >= x_min
+    j0 = min(math.floor(t), grid.n - 1)
+    return j0, t - j0
 
 
 def interpolate(lo, hi, frac):
@@ -81,8 +88,8 @@ def sample_field(values: np.ndarray, grid: SpatialGrid, x: float) -> float:
     points of a window goes through :func:`locate_window` and
     :func:`interpolate` instead.
     """
-    j0, j1, frac = _nodes(grid, x)
-    return float(interpolate(values[j0], values[j1], frac))
+    j0, frac = _cell(grid, x)
+    return float(interpolate(values[j0], values[(j0 + 1) % grid.n], frac))
 
 
 def locate_window(grid: SpatialGrid, x: float) -> tuple:
@@ -92,7 +99,7 @@ def locate_window(grid: SpatialGrid, x: float) -> tuple:
     Dis at a point reads Q at its two neighbours and Q reads R at its own, so
     the interpolation nodes j0 and j0 + 1 of x need R at j0 - 2 .. j0 + 3,
     wrapped around the seam.  Returns ``(window, frac)``, the window a
-    read-only slice of the grid's wrapped index ring: the nodes are the
+    read-only slice of the index ring of the grid's size: the nodes are the
     points ``window[NODE]`` and ``window[NODE + 1]``, so the field that
     :func:`disruptor_field` returns for ``R[window]`` is sampled at x as
     ``interpolate(dis[NODE], dis[NODE + 1], frac)``.  That equals the
@@ -100,5 +107,13 @@ def locate_window(grid: SpatialGrid, x: float) -> tuple:
     stencil values do not depend on the length of the array, and the values
     at the window's two ends, which alone can differ, are never read.
     """
-    j0, _, frac = _nodes(grid, x)
-    return grid._ring[j0:j0 + WINDOW], frac
+    j0, frac = _cell(grid, x)
+    return _ring(grid.n)[j0:j0 + WINDOW], frac
+
+
+@cache
+def _ring(n: int) -> np.ndarray:
+    """Indices (k - NODE) % n of an n-point grid, k < n + WINDOW; built once per n."""
+    ring = (np.arange(n + WINDOW) - NODE) % n
+    ring.setflags(write=False)
+    return ring

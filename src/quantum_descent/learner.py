@@ -145,7 +145,7 @@ class FieldSampledDisruptor:
             raise ValueError("pde_dt and macro_time must be positive")
         self.params = params
         self.grid = psi0.grid
-        self._values = np.array(psi0.values, dtype=np.complex128)
+        self._values = psi0.values  # read-only; the propagator never writes it
         self._substeps = max(1, round(macro_time / pde_dt))
         self._propagator = KostinPropagator(self.grid, potential, params,
                                             dt=macro_time / self._substeps)

@@ -13,13 +13,13 @@ from quantum_descent.config import default_config, parse_config
 from quantum_descent.dynamics import (KostinPropagator,
                                       damped_oscillator_closed_form, evolve)
 from quantum_descent.experiments import run_experiment
-from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
+from quantum_descent.fields import PhysicsParams, SpatialGrid, gaussian_packet
 from quantum_descent.hydro import disruptor_field, quantum_potential, sample_field
 from quantum_descent.learner import (PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.output import read_table
 
-GRID_2048 = build_grid(-20.0, 20.0, 2048)
+GRID_2048 = SpatialGrid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 # the ground-state width of the unit trap at hbar = m = 1
 COHERENT_SIGMA = 1.0 / np.sqrt(2.0)
@@ -65,7 +65,7 @@ def test_criterion_2_coherent_disruptor_vanishes():
 
 def test_criterion_3_classical_limit_scaling():
     """Dis/hbar^2 constant to rel. 1e-10 across hbar; Dis(hbar=0) == 0."""
-    grid = build_grid(-6.0, 6.0, 1024)
+    grid = SpatialGrid(-6.0, 6.0, 1024)
     R = np.exp(-0.5 * grid.x**2)
     x_eval = 0.7
     scaled = []
@@ -150,7 +150,7 @@ def test_criterion_7_quantum_potential_convergence():
     params = PhysicsParams(m=1.3, hbar=0.7, mu=1.0)
     errs = []
     for n in (1024, 2048):
-        grid = build_grid(-6.0, 6.0, n)
+        grid = SpatialGrid(-6.0, 6.0, n)
         y = k * grid.x
         q = quantum_potential(np.exp(kappa * np.cos(y)), grid, params)
         exact = -(params.hbar**2 / (2.0 * params.m)) * k**2 * (

@@ -574,6 +574,18 @@ def test_rejected_open_grid_says_it_is_gone(tmp_path, capsys):
     assert "open grids are no longer in the package" in message
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("{x_min: 1.0, x_max: -1.0}", "grid: x_max must exceed x_min, got [1.0, -1.0]"),
+    ("{n: 4}", "grid: grid needs at least 8 points, got 4"),
+], ids=["reversed", "too_few_points"])
+def test_grid_the_type_refuses_exits_2(tmp_path, capsys, grid, message):
+    cfg = _write(tmp_path, "c.yaml", f"grid: {grid}\n")
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["exit_code"] == 2
+    assert report["error"] == {"type": "ConfigError", "message": message, "step": None}
+
+
 def test_learner_only_run_keeps_hbar_0(tmp_path):
     """hbar = 0 switches a field-sampled disruptor off; nothing is propagated."""
     cfg = _write(tmp_path, "c.yaml",

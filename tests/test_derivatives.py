@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
-from quantum_descent.fields import build_grid
+from quantum_descent.fields import SpatialGrid
 
 
 def _periodic_grid(n):
-    return build_grid(0.0, 2.0 * np.pi, n)
+    return SpatialGrid(0.0, 2.0 * np.pi, n)
 
 
 # --- 2nd-order convergence on smooth data -----------------------------------

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_descent.errors import NodeDominatedError
-from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
-                                    build_grid, gaussian_packet,
+from quantum_descent.fields import (EPS_NODE, PhysicsParams, SpatialGrid,
+                                    Wavefunction, gaussian_packet,
                                     momentum_weights, norm, polar_decompose,
                                     spectral_momentum)
 from test_kernel_references import ref_polar_decompose, wavefunctions
@@ -41,23 +41,40 @@ def momentum(psi, params):
 # --- grids -------------------------------------------------------------------
 
 def test_grid_spacing_conventions():
-    grid = build_grid(0.0, 1.0, 10)
+    grid = SpatialGrid(0.0, 1.0, 10)
     assert grid.dx == pytest.approx(0.1)
     assert grid.x[-1] == pytest.approx(0.9)     # excludes the seam point
 
 
-@pytest.mark.parametrize("args", [
-    (1.0, 0.0, 64),            # inverted bounds
-    (0.0, 1.0, 4),             # too few points
-    (0.0, np.inf, 64),         # non-finite bound
-])
-def test_grid_validation(args):
-    with pytest.raises(ValueError):
-        build_grid(*args)
+def test_the_default_grid():
+    grid = SpatialGrid()
+    assert (grid.x_min, grid.x_max, grid.n, grid.dx) == (-20.0, 20.0, 2048, 40.0 / 2048)
+    assert grid.x[0] == -20.0 and grid.x.size == 2048
+
+
+def test_grid_bounds_are_floats_and_n_an_int():
+    grid = SpatialGrid(0, 4, np.int64(8))
+    assert (type(grid.x_min), type(grid.x_max), type(grid.n)) == (float, float, int)
+    assert grid.dx == 0.5
+
+
+@pytest.mark.parametrize("args,error,text", [
+    ((1.0, 0.0, 64), ValueError, r"x_max must exceed x_min, got \[1.0, 0.0\]"),
+    ((0.0, 0.0, 64), ValueError, "x_max must exceed x_min"),
+    ((0.0, 1.0, 4), ValueError, "grid needs at least 8 points, got 4"),
+    ((0.0, 1.0, 0), ValueError, "grid needs at least 8 points, got 0"),
+    ((0.0, np.inf, 64), ValueError, r"grid bounds must be finite, got \[0.0, inf\]"),
+    ((np.nan, 1.0, 64), ValueError, "grid bounds must be finite"),
+    ((0.0, 1.0, 10.9), TypeError, "integer"),  # not truncated to 10 points
+], ids=["reversed", "zero_width", "too_few_points", "no_points", "infinite_bound", "nan_bound",
+        "non_integral_n"])
+def test_grid_validation(args, error, text):
+    with pytest.raises(error, match=text):
+        SpatialGrid(*args)
 
 
 def test_grid_x_is_read_only():
-    grid = build_grid(0.0, 1.0, 16)
+    grid = SpatialGrid(0.0, 1.0, 16)
     with pytest.raises(ValueError):
         grid.x[0] = 99.0
 
@@ -87,7 +104,7 @@ def test_momentum_factor_in_unit_interval(mu):
 # --- polar decomposition -----------------------------------------------------
 
 def test_round_trip_where_density_valid():
-    grid = build_grid(-20.0, 20.0, 2048)
+    grid = SpatialGrid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=-3.0, p0=1.7, sigma=1.2)
     f = polar_decompose(psi.values, grid, P1)
     rebuilt = f.R * np.exp(1j * f.S / P1.hbar)
@@ -99,7 +116,7 @@ def test_round_trip_where_density_valid():
 
 
 def test_phase_zero_at_density_max():
-    grid = build_grid(-20.0, 20.0, 1024)
+    grid = SpatialGrid(-20.0, 20.0, 1024)
     psi = gaussian_packet(grid, x0=2.0, p0=0.8)
     f = polar_decompose(psi.values, grid, P1)
     assert f.S[int(np.argmax(f.rho))] == 0.0
@@ -107,7 +124,7 @@ def test_phase_zero_at_density_max():
 
 def test_phase_continuity_no_wrap_jumps():
     """arg(psi) of this moving packet wraps many times inside the span; S does not."""
-    grid = build_grid(-20.0, 20.0, 2048)
+    grid = SpatialGrid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=0.0, p0=3.0, sigma=1.5)
     f = polar_decompose(psi.values, grid, P1)
     valid = np.flatnonzero(f.rho >= EPS_NODE)
@@ -149,14 +166,14 @@ def test_decomposition_conventions(psi, hbar):
 
 def test_plane_wave_velocity_constant():
     """e^{ikx} on a periodic grid: u = hbar k / m everywhere, seam included."""
-    grid = build_grid(0.0, 2.0 * np.pi, 128)
+    grid = SpatialGrid(0.0, 2.0 * np.pi, 128)
     k = 5.0  # integer winding fits the periodic box
     psi = Wavefunction(np.exp(1j * k * grid.x), grid)
     assert np.allclose(velocity(psi, P1), k, rtol=1e-9)
 
 
 def test_moving_packet_velocity():
-    grid = build_grid(-20.0, 20.0, 2048)
+    grid = SpatialGrid(-20.0, 20.0, 2048)
     p0, m = 2.5, 2.0
     params = PhysicsParams(m=m, hbar=1.0, mu=0.5)
     psi = gaussian_packet(grid, x0=0.0, p0=p0, sigma=1.0)
@@ -167,14 +184,14 @@ def test_moving_packet_velocity():
 
 
 def test_rho_is_the_squared_amplitude():
-    grid = build_grid(-10.0, 10.0, 512)
+    grid = SpatialGrid(-10.0, 10.0, 512)
     psi = gaussian_packet(grid, x0=1.0, p0=-0.3)
     f = polar_decompose(psi.values, grid, P1)
     assert np.allclose(f.rho, f.R**2, rtol=1e-14)
 
 
 def test_node_fill_inherits_neighbor_phase():
-    grid = build_grid(-10.0, 10.0, 256)
+    grid = SpatialGrid(-10.0, 10.0, 256)
     values = np.exp(-0.5 * (grid.x + 4.0) ** 2) + np.exp(-0.5 * (grid.x - 4.0) ** 2) * 1j
     psi = Wavefunction(values, grid).normalized()
     f = polar_decompose(psi.values, grid, P1)
@@ -188,7 +205,7 @@ def test_node_fill_inherits_neighbor_phase():
 
 
 def test_node_dominated_error_when_no_phase_information():
-    grid = build_grid(0.0, 1.0, 16)
+    grid = SpatialGrid(0.0, 1.0, 16)
     values = np.zeros(16, dtype=complex)
     values[3] = 1.0  # a single valid point cannot support a derivative
     with pytest.raises(NodeDominatedError):
@@ -198,7 +215,7 @@ def test_node_dominated_error_when_no_phase_information():
 def test_localized_packet_decomposes_without_a_warning():
     """Most of a wide grid lies below the node floor under a localized
     packet; that is a normal state, so it decomposes silently."""
-    grid = build_grid(-20.0, 20.0, 2048)
+    grid = SpatialGrid(-20.0, 20.0, 2048)
     psi = gaussian_packet(grid, x0=-5.0, sigma=0.7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -208,14 +225,14 @@ def test_localized_packet_decomposes_without_a_warning():
 
 
 def test_polar_decompose_requires_hbar():
-    grid = build_grid(-5.0, 5.0, 64)
+    grid = SpatialGrid(-5.0, 5.0, 64)
     psi = gaussian_packet(grid, x0=0.0)
     with pytest.raises(ValueError):
         polar_decompose(psi.values, grid, PhysicsParams(hbar=0.0))
 
 
 def test_hbar_scales_phase_action():
-    grid = build_grid(-15.0, 15.0, 1024)
+    grid = SpatialGrid(-15.0, 15.0, 1024)
     psi = gaussian_packet(grid, x0=0.0, p0=1.0, hbar=1.0)
     f1 = polar_decompose(psi.values, grid, PhysicsParams(hbar=1.0))
     f2 = polar_decompose(psi.values, grid, PhysicsParams(hbar=0.5))
@@ -226,7 +243,7 @@ def test_hbar_scales_phase_action():
 # --- observables and constructors --------------------------------------------
 
 def test_gaussian_packet_expectations():
-    grid = build_grid(-25.0, 25.0, 4096)
+    grid = SpatialGrid(-25.0, 25.0, 4096)
     psi = gaussian_packet(grid, x0=-5.0, p0=1.25, sigma=1.0)
     assert norm(psi) == pytest.approx(1.0, abs=1e-12)
     rho = np.abs(psi.values) ** 2
@@ -251,7 +268,7 @@ def test_momentum_equals_hydrodynamic_momentum(breathing, x0, p0, sigma, chirp, 
     linear phase) and a breathing one (a quadratic phase added).  The central
     stencil is exact for a quadratic S, so only roundoff separates the two
     (measured up to 1.1e-14 over 6000 draws); the bound is 1e-12."""
-    grid = build_grid(-20.0, 20.0, 1024)
+    grid = SpatialGrid(-20.0, 20.0, 1024)
     d = grid.x - x0
     phase = p0 * d + (0.5 * chirp * d * d if breathing else 0.0)
     psi = Wavefunction(np.exp(-d * d / (4.0 * sigma**2) + 1j * phase / hbar), grid).normalized()
@@ -264,7 +281,7 @@ def test_momentum_equals_hydrodynamic_momentum(breathing, x0, p0, sigma, chirp, 
 def test_plane_wave_momentum_is_hbar_k(k, hbar):
     """e^{ikx} on a periodic grid has <p> = hbar k, up to the last resolved
     wavenumber (63 of a Nyquist wavenumber 64 on this grid)."""
-    grid = build_grid(0.0, 2.0 * np.pi, 128)
+    grid = SpatialGrid(0.0, 2.0 * np.pi, 128)
     psi = Wavefunction(np.exp(1j * k * grid.x) / np.sqrt(grid.x_max - grid.x_min), grid)
     p = momentum(psi, PhysicsParams(hbar=hbar))
     assert p == pytest.approx(hbar * k, rel=1e-13)
@@ -275,7 +292,7 @@ def test_real_packet_cut_by_the_seam_has_zero_momentum(x0):
     """A real psi has <p> = 0.  The periodic seam cuts this packet, so its DFT
     has weight at the Nyquist bin, whose wavenumber has no partner of the
     opposite sign: counted as -pi/dx it would read <p> of order -1e-6."""
-    grid = build_grid(-20.0, 20.0, 256)
+    grid = SpatialGrid(-20.0, 20.0, 256)
     psi = gaussian_packet(grid, x0=x0, sigma=0.8)
     nyquist = np.pi / grid.n * abs(np.fft.fft(psi.values)[grid.n // 2]) ** 2
     assert nyquist > 1e-6  # the case the Nyquist convention decides
@@ -283,25 +300,25 @@ def test_real_packet_cut_by_the_seam_has_zero_momentum(x0):
 
 
 def test_momentum_needs_hbar():
-    grid = build_grid(-5.0, 5.0, 64)
+    grid = SpatialGrid(-5.0, 5.0, 64)
     with pytest.raises(ValueError):
         momentum_weights(grid, PhysicsParams(hbar=0.0))
 
 
 def test_normalized_rescales():
-    grid = build_grid(-5.0, 5.0, 128)
+    grid = SpatialGrid(-5.0, 5.0, 128)
     psi = Wavefunction(3.7 * gaussian_packet(grid, 0.0).values, grid)
     assert norm(psi.normalized()) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_normalize_zero_rejected():
-    grid = build_grid(-5.0, 5.0, 128)
+    grid = SpatialGrid(-5.0, 5.0, 128)
     with pytest.raises(ValueError):
         Wavefunction(np.zeros(128, dtype=complex), grid).normalized()
 
 
 def test_wavefunction_shape_checked():
-    grid = build_grid(-5.0, 5.0, 128)
+    grid = SpatialGrid(-5.0, 5.0, 128)
     with pytest.raises(ValueError):
         Wavefunction(np.zeros(64, dtype=complex), grid)
 
@@ -309,7 +326,7 @@ def test_wavefunction_shape_checked():
 @given(phi=st.floats(-np.pi, np.pi, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_global_phase_leaves_velocity_unchanged(phi):
-    grid = build_grid(-15.0, 15.0, 512)
+    grid = SpatialGrid(-15.0, 15.0, 512)
     psi = gaussian_packet(grid, x0=1.0, p0=0.7)
     shifted = Wavefunction(psi.values * np.exp(1j * phi), grid)
     f0 = polar_decompose(psi.values, grid, P1)

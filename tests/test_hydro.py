@@ -22,7 +22,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.fields import EPS_NODE, PhysicsParams, build_grid
+from quantum_descent.fields import EPS_NODE, PhysicsParams, SpatialGrid
 from quantum_descent.hydro import (disruptor_field, quantum_potential,
                                    sample_field)
 
@@ -54,7 +54,7 @@ def _sympy_disruptor(R_expr, x, hbar, m):
 
 def test_gaussian_quantum_potential_closed_form():
     w, a = 1.0, 0.3
-    grid = build_grid(-6.0, 6.0, 4096)
+    grid = SpatialGrid(-6.0, 6.0, 4096)
     R = (w / np.pi) ** 0.25 * np.exp(-0.5 * w * (grid.x - a) ** 2)
     q = quantum_potential(R, grid, P1)
     exact = -(w**2 * (grid.x - a) ** 2 - w) / 2.0
@@ -68,7 +68,7 @@ def test_quantum_potential_against_sympy():
     R_expr = sp.exp(-x**2 / 4) * (2 + sp.cos(x))
     hbar, m = 0.7, 1.3
     q_expr = _sympy_quantum_potential(R_expr, x, hbar, m)
-    grid = build_grid(-4.0, 4.0, 8192)
+    grid = SpatialGrid(-4.0, 4.0, 8192)
     R = sp.lambdify(x, R_expr, "numpy")(grid.x)
     q = quantum_potential(R, grid, PhysicsParams(m=m, hbar=hbar, mu=0.5))
     exact = sp.lambdify(x, q_expr, "numpy")(grid.x)
@@ -77,7 +77,7 @@ def test_quantum_potential_against_sympy():
 
 
 def test_quantum_potential_regularized_at_nodes():
-    grid = build_grid(-5.0, 5.0, 512)
+    grid = SpatialGrid(-5.0, 5.0, 512)
     R = np.abs(np.sin(np.pi * grid.x / 5.0))  # hard nodes
     q = quantum_potential(R, grid, P1)
     assert np.all(np.isfinite(q))
@@ -86,7 +86,7 @@ def test_quantum_potential_regularized_at_nodes():
 def test_quantum_potential_second_order_convergence():
     errs = []
     for n in (1024, 2048):
-        grid = build_grid(-6.0, 6.0, n)
+        grid = SpatialGrid(-6.0, 6.0, n)
         R, exact, _ = _periodic_amplitude(grid, PQ)
         errs.append(np.max(np.abs(quantum_potential(R, grid, PQ) - exact)))
     assert 3.5 < errs[0] / errs[1] < 4.5
@@ -98,7 +98,7 @@ def test_periodic_amplitude_closed_forms_hold_on_the_whole_grid():
     (measured: 9.3e-8 for Q and 1.8e-7 for Dis at n = 4096, ratio 3.97)."""
     errs = []
     for n in (2048, 4096):
-        grid = build_grid(-6.0, 6.0, n)
+        grid = SpatialGrid(-6.0, 6.0, n)
         R, q_exact, dis_exact = _periodic_amplitude(grid, PQ)
         errs.append((np.max(np.abs(quantum_potential(R, grid, PQ) - q_exact)),
                      np.max(np.abs(disruptor_field(R, grid, PQ) - dis_exact))))
@@ -110,7 +110,7 @@ def test_periodic_amplitude_closed_forms_hold_on_the_whole_grid():
 
 def test_gaussian_disruptor_closed_form():
     s, a = 1.0, 0.0
-    grid = build_grid(-6.0, 6.0, 4096)
+    grid = SpatialGrid(-6.0, 6.0, 4096)
     R = np.exp(-((grid.x - a) ** 2) / (2.0 * s**2))
     dis = disruptor_field(R, grid, P1)
     # at the packet centre the disruptor vanishes; one sigma out it is 1/s^3
@@ -124,7 +124,7 @@ def test_disruptor_against_sympy():
     s, a, hbar, m = sp.Rational(3, 4), sp.Rational(1, 5), 0.8, 1.7
     R_expr = sp.exp(-((x - a) ** 2) / (2 * s**2))
     d_expr = _sympy_disruptor(R_expr, x, hbar, m)
-    grid = build_grid(-3.0, 3.0, 8192)
+    grid = SpatialGrid(-3.0, 3.0, 8192)
     R = sp.lambdify(x, R_expr, "numpy")(grid.x)
     dis = disruptor_field(R, grid, PhysicsParams(m=m, hbar=hbar, mu=0.0))
     exact = sp.lambdify(x, d_expr, "numpy")(grid.x)
@@ -134,7 +134,7 @@ def test_disruptor_against_sympy():
 
 def test_disruptor_is_minus_gradient_of_q_over_m():
     """Dis == -(1/m) dQ/dx when both use the same stencils on a nodeless field."""
-    grid = build_grid(-8.0, 8.0, 2048)
+    grid = SpatialGrid(-8.0, 8.0, 2048)
     R = np.exp(-0.25 * grid.x**2) * (1.5 + 0.3 * np.tanh(grid.x))
     m = 2.2
     params = PhysicsParams(m=m, hbar=0.9, mu=0.5)
@@ -146,7 +146,7 @@ def test_disruptor_is_minus_gradient_of_q_over_m():
 
 
 def test_hbar_squared_scaling():
-    grid = build_grid(-6.0, 6.0, 1024)
+    grid = SpatialGrid(-6.0, 6.0, 1024)
     R = np.exp(-0.5 * grid.x**2)
     x_eval = 0.7
     ratios = []
@@ -157,7 +157,7 @@ def test_hbar_squared_scaling():
 
 
 def test_disruptor_vanishes_at_zero_hbar():
-    grid = build_grid(-6.0, 6.0, 512)
+    grid = SpatialGrid(-6.0, 6.0, 512)
     R = np.exp(-0.5 * grid.x**2)
     dis = disruptor_field(R, grid, PhysicsParams(m=1.0, hbar=0.0, mu=1.0))
     assert np.all(dis == 0.0)
@@ -166,14 +166,14 @@ def test_disruptor_vanishes_at_zero_hbar():
 # --- point sampling ----------------------------------------------------------
 
 def test_sample_field_linear_interpolation_exact():
-    grid = build_grid(0.0, 4.5, 9)  # dx = 0.5, last point 4.0
+    grid = SpatialGrid(0.0, 4.5, 9)  # dx = 0.5, last point 4.0
     field = 2.0 * grid.x + 1.0
     for x in (0.0, 0.25, 1.1, 3.99, 4.0):
         assert sample_field(field, grid, x) == pytest.approx(2.0 * x + 1.0, abs=1e-12)
 
 
 def test_sample_field_periodic_wrap():
-    grid = build_grid(0.0, 1.0, 10)  # points 0.0 .. 0.9
+    grid = SpatialGrid(0.0, 1.0, 10)  # points 0.0 .. 0.9
     field = np.sin(2.0 * np.pi * grid.x)
     # past the last stored point the cell wraps to x = 0
     got = sample_field(field, grid, 0.95)
@@ -183,7 +183,7 @@ def test_sample_field_periodic_wrap():
 
 
 def test_sample_field_rejects_outside_domain():
-    grid = build_grid(0.0, 1.0, 16)
+    grid = SpatialGrid(0.0, 1.0, 16)
     field = np.zeros(16)
     for x in (-0.01, 1.01, np.nan):
         with pytest.raises(ValueError):
@@ -218,7 +218,7 @@ def test_disruptor_averages_to_zero_as_dx_squared(centre, widths, gap, left, wei
     other = centre + step if abs(centre + step) <= 4.0 else centre - step
     ratios = []
     for n in (1024, 2048, 4096):
-        grid = build_grid(-20.0, 20.0, n)
+        grid = SpatialGrid(-20.0, 20.0, n)
         R = (np.exp(-(grid.x - centre) ** 2 / (2.0 * narrow**2))
              + np.exp(-(grid.x - other) ** 2 / (2.0 * wide**2)) / weight_ratio)
         ratios.append(_mean_disruptor_ratio(R, grid, P1))

@@ -44,8 +44,9 @@ from hypothesis import strategies as st
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
 from quantum_descent.dynamics import DIS_BLOCK, KostinPropagator, evolve
-from quantum_descent.fields import (EPS_NODE, PhysicsParams, Wavefunction,
-                                    build_grid, gaussian_packet, polar_decompose)
+from quantum_descent.fields import (EPS_NODE, PhysicsParams, SpatialGrid,
+                                    Wavefunction, gaussian_packet,
+                                    polar_decompose)
 from quantum_descent.hydro import (NODE, disruptor_field, interpolate, locate_window,
                                    quantum_potential, sample_field)
 from quantum_descent.learner import PotentialSpec
@@ -223,7 +224,7 @@ def masks(draw, n):
 @st.composite
 def wavefunctions(draw):
     n = draw(st.integers(8, 48))
-    grid = build_grid(-3.0, 3.0, n)
+    grid = SpatialGrid(-3.0, 3.0, n)
     mask = draw(masks(n))
     amplitude = np.where(mask, draw(st.sampled_from((1.0, 0.37, 2.5))),
                          draw(st.sampled_from((0.0, 1e-7, 9.9e-7))))
@@ -291,7 +292,7 @@ def test_increment_phase_is_within_roundoff_of_numpy_unwrap(psi, hbar):
 def test_half_turns_step_by_plus_pi_where_numpy_unwrap_keeps_minus_pi():
     """Neighbours of opposite sign step by +pi*hbar, whatever the signs of
     their zero imaginary parts; np.unwrap keeps the -pi of arg(-1 - 0j) - 0."""
-    grid = build_grid(-3.0, 3.0, 8)
+    grid = SpatialGrid(-3.0, 3.0, 8)
     params = PhysicsParams(m=1.0, hbar=0.5, mu=0.5)
     v = np.array([1.0, complex(-1.0, -0.0), complex(1.0, -0.0), -1.0] * 2)
     S = polar_decompose(v, grid, params).S
@@ -324,7 +325,7 @@ def test_generated_masks_cover_every_shape():
 
 # --- the propagator --------------------------------------------------------------
 
-GRID = build_grid(-20.0, 20.0, 2048)
+GRID = SpatialGrid(-20.0, 20.0, 2048)
 HARMONIC = PotentialSpec.harmonic(1.0)
 
 
@@ -410,7 +411,7 @@ def test_rotation_equals_the_complex_exponential_to_the_bit(hbar):
 
 # --- the per-step record -----------------------------------------------------------
 
-SMALL_GRID = build_grid(-20.0, 20.0, 256)
+SMALL_GRID = SpatialGrid(-20.0, 20.0, 256)
 
 # The record takes <p> from the DFT the step already holds, not from the state
 # it returns, and sums over frequencies instead of positions: the same number
@@ -491,7 +492,7 @@ def test_stacked_windows_equal_one_call_per_window(columns, amplitudes, hbar, m)
     """disruptor_field of a (6, K) stack of windows equals, column by column,
     the call on each window alone: as evolve passes it (a transposed view)
     and as a contiguous array."""
-    grid = build_grid(-3.0, 3.0, 16)
+    grid = SpatialGrid(-3.0, 3.0, 16)
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
     windows = np.array(amplitudes[:6 * columns]).reshape(columns, 6)
     for stack in (windows.T, np.ascontiguousarray(windows.T)):
@@ -511,7 +512,7 @@ def test_stacked_windows_equal_one_call_per_window(columns, amplitudes, hbar, m)
 def test_windowed_disruptor_equals_full_grid(n, cell, frac, amplitudes, hbar, m):
     """Dis from the six amplitudes of locate_window equals the full-grid field
     at both interpolation nodes and at x, next to the seam too."""
-    grid = build_grid(-3.0, 3.0, n)
+    grid = SpatialGrid(-3.0, 3.0, n)
     params = PhysicsParams(m=m, hbar=hbar, mu=0.5)
     R = np.array(amplitudes[:n])
     j0 = {"0": 0, "1": 1, "2": 2, "n-3": n - 3, "n-2": n - 2, "n-1": n - 1}[cell]
@@ -532,7 +533,7 @@ def test_windowed_disruptor_equals_full_grid(n, cell, frac, amplitudes, hbar, m)
 def test_window_reads_the_wrapped_six_points(n, data, frac):
     """locate_window's window reads values[arange(j0 - 2, j0 + 4) % n] for x
     in every cell, the seam cells and x_max included."""
-    grid = build_grid(-3.0, 3.0, n)
+    grid = SpatialGrid(-3.0, 3.0, n)
     cell = data.draw(st.one_of(st.sampled_from((0, 1, 2, n - 4, n - 3, n - 2, n - 1)),
                                st.integers(0, n - 1)), label="cell")
     x = min(grid.x[cell] + frac * grid.dx, grid.x_max)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_descent.errors import NumericalError
-from quantum_descent.fields import PhysicsParams, build_grid, gaussian_packet
+from quantum_descent.fields import PhysicsParams, SpatialGrid, gaussian_packet
 from quantum_descent.learner import (FieldSampledDisruptor, PotentialSpec,
                                      ZeroDisruptor, run_learner, run_momentum_gd)
 from test_learner_references import (CallbackDisruptor, RefState, momentum_gd_step,
@@ -183,7 +183,7 @@ def test_run_learner_max_steps_outcome():
 # --- field-sampled disruptor ---------------------------------------------------
 
 def _coherent_on_grid(x0):
-    grid = build_grid(-20.0, 20.0, 512)
+    grid = SpatialGrid(-20.0, 20.0, 512)
     return gaussian_packet(grid, x0, sigma=1.0 / np.sqrt(2.0))
 
 
@@ -191,7 +191,7 @@ def test_field_sampled_hbar_zero_equals_zero_disruptor():
     """At hbar = 0 the field-sampled disruptor is the zero disruptor: a run
     builds ZeroDisruptor instead (test_cli compares the two runs' bytes), and
     the class, which needs a wave to propagate, refuses hbar = 0."""
-    grid = build_grid(-20.0, 20.0, 512)
+    grid = SpatialGrid(-20.0, 20.0, 512)
     psi0 = gaussian_packet(grid, x0=-5.0)
     params = PhysicsParams(m=1.0, hbar=0.0, mu=1.0)
     with pytest.raises(ValueError, match="hbar > 0"):

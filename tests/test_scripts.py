@@ -31,6 +31,19 @@ def test_script_exits_0(tmp_path, script, args):
     assert done.returncode == 0, done.stderr
 
 
+def test_nonlinearity_report_rises_from_roundoff_with_mu(tmp_path):
+    done = subprocess.run([sys.executable, str(SCRIPTS / "nonlinearity_report.py"),
+                           "--mu", "0", "0.1", "0.5"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["dt"], report["t"]) == (0.005, 1.0)
+    assert [row["mu"] for row in report["rows"]] == [0.0, 0.1, 0.5]
+    residuals = [row["residual"] for row in report["rows"]]
+    assert residuals[0] <= 1e-12
+    assert residuals[0] < residuals[1] < residuals[2], residuals
+
+
 def test_output_digest_hashes_every_data_file(tmp_path):
     out = tmp_path / "runs"
     done = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py"), "--out", str(out)],
