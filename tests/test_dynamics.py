@@ -475,10 +475,10 @@ def ref_ground_state(grid, potential, params):
     return energies[0], float(np.sum(grid.x * rho) / np.sum(rho))
 
 
-def _relaxed(grid, potential, params, x0, sigma, dt, t_final):
-    """<V+Q>_rho, Var_rho(V+Q) and <x> of each snapshot, every 10 time units."""
+def _relaxed(grid, potential, params, x0, sigma, dt, t_final, every=10.0):
+    """<V+Q>_rho, Var_rho(V+Q) and <x> of each snapshot, every ``every`` time units."""
     psi0 = gaussian_packet(grid, x0, sigma=sigma, hbar=params.hbar)
-    rec = evolve(psi0, potential, params, dt, t_final, snapshot_every=round(10.0 / dt))
+    rec = evolve(psi0, potential, params, dt, t_final, snapshot_every=round(every / dt))
     out = []
     for values in rec.snapshots:
         R = np.abs(values)
@@ -530,6 +530,30 @@ def test_relaxation_ends_in_the_double_well_ground_state_not_at_argmin_v():
         gaps.append(mean - e0)
     assert abs(gaps[0]) < 5e-4
     assert 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+
+def test_the_spread_of_v_plus_q_decays_at_a_rate_that_tracks_mu():
+    """Var_rho(V+Q) falls about as exp(-mu t), so doubling mu doubles its
+    rate: a ground-width packet centred at x_c in the trap has
+    Var_rho(V+Q) = x_c^2 Var_rho(x), and friction damps x_c^2 at the rate
+    mu.  The rate is log(early / late) / 10 for the means of Var over t in
+    [5, 15) and [15, 25), sampled every 0.1, which average out the
+    oscillation of x_c.  Measured on 256 and 512 points of [-8, 8) at dt
+    0.02 and 0.01, mu 0.1, 0.15 and 0.2 against 2 mu, in the trap from -3
+    (sigma 1.1) and -2 (ground width) and in the double well from -1.26
+    (sigma 0.5) and 1.8 (sigma 0.4): rate / mu 0.93 to 1.14, and the rate
+    at 2 mu over that at mu 1.72 to 2.06."""
+    grid = SpatialGrid(-8.0, 8.0, 256)
+    for potential, hbar, x0, sigma in ((HARMONIC, 1.0, -3.0, 1.1),
+                                       (DOUBLE_WELL, 0.6, -1.26, 0.5)):
+        rates = []
+        for mu in (0.15, 0.3):
+            params = PhysicsParams(m=1.0, hbar=hbar, mu=mu)
+            series = _relaxed(grid, potential, params, x0, sigma, 0.02, 25.0, every=0.1)
+            spread = np.array([var for _, var, _ in series])
+            rates.append(np.log(spread[50:150].mean() / spread[150:250].mean()) / 10.0)
+        assert 0.85 < rates[0] / 0.15 < 1.25, rates
+        assert 1.6 < rates[1] / rates[0] < 2.4, rates
 
 
 def test_crank_nicolson_cross_checks_spectral():

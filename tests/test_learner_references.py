@@ -6,11 +6,10 @@ stop test's gradient as the next update's, and evaluates V once over the
 finished trajectory; polynomials are evaluated by a Horner closure in numpy's
 ``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
 tables alike are written in blocks of about ``CELLS_PER_BLOCK`` cells
-(``block_rows(width)`` rows), a CSV row is formatted with one format string,
-a CSV column of one value once, a block of a column that recurs in
-another table of the call once, and each distinct value of a block of a
-column whose rows repeat once, and a table equal to an earlier one of the
-same ``write_tables`` call is a copy of its file.  None of this changes an
+(``block_rows(width)`` rows), a CSV float block is rendered by numpy into
+the bytes of ``%.17e``, a CSV column of one value once and a block of a
+column that recurs in another table of the call once, and a table equal to
+an earlier one of the same ``write_tables`` call is a copy of its file.  None of this changes an
 operation or its order, so every row, outcome and written byte must equal
 what the plain versions give.  The plain
 versions live here as references, down to one update of each twin

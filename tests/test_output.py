@@ -5,14 +5,17 @@ import io
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantum_descent.output import (CELLS_PER_BLOCK, ColumnTexts, block_rows, read_meta,
-                                    read_table, write_meta, write_table, write_tables)
+from quantum_descent import output
+from quantum_descent.output import (CELL_BYTES, CELLS_PER_BLOCK, SEPARATOR_BYTE, ColumnTexts,
+                                    block_rows, read_meta, read_table, render_cells, write_meta,
+                                    write_table, write_tables)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -102,7 +105,8 @@ def _fail_writes_after(monkeypatch, limit):
         if "w" not in mode or Path(file).name.startswith("kept."):
             return real_open(file, mode, *args, **kwargs)
         opened.append(_FailingFileIO(file, "w", limit))
-        return io.TextIOWrapper(io.BufferedWriter(opened[-1]))
+        buffered = io.BufferedWriter(opened[-1])
+        return buffered if "b" in mode else io.TextIOWrapper(buffered)
 
     monkeypatch.setattr(builtins, "open", failing_open)
     monkeypatch.setattr(io, "open", failing_open)
@@ -200,8 +204,8 @@ def _blocks_of(column, width):
 
 def test_a_time_axis_shared_across_calls_is_formatted_once(tmp_path):
     """A column that recurs in the tables of a call, such as compare's time
-    axis, is formatted once per block and its text reused by a later call
-    through the same store; after each call the store holds the text of
+    axis, is rendered once per block and its cells reused by a later call
+    through the same store; after each call the store holds the cells of
     that call's recurring blocks only, and every file holds the bytes of a
     table written alone."""
     n = 2 * block_rows(3) + 1
@@ -222,8 +226,8 @@ def test_a_time_axis_shared_across_calls_is_formatted_once(tmp_path):
             assert (out / f"{stem}.csv").read_bytes() == alone.read_bytes()
         assert sorted(texts._kept) == _blocks_of(t, 3)
         kept.append(dict(texts._kept))
-    # the second call looked the text up; formatting it again would make new strings
-    assert all(kept[1][key] is text for key, text in kept[0].items())
+    # the second call looked the cells up; rendering them again would make new arrays
+    assert all(kept[1][key] is cells for key, cells in kept[0].items())
 
     s = t[::-1].copy()
     shared = {stem: (["s", "x", "y"], np.column_stack([s, rng.standard_normal((n, 2))]))
@@ -232,3 +236,152 @@ def test_a_time_axis_shared_across_calls_is_formatted_once(tmp_path):
     assert sorted(texts._kept) == _blocks_of(s, 3)
     write_tables(tmp_path, {"alone": point()["quantum"]}, "csv", texts)
     assert texts._kept == {}
+
+
+# --- the float renderer against plain %.17e -----------------------------------
+
+
+def ref_cell(value) -> str:
+    """The per-cell reference: Python's correctly rounded ``%.17e``."""
+    return "%.17e" % value
+
+
+def ref_csv(header, rows) -> str:
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(ref_cell(v) for v in row) + "\n" for row in rows.tolist()])
+
+
+def _rendered(values) -> list:
+    """The text of each cell render_cells makes of ``values``; every cell
+    leaves its separator byte and the bytes after it NUL."""
+    cells = render_cells(np.asarray(values, dtype=np.float64)).reshape(-1, CELL_BYTES)
+    assert not cells[:, SEPARATOR_BYTE:].any()
+    return [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+
+
+def _assert_renders_the_reference(values):
+    assert _rendered(values) == [ref_cell(v) for v in np.asarray(values).reshape(-1).tolist()]
+
+
+# raw 64-bit patterns; the second half sets the exponent field to where the
+# patterns are rare among all of them: zeros and subnormals (0), the edges
+# of the normals and of the range rendered without %.17e (about 1e-250 and
+# 1e250), infinities and NaNs of any payload (0x7ff)
+float_bits = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1),
+              st.sampled_from([0, 1, 2, 191, 192, 193, 1853, 1854, 1855, 0x7fe, 0x7ff]),
+              st.one_of(st.integers(0, 2 ** 52 - 1), st.sampled_from([0, 1, 2 ** 52 - 1]))))
+
+
+@given(st.lists(float_bits, min_size=1, max_size=64))
+@settings(max_examples=400, deadline=None)
+def test_render_cells_writes_the_bytes_of_percent_17e(bits):
+    _assert_renders_the_reference(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 4), (2, 3, 5)])
+def test_render_cells_keeps_the_shape_of_its_input(shape):
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    assert render_cells(values).shape == shape + (CELL_BYTES,)
+    _assert_renders_the_reference(values)
+
+
+def test_render_cells_at_the_neighbours_of_powers_of_ten():
+    """log10 can misjudge the decade of a value next to a power of ten."""
+    nearest = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    values = np.concatenate([nearest, np.nextafter(nearest, 0.0), np.nextafter(nearest, np.inf)])
+    _assert_renders_the_reference(np.concatenate([values, -values]))
+
+
+def test_a_value_that_rounds_into_the_next_decade():
+    """The double nearest 1e153 lies below 10**153, by less than half of an
+    18th digit, so %.17e writes it as 1 in the next decade."""
+    assert 1e153 < 10 ** 153
+    assert _rendered([1e153, -1e153]) == ["1.00000000000000000e+153",
+                                          "-1.00000000000000000e+153"]
+
+
+def _is_tie(value) -> bool:
+    """Whether ``value`` lies halfway between two 18-digit decimals: its
+    exact digits, n * 5**j for n / 2**j, are 19 without trailing zeros and
+    end in a 5."""
+    n, d = abs(value).as_integer_ratio()
+    digits = str(n * 5 ** (d.bit_length() - 1)).rstrip("0")
+    return len(digits) == 19 and digits.endswith("5")
+
+
+def _ties(count, seed):
+    """Doubles n / 2**j, n odd, whose 19 significant digits n * 5**j end in
+    a 5: %.17e rounds each to even at the 18th digit."""
+    rng, ties = np.random.default_rng(seed), []
+    while len(ties) < count:
+        j = int(rng.integers(4, 27))
+        low, high = -(-10 ** 18 // 5 ** j), min(10 ** 19 // 5 ** j, 2 ** 53)
+        n = int(rng.integers(low, high)) | 1
+        if n * 5 ** j < 10 ** 19:
+            ties.append(n / 2 ** j * (-1) ** len(ties))
+    assert all(map(_is_tie, ties))
+    return np.array(ties)
+
+
+def test_ties_of_the_eighteenth_digit_are_formatted_one_at_a_time():
+    """A value within 2**-30 of a half at the 18th digit, as every tie is,
+    goes to %.17e on its own; half of the ties round down and half up."""
+    ties = _ties(3000, 5)
+    with mock.patch.object(output, "_formatted", wraps=output._formatted) as formatted:
+        _assert_renders_the_reference(ties)
+    assert formatted.call_count == len(ties)
+    last = [int(ref_cell(v).split("e")[0][-1]) for v in ties.tolist()]
+    assert all(d % 2 == 0 for d in last)
+
+
+def test_ordinary_values_are_rendered_without_a_format_call():
+    """Zeros and finite values with |x| in [1e-250, 1e250] are rendered by
+    numpy, unless they are ties (doubles near 1e14 with a binary fraction
+    can be); the values outside go to %.17e, one at a time."""
+    rng = np.random.default_rng(11)
+    ordinary = np.concatenate([rng.standard_normal(4000) * 10.0 ** rng.integers(-240, 240, 4000),
+                               [0.0, -0.0, 1e-250, -1e250, 0.5, 12000.0, 2.0 ** -52]])
+    outside = np.array([np.nan, -np.inf, np.inf, 5e-324, -2.2250738585072014e-308, 1e-251,
+                        1.7976931348623157e308, -1e300])
+    with mock.patch.object(output, "_formatted", wraps=output._formatted) as formatted:
+        _assert_renders_the_reference(np.concatenate([ordinary, outside]))
+    ties = [v for v in ordinary.tolist() if _is_tie(v)]
+    assert len(ties) < 10
+    called = np.array([float(c.args[0]) for c in formatted.call_args_list])
+    assert np.array_equal(called.view(np.uint64), np.array(ties + outside.tolist()).view(np.uint64))
+
+
+def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
+    """A table of more than two blocks whose columns are constant (one of
+    -0.0), shared with another table of the call, fresh, and fresh with
+    cells rendered by %.17e alone (NaN, infinities, subnormals, a tie): each
+    file holds the bytes of write_table alone and of the per-cell
+    reference, and the shared column's cells are rendered once."""
+    n = 2 * block_rows(6) + 3
+    rng = np.random.default_rng(3)
+    t = np.arange(float(n))
+    odd = rng.standard_normal(n)
+    odd[np.arange(6) * (n // 6)] = [np.nan, np.inf, -np.inf, 5e-324, _ties(1, 0)[0], -1e300]
+    rows = np.column_stack([t, np.full(n, -0.0), rng.standard_normal(n), odd,
+                            np.full(n, np.nan), rng.standard_normal(n) * 1e-200])
+    header = ["t", "zero", "x", "odd", "missing", "small"]
+    tables = {"mixed": (header, rows),
+              "shares_t": (["t", "a", "b", "c", "d", "e"],
+                           np.column_stack([t, rng.standard_normal((n, 5))]))}
+    with mock.patch.object(output, "render_cells", wraps=output.render_cells) as rendered, \
+            mock.patch.object(output, "_formatted", wraps=output._formatted) as formatted:
+        write_tables(tmp_path, tables, "csv")
+    (tmp_path / "alone").mkdir()
+    # each block of the time axis is rendered once, not once per table
+    arguments = [c.args[0].tobytes() for c in rendered.call_args_list]
+    step = block_rows(6)
+    assert [arguments.count(t[i:i + step].tobytes()) for i in range(0, n, step)] == [1, 1, 1]
+    assert formatted.call_count >= 6
+    for stem, table in tables.items():
+        alone = write_table(tmp_path / "alone", stem, *table, "csv")
+        data = (tmp_path / f"{stem}.csv").read_bytes()
+        assert data == alone.read_bytes()
+        assert data.decode() == ref_csv(*table)
