@@ -4,10 +4,9 @@ Each experiment is prepared (validated and built once), computed in memory and
 written by one code path, and a sweep point is such a run in its own
 directory.  A sweep prepares every point, then computes, writes and drops one
 point at a time, in config order, so it holds one point's tables plus every
-point's summary row, metadata and initial state, and the text of the column
-blocks the last point's tables repeated, such as compare's time axis (see
-:class:`~quantum_descent.output.ColumnTexts`).  Data files are deterministic;
-only the wall-time field in the metadata varies between identical runs.
+point's summary row, metadata and initial state.  Data files are
+deterministic; only the wall-time field in the metadata varies between
+identical runs.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from .errors import ConfigError, NumericalError
 from .fields import Wavefunction, gaussian_packet
 from .learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor, LearnerRun, ZeroDisruptor,
                       run_learner, run_momentum_gd)
-from .output import (OUTPUT_FORMATS, ColumnTexts, read_meta, read_table, write_meta,
-                     write_tables)
+from .output import OUTPUT_FORMATS, read_meta, read_table, write_meta, write_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -274,8 +272,13 @@ def _compute_figure1(run: PreparedRun) -> ComputedRun:
 def _compute_point(run: PreparedRun) -> ComputedRun:
     computer = {"learn": _compute_learn, "evolve": _compute_evolve,
                 "compare": _compute_compare, "figure1": _compute_figure1}[run.cfg.experiment]
+    # numpy's overflow and invalid-value warnings would reach stderr ahead of
+    # the run's one-line report; every non-finite value that matters is
+    # caught by a check that names its step (the norm, the disruptor's
+    # wavefunction, the gradient and the divergence guard)
     try:
-        return computer(run)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return computer(run)
     except NumericalError as err:
         meta = {"error": {"type": type(err).__name__, "message": str(err),
                           "step": err.step}}
@@ -293,15 +296,14 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
             raise ConfigError(f"sweep value {value} for {sweep.parameter}: {err}") from err
 
     # compute, write and drop one point at a time, each as a run alone; keep
-    # its summary row and meta, and the text of the columns its tables
-    # repeat (compare's time axis)
-    summary_rows, point_meta, texts = [], [], ColumnTexts()
+    # its summary row and meta
+    summary_rows, point_meta = [], []
     for i, (value, run) in enumerate(zip(sweep.values, runs)):
         t0 = time.perf_counter()
         comp = _compute_point(run)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        _write_run(run.cfg, point_dir, fmt, comp, t0, texts)
+        _write_run(run.cfg, point_dir, fmt, comp, t0)
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         # index, exit code and step count are ints, written as integers
@@ -325,11 +327,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
 
 
 def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun,
-               t0: float, texts: ColumnTexts | None = None) -> ExperimentResult:
-    """Write a computed run into ``out_dir``: its tables (``texts`` as in
-    :func:`~quantum_descent.output.write_tables`), then meta.json with the
-    wall time since ``t0``, then, if it failed, error.json."""
-    files = write_tables(out_dir, comp.tables, fmt, texts)
+               t0: float) -> ExperimentResult:
+    """Write a computed run into ``out_dir``: its tables, then meta.json with
+    the wall time since ``t0``, then, if it failed, error.json."""
+    files = write_tables(out_dir, comp.tables, fmt)
     effective = cfg.effective_dict()
     effective["output"] = {"directory": str(out_dir), "format": fmt}
     meta = {

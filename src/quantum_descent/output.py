@@ -8,10 +8,8 @@ a Python format call per cell: :func:`render_cells` turns an array of floats
 into the bytes of ``%.17e``, exact to the byte, and hands the few cells it
 cannot decide exactly to ``%.17e`` one at a time.  Text that would be the same
 is rendered once: a table equal to an earlier one of the same
-:func:`write_tables` call is a copy of that one's file; in CSV, a float column
-holding one value is rendered once per table, and a block of a float column
-whose bits recur in another table of the call is rendered once and reused
-(see :class:`ColumnTexts`, which a sweep carries through all its points).
+:func:`write_tables` call is a copy of that one's file, and in CSV a float
+column holding one value is rendered once per table.
 Both formats stream a table to disk in blocks of about CELLS_PER_BLOCK cells
 (:func:`block_rows` rows), so a block's text is bounded whatever the table's
 width, and no table's text is held whole.
@@ -22,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -221,48 +218,6 @@ def render_cells(values: np.ndarray) -> np.ndarray:
     return cells.reshape(values.shape + (CELL_BYTES,))
 
 
-class ColumnTexts:
-    """Rendered cells of float64 column blocks that recur across tables,
-    kept from one :func:`write_tables` call to the next.
-
-    :meth:`expect` hashes the bits of every column block of a call's tables;
-    a block whose hash turns up in two or more of them is a repeat.  The
-    blocks are those a table is written in, so a column recurs this way in
-    tables of one width.  A repeat's cells are rendered once and kept under
-    its exact bits, so a hash collision can cost rendering, never a wrong
-    byte.  :meth:`drop_unused` then keeps only the blocks the call looked
-    up, so the cells held are bounded by one call's repeats.
-    """
-
-    def __init__(self):
-        self._repeats: set = set()
-        self._kept: dict = {}
-        self._used: dict = {}
-
-    def expect(self, tables) -> None:
-        """Note the column blocks that recur among the rows of ``tables``."""
-        counts = Counter()
-        for rows in filter(_is_float_array, tables):
-            width = rows.shape[1]
-            counts.update({hash(block[:, j].tobytes())
-                           for block in _blocks(rows, width) for j in range(width)})
-        self._repeats = {h for h, n in counts.items() if n > 1}
-
-    def cells(self, column: np.ndarray) -> np.ndarray | None:
-        """The rendered cells of a block's column if the block recurs, else None."""
-        key = column.tobytes()
-        if hash(key) not in self._repeats:
-            return None
-        if key not in self._used:
-            kept = self._kept.pop(key, None)
-            self._used[key] = render_cells(column) if kept is None else kept
-        return self._used[key]
-
-    def drop_unused(self) -> None:
-        """Keep only the cells looked up since the last call."""
-        self._kept, self._used = self._used, {}
-
-
 def _constant_columns(rows: np.ndarray) -> np.ndarray:
     """Per column of a 2-D float64 array with rows, whether every row holds
     the bits of the first there."""
@@ -275,36 +230,30 @@ def _constant_columns(rows: np.ndarray) -> np.ndarray:
     return same
 
 
-def _float_csv_blocks(rows: np.ndarray, texts: ColumnTexts | None):
+def _float_csv_blocks(rows: np.ndarray):
     """The CSV bytes of a 2-D float64 array's rows, a block at a time.
 
     A block is a (rows, columns, CELL_BYTES) array of cells: a column of
-    one value takes the cell of its first row, rendered once, a column block
-    that recurs in another table takes its cells from ``texts``, and the
-    other columns of the block are rendered together.  The separators go
-    in, and the NULs that pad the cells are dropped once per block.
+    one value takes the cell of its first row, rendered once, and the other
+    columns of the block are rendered together.  The separators go in, and
+    the NULs that pad the cells are dropped once per block.
     """
     if not len(rows):
         return
     width = rows.shape[1]
     same, first = _constant_columns(rows), render_cells(rows[0])
+    fresh = np.flatnonzero(~same)
     for block in _blocks(rows, width):
         cells = np.empty((len(block), width, CELL_BYTES), np.uint8)
-        fresh = []
-        for j in range(width):
-            kept = first[j] if same[j] else None if texts is None else texts.cells(block[:, j])
-            if kept is None:
-                fresh.append(j)
-            else:
-                cells[:, j] = kept
-        if fresh:
+        cells[:, same] = first[same]
+        if fresh.size:
             cells[:, fresh] = render_cells(block[:, fresh])
         cells[:, :, SEPARATOR_BYTE] = ord(",")
         cells[:, -1, SEPARATOR_BYTE] = ord("\n")
         yield cells.tobytes().translate(None, b"\0")
 
 
-def _table_chunks(header: list, rows, fmt: str, texts: ColumnTexts | None):
+def _table_chunks(header: list, rows, fmt: str):
     """The bytes of a table in ``fmt``: its head, its rows a block of
     :func:`block_rows` rows at a time, and its tail.
 
@@ -319,7 +268,7 @@ def _table_chunks(header: list, rows, fmt: str, texts: ColumnTexts | None):
     if fmt == "csv":
         yield (",".join(header) + "\n").encode()
         if _is_float_array(rows):
-            yield from _float_csv_blocks(rows, texts)
+            yield from _float_csv_blocks(rows)
             return
         first = _plain_rows(rows[:1])[0] if len(rows) else []
         line = ",".join("%d" if isinstance(v, int) else FLOAT_FMT for v in first) + "\n"
@@ -339,17 +288,12 @@ def _table_chunks(header: list, rows, fmt: str, texts: ColumnTexts | None):
     yield b"\n ]\n}\n"
 
 
-def write_table(directory: Path, stem: str, header: list, rows, fmt: str,
-                texts: ColumnTexts | None = None) -> Path:
-    """Write one table in the requested format; returns the created path.
-
-    ``texts`` holds the cells of recurring CSV column blocks (see
-    :class:`ColumnTexts`); without it every cell is rendered.
-    """
+def write_table(directory: Path, stem: str, header: list, rows, fmt: str) -> Path:
+    """Write one table in the requested format; returns the created path."""
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
     path = directory / f"{stem}.{fmt}"
-    _write_atomic(path, _table_chunks(header, rows, fmt, texts))
+    _write_atomic(path, _table_chunks(header, rows, fmt))
     return path
 
 
@@ -363,36 +307,25 @@ def _same_table(a: tuple, b: tuple) -> bool:
             and np.array_equal(rows_a.view(np.uint64), rows_b.view(np.uint64)))
 
 
-def write_tables(directory: Path, tables: dict, fmt: str,
-                 texts: ColumnTexts | None = None) -> list:
+def write_tables(directory: Path, tables: dict, fmt: str) -> list:
     """Write ``{stem: (header, rows)}`` in order; returns the file names.
 
     A table equal to an earlier one of the call (see :func:`_same_table`) is
     not rendered again: its file is an atomic copy of that one's bytes,
-    64 KiB at a time.  The CSV cells of a float column block that recurs in
-    the tables rendered are rendered once, and ``texts`` carries them on to
-    the next call that passes it (a fresh store serves this call alone).
+    64 KiB at a time.
     """
-    texts = ColumnTexts() if texts is None else texts
-    originals, plan = [], []
+    originals, names = [], []
     for stem, table in tables.items():
         source = next((earlier for earlier, original in originals
                        if _same_table(table, original)), None)
         if source is None:
             originals.append((stem, table))
-        plan.append((stem, table, source))
-    if fmt == "csv":
-        texts.expect([rows for _, (_, rows) in originals])
-    names = []
-    for stem, table, source in plan:
-        if source is None:
-            path = write_table(directory, stem, *table, fmt, texts)
+            path = write_table(directory, stem, *table, fmt)
         else:
             path = directory / f"{stem}.{fmt}"
             with open(directory / f"{source}.{fmt}", "rb") as data:
                 _write_atomic(path, iter(lambda: data.read(1 << 16), b""))
         names.append(path.name)
-    texts.drop_unused()
     return names
 
 

@@ -154,7 +154,6 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 OVERFLOWING_POTENTIAL = "potential: {kind: polynomial, coefficients: [0.0, 0.0, 1.0e+307]}\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf potential: overflow, inf - inf
 def test_numerical_failure_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: evolve\n"
@@ -173,7 +172,6 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert meta["error"]["step"] == 1  # the first state after a step
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_disruptor_field_exit_3_with_step(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: learn\n"
@@ -223,7 +221,6 @@ FAILING_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing potential
 @pytest.mark.parametrize("name", FAILING_RUNS)
 def test_a_failure_has_one_report_in_error_json_meta_and_stderr(tmp_path, capsys, name):
     """stderr's one line is the error.json object, whose error is meta.json's.
@@ -1015,6 +1012,36 @@ def test_localized_packet_runs_leave_stderr_empty(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "", command
+
+
+FAILING_RUNS_THAT_OVERFLOW = {
+    "evolve": ("evolve", 3, "experiment: evolve\n" + OVERFLOWING_POTENTIAL
+               + "initial: {kind: gaussian, x0: 0.0}\n"
+               "run: {t_final: 0.1, dt: 0.01}\ngrid: {n: 256}\n"),
+    "field_sampled_learn": ("learn", 3, "experiment: learn\n" + OVERFLOWING_POTENTIAL
+                            + "initial: {kind: gaussian, x0: 0.0}\n"
+                            "disruptor: {kind: field_sampled, pde_dt: 0.1}\n"
+                            "run: {steps: 5}\ngrid: {n: 256}\n"),
+    # the first update moves x to 5e300, where V overflows
+    "tiny_mass_learn": ("learn", 4, "experiment: learn\nphysics: {m: 1.0e-300}\n"),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_RUNS_THAT_OVERFLOW)
+def test_a_failure_that_overflows_writes_only_its_report_to_stderr(tmp_path, name):
+    """A run whose values overflow before a check stops it writes one stderr
+    line, its error.json object, and no numpy warning ahead of it.  It runs
+    in a subprocess because pytest captures warnings raised in-process."""
+    command, code, text = FAILING_RUNS_THAT_OVERFLOW[name]
+    cfg = _write(tmp_path, "c.yaml", text)
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "quantum_descent.cli", command,
+                           "--config", cfg, "--out", str(out), "--quiet"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == json.loads((out / "error.json").read_text())
 
 
 def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):

@@ -328,12 +328,12 @@ def test_energy_decays_under_friction():
     assert energies[-1] < 0.9 * energies[0]
 
 
-def _energy(values, params):
-    """E = <T + V>, the kinetic part from the DFT (Parseval)."""
-    k = 2.0 * np.pi * np.fft.fftfreq(GRID.n, d=GRID.dx)
+def _energy(values, params, grid=GRID):
+    """E = <T + V> in the trap, the kinetic part from the DFT (Parseval)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
     kinetic = np.sum((params.hbar * k) ** 2 / (2.0 * params.m)
-                     * np.abs(np.fft.fft(values)) ** 2) * GRID.dx / GRID.n
-    potential = np.sum(HARMONIC.evaluate(GRID.x) * np.abs(values) ** 2) * GRID.dx
+                     * np.abs(np.fft.fft(values)) ** 2) * grid.dx / grid.n
+    potential = np.sum(HARMONIC.evaluate(grid.x) * np.abs(values) ** 2) * grid.dx
     return kinetic + potential
 
 
@@ -507,6 +507,40 @@ def test_relaxation_ends_in_the_trap_ground_state_not_at_its_minimum():
         gaps.append(series[-1][0] - 0.5)
     assert abs(gaps[0]) < 5e-4
     assert 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+
+def test_friction_breaks_parity_so_an_odd_state_relaxes_to_the_ground_state():
+    """Every odd state of the trap has <H> >= E1 = 3/2, so an odd state that
+    relaxes to E0 = 1/2 has left parity.  Without friction the first excited
+    state x exp(-x^2/2) stays at E1 with a node at x = 0.  With friction the
+    phase S steps by pi hbar across that node, so the Kostin term
+    mu (S - <S>) is not even, and the state ends at the ground energy with
+    rho(0) the ground state's peak 1/sqrt(pi); so does the odd packet
+    x exp(-x^2 / (2 1.3^2)).  Measured at
+    t = 40 on 256 points of [-8, 8), dt 0.02 and 0.01, widths 0.8 to 1.6:
+    |<H> - 3/2| < 1e-8 and rho(0) < 1e-27 for the eigenstate at mu = 0;
+    <H> - 1/2 below 2e-8 and |rho(0) - 1/sqrt(pi)| below 3e-5 at mu = 0.55;
+    <H> - 1/2 = 1.1e-4 to 1.4e-4 at mu = 0.3.  The same to 1e-5 on 512
+    points."""
+    grid = SpatialGrid(-8.0, 8.0, 256)
+    centre = grid.n // 2
+    assert grid.x[centre] == 0.0
+
+    def relaxed(mu, width):
+        odd = grid.x * np.exp(-grid.x ** 2 / (2.0 * width ** 2))
+        params = PhysicsParams(m=1.0, hbar=1.0, mu=mu)
+        rec = evolve(Wavefunction(odd.astype(complex), grid).normalized(), HARMONIC,
+                     params, 0.02, 40.0, snapshot_every=500)
+        rho_centre = [abs(values[centre]) ** 2 for values in rec.snapshots]
+        return _energy(rec.snapshots[-1], params, grid), rho_centre
+
+    energy, rho_centre = relaxed(0.0, 1.0)
+    assert energy == pytest.approx(1.5, abs=1e-6)
+    assert max(rho_centre) < 1e-20
+    for width in (1.0, 1.3):
+        energy, rho_centre = relaxed(0.55, width)
+        assert energy == pytest.approx(0.5, abs=1e-6), width
+        assert rho_centre[-1] == pytest.approx(1.0 / math.sqrt(math.pi), abs=2e-4), width
 
 
 def test_relaxation_ends_in_the_double_well_ground_state_not_at_argmin_v():

@@ -35,7 +35,7 @@ from quantum_descent.learner import (DIVERGENCE_LIMIT, FieldSampledDisruptor,
                                      PotentialSpec, ZeroDisruptor, run_learner,
                                      run_momentum_gd)
 from quantum_descent.learner import _polyder
-from quantum_descent.output import ColumnTexts, block_rows, write_table, write_tables
+from quantum_descent.output import block_rows, write_table, write_tables
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
@@ -556,22 +556,18 @@ def test_write_tables_writes_the_reference_bytes(tmp_path_factory, tables, fmt):
     """Every file of a write_tables call holds the per-cell writer's bytes,
     and a table is rendered again unless an earlier one of the call has its
     header and bits: -0.0 against 0.0 and floats one ulp apart are not
-    copies, NaNs of one bit pattern are.  Columns whose text an earlier
-    table or an earlier call through the same store formed are written as
-    the per-cell writer would, whatever the tables' widths and lengths and
-    the NaN payloads."""
+    copies, NaNs of one bit pattern are.  Tables that share columns with an
+    earlier one are written as the per-cell writer would, whatever the
+    tables' widths and lengths and the NaN payloads."""
     ref = {"csv": ref_csv_text, "json": ref_json_text}[fmt]
-    # the second call finds the text the first one kept
-    texts = ColumnTexts()
-    for _ in range(2):
-        d = tmp_path_factory.mktemp("tables")
-        with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
-            names = write_tables(d, tables, fmt, texts)
-        assert names == [f"{stem}.{fmt}" for stem in tables]
-        assert sorted(p.name for p in d.iterdir()) == sorted(names)
-        for stem, (header, rows) in tables.items():
-            assert (d / f"{stem}.{fmt}").read_text() == ref(header, rows), stem
-        assert rendered.call_count == _renders_expected(tables)
+    d = tmp_path_factory.mktemp("tables")
+    with mock.patch.object(output, "write_table", wraps=output.write_table) as rendered:
+        names = write_tables(d, tables, fmt)
+    assert names == [f"{stem}.{fmt}" for stem in tables]
+    assert sorted(p.name for p in d.iterdir()) == sorted(names)
+    for stem, (header, rows) in tables.items():
+        assert (d / f"{stem}.{fmt}").read_text() == ref(header, rows), stem
+    assert rendered.call_count == _renders_expected(tables)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_descent import output
-from quantum_descent.output import (CELL_BYTES, CELLS_PER_BLOCK, SEPARATOR_BYTE, ColumnTexts,
+from quantum_descent.output import (CELL_BYTES, CELLS_PER_BLOCK, SEPARATOR_BYTE,
                                     block_rows, read_meta, read_table, render_cells, write_meta,
                                     write_table, write_tables)
 
@@ -196,48 +196,6 @@ def test_write_peak_memory_does_not_grow_with_the_table(tmp_path, fmt, shape):
     assert large <= 1.1 * small, (small, large)
 
 
-def _blocks_of(column, width):
-    """The bits of each block of ``column`` in a ``width``-column table."""
-    step = block_rows(width)
-    return sorted(column[i:i + step].tobytes() for i in range(0, column.size, step))
-
-
-def test_a_time_axis_shared_across_calls_is_formatted_once(tmp_path):
-    """A column that recurs in the tables of a call, such as compare's time
-    axis, is rendered once per block and its cells reused by a later call
-    through the same store; after each call the store holds the cells of
-    that call's recurring blocks only, and every file holds the bytes of a
-    table written alone."""
-    n = 2 * block_rows(3) + 1
-    t, rng = np.arange(float(n)), np.random.default_rng(7)
-
-    def point():
-        return {stem: (["t", "x", "u"], np.column_stack([t, rng.standard_normal((n, 2))]))
-                for stem in ("quantum", "difference")}
-
-    texts, kept = ColumnTexts(), []
-    for i in range(2):
-        tables = point()
-        out = tmp_path / f"point_{i}"
-        out.mkdir()
-        write_tables(out, tables, "csv", texts)
-        for stem, table in tables.items():
-            alone = write_table(tmp_path, "alone", *table, "csv")
-            assert (out / f"{stem}.csv").read_bytes() == alone.read_bytes()
-        assert sorted(texts._kept) == _blocks_of(t, 3)
-        kept.append(dict(texts._kept))
-    # the second call looked the cells up; rendering them again would make new arrays
-    assert all(kept[1][key] is cells for key, cells in kept[0].items())
-
-    s = t[::-1].copy()
-    shared = {stem: (["s", "x", "y"], np.column_stack([s, rng.standard_normal((n, 2))]))
-              for stem in ("a", "b")}
-    write_tables(tmp_path, shared, "csv", texts)
-    assert sorted(texts._kept) == _blocks_of(s, 3)
-    write_tables(tmp_path, {"alone": point()["quantum"]}, "csv", texts)
-    assert texts._kept == {}
-
-
 # --- the float renderer against plain %.17e -----------------------------------
 
 
@@ -359,7 +317,7 @@ def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
     -0.0), shared with another table of the call, fresh, and fresh with
     cells rendered by %.17e alone (NaN, infinities, subnormals, a tie): each
     file holds the bytes of write_table alone and of the per-cell
-    reference, and the shared column's cells are rendered once."""
+    reference, and a constant column is rendered only in the first row."""
     n = 2 * block_rows(6) + 3
     rng = np.random.default_rng(3)
     t = np.arange(float(n))
@@ -375,10 +333,11 @@ def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
             mock.patch.object(output, "_formatted", wraps=output._formatted) as formatted:
         write_tables(tmp_path, tables, "csv")
     (tmp_path / "alone").mkdir()
-    # each block of the time axis is rendered once, not once per table
-    arguments = [c.args[0].tobytes() for c in rendered.call_args_list]
+    # per table, its first row, then each block's columns that are not constant
     step = block_rows(6)
-    assert [arguments.count(t[i:i + step].tobytes()) for i in range(0, n, step)] == [1, 1, 1]
+    shapes = [(len(rows[i:i + step]), width) for i in range(0, n, step) for width in (4, 6)]
+    assert sorted(c.args[0].shape for c in rendered.call_args_list) == sorted(
+        [(6,), (6,)] + shapes)
     assert formatted.call_count >= 6
     for stem, table in tables.items():
         alone = write_table(tmp_path / "alone", stem, *table, "csv")

@@ -23,7 +23,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("script,args", [
     ("convergence_report.py", ["--levels", "2"]),
     ("run_figure1.py", ["--no-plot", "--out", "{tmp}"]),
-], ids=["convergence_report", "run_figure1"])
+    ("relaxation_report.py", ["--n", "128", "--t-final", "1", "--every", "0.5", "--mu", "0.5"]),
+], ids=["convergence_report", "run_figure1", "relaxation_report"])
 def test_script_exits_0(tmp_path, script, args):
     argv = [a.replace("{tmp}", str(tmp_path / "out")) for a in args]
     done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], cwd=tmp_path,
