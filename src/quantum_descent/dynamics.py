@@ -214,10 +214,11 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     (and not less than dt below) the requested horizon.  Numerical failures are
     re-raised with the failing step index attached.
 
-    Dis at <x> reads the six amplitudes of :func:`~quantum_descent.hydro.locate_window`
-    only.  Each recorded step keeps those amplitudes and <x>'s fraction of
-    its cell; one :func:`~quantum_descent.hydro.disruptor_field` call on the
-    stacked windows of up to :data:`DIS_BLOCK` steps then fills their
+    Dis at <x> reads the WINDOW amplitudes of
+    :func:`~quantum_descent.hydro.locate_window` only.  Each recorded step
+    keeps those amplitudes and <x>'s fraction of its cell; one
+    :func:`~quantum_descent.hydro.disruptor_field` call on the stacked
+    windows of up to :data:`DIS_BLOCK` steps then fills their
     ``dis_center``, so the extra memory is one block whatever the step count.
     """
     if t_final < 0:
@@ -237,7 +238,7 @@ def evolve(psi0: Wavefunction, potential: PotentialSpec, params: PhysicsParams,
     snapshot_times: list[float] = []
     snapshots: list[np.ndarray] = []
     weights = momentum_weights(grid, params)
-    # per step of the block being filled: the six amplitudes of its window
+    # per step of the block being filled: the WINDOW amplitudes of its window
     # and <x>'s fraction of the cell (the block is evaluated when full, so
     # its memory is bounded)
     windows = np.empty((DIS_BLOCK, WINDOW), dtype=np.complex128)

@@ -35,6 +35,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DIVERGED = 4
 
+# the numpy error state a run builds and computes under: numpy's overflow,
+# invalid-value and division warnings would reach stderr ahead of the run's
+# one-line report, and every non-finite value that matters is caught by a
+# check that names its key or step (the initial state's norm and width, the
+# norm, the disruptor's wavefunction, the gradient and the divergence guard)
+_QUIET_NUMPY = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 TRAJECTORY_HEADER = ["t", "x", "u", "V", "dis"]
 POINT_DIR = re.compile(r"point_[0-9]{3,}")
 
@@ -94,8 +101,18 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         if init.kind != "custom":
             if init.kind == "coherent" or (init.sigma is None and harmonic):
                 sigma = _ground_state_width(cfg)
+                source = f"'potential.omega' = {cfg.potential.omega} gives the trap width"
             else:
                 sigma = 1.0 if init.sigma is None else init.sigma
+                source = "'initial.sigma' ="
+            # the packet divides by sigma**2: a float's square raises where
+            # overflowing, numpy's (the trap width's) is inf
+            try:
+                squared = sigma**2
+            except OverflowError:
+                squared = np.inf
+            if squared == np.inf:
+                raise ValueError(f"{source} {sigma:.4g}, whose square overflows")
             if init.kind == "coherent" and (init.x0 - 4.0 * sigma < grid.x_min
                                             or init.x0 + 4.0 * sigma > grid.x_max):
                 raise ValueError(
@@ -146,7 +163,8 @@ def _prepare(cfg: ExperimentConfig) -> PreparedRun:
         raise ConfigError(f"'initial.x0': a field-sampled learner samples its disruptor "
                           f"on the grid [{grid.x_min}, {grid.x_max}], so it must start "
                           f"there, got x0={x0}")
-    return PreparedRun(cfg, _initial_wavefunction(cfg))
+    with np.errstate(**_QUIET_NUMPY):
+        return PreparedRun(cfg, _initial_wavefunction(cfg))
 
 
 def _build_disruptor(run: PreparedRun):
@@ -272,12 +290,8 @@ def _compute_figure1(run: PreparedRun) -> ComputedRun:
 def _compute_point(run: PreparedRun) -> ComputedRun:
     computer = {"learn": _compute_learn, "evolve": _compute_evolve,
                 "compare": _compute_compare, "figure1": _compute_figure1}[run.cfg.experiment]
-    # numpy's overflow and invalid-value warnings would reach stderr ahead of
-    # the run's one-line report; every non-finite value that matters is
-    # caught by a check that names its step (the norm, the disruptor's
-    # wavefunction, the gradient and the divergence guard)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET_NUMPY):
             return computer(run)
     except NumericalError as err:
         meta = {"error": {"type": type(err).__name__, "message": str(err),

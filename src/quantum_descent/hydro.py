@@ -14,10 +14,10 @@ three nested derivative passes; the two forms agree algebraically and the test
 suite asserts the equivalence.  Both fields are plain float arrays on the
 points of the periodic grid, with the wrapped central stencils of
 :mod:`.derivatives`; :func:`sample_field` interpolates such an array at one
-position.  Dis at one position needs R at six points only
-(:func:`locate_window`).  The stencils act along the first axis, so a (6, K)
-stack of such windows gives K fields in one call, each equal to the bits of
-its own.
+position.  Dis at one position needs R at :data:`WINDOW` points only, a
+width that follows from the stencils' reach (:func:`locate_window`).  The
+stencils act along the first axis, so a (WINDOW, K) stack of such windows
+gives K fields in one call, each equal to the bits of its own.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from functools import cache
 
 import numpy as np
 
-from .derivatives import first_derivative, second_derivative
+from .derivatives import REACH, first_derivative, second_derivative
 from .fields import EPS_NODE, PhysicsParams, SpatialGrid
 
-# points of the amplitude window that fixes the disruptor at one position,
-# and the window's row of the first interpolation node of that position (the
-# second is the next row); see locate_window
-WINDOW = 6
-NODE = 2
+# Dis at a node reads Q at +-REACH and Q reads R at +-REACH again, so the
+# window's row of the first interpolation node of a position is NODE, and
+# the window holds NODE rows on each side of that node and the next one
+NODE = 2 * REACH
+WINDOW = 2 * NODE + 2
 
 
 def quantum_potential(R: np.ndarray, grid: SpatialGrid, params: PhysicsParams) -> np.ndarray:
@@ -84,8 +84,8 @@ def sample_field(values: np.ndarray, grid: SpatialGrid, x: float) -> float:
     """Linear interpolation at position x of a field given on the grid's points.
 
     x must lie inside [x_min, x_max]; the last cell, from point n - 1 to
-    x_max, wraps around to the first point.  A field known only on the six
-    points of a window goes through :func:`locate_window` and
+    x_max, wraps around to the first point.  A field known only on the
+    WINDOW points of a window goes through :func:`locate_window` and
     :func:`interpolate` instead.
     """
     j0, frac = _cell(grid, x)
@@ -93,19 +93,20 @@ def sample_field(values: np.ndarray, grid: SpatialGrid, x: float) -> float:
 
 
 def locate_window(grid: SpatialGrid, x: float) -> tuple:
-    """Six consecutive grid points whose amplitudes fix Dis at the nodes of x,
-    and x's fraction of the way between those nodes.
+    """WINDOW consecutive grid points whose amplitudes fix Dis at the nodes of
+    x, and x's fraction of the way between those nodes.
 
-    Dis at a point reads Q at its two neighbours and Q reads R at its own, so
-    the interpolation nodes j0 and j0 + 1 of x need R at j0 - 2 .. j0 + 3,
-    wrapped around the seam.  Returns ``(window, frac)``, the window a
-    read-only slice of the index ring of the grid's size: the nodes are the
-    points ``window[NODE]`` and ``window[NODE + 1]``, so the field that
-    :func:`disruptor_field` returns for ``R[window]`` is sampled at x as
-    ``interpolate(dis[NODE], dis[NODE + 1], frac)``.  That equals the
-    full-grid field sampled at x by :func:`sample_field`, to the bit: interior
-    stencil values do not depend on the length of the array, and the values
-    at the window's two ends, which alone can differ, are never read.
+    Dis at a point reads Q at REACH points on each side and Q reads R at
+    REACH on each side of its own, so the interpolation nodes j0 and j0 + 1
+    of x need R at j0 - NODE .. j0 + 1 + NODE, wrapped around the seam.
+    Returns ``(window, frac)``, the window a read-only slice of the index
+    ring of the grid's size: the nodes are the points ``window[NODE]`` and
+    ``window[NODE + 1]``, so the field that :func:`disruptor_field` returns
+    for ``R[window]`` is sampled at x as ``interpolate(dis[NODE],
+    dis[NODE + 1], frac)``.  That equals the full-grid field sampled at x by
+    :func:`sample_field`, to the bit: interior stencil values do not depend
+    on the length of the array, and the values in the NODE rows at each end
+    of the window, which alone can differ, are never read.
     """
     j0, frac = _cell(grid, x)
     return _ring(grid.n)[j0:j0 + WINDOW], frac

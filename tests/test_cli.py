@@ -1044,6 +1044,42 @@ def test_a_failure_that_overflows_writes_only_its_report_to_stderr(tmp_path, nam
     assert json.loads(lines[0]) == json.loads((out / "error.json").read_text())
 
 
+# Gaussians that cannot be built: a width whose square overflows, given or
+# taken from the trap, one whose square underflows to 0, and a centre whose
+# distance to the grid squares to infinity
+UNBUILDABLE_GAUSSIANS = {
+    "wide_sigma": "initial: {kind: gaussian, x0: 0.0, sigma: 1.0e+155}\n",
+    "wide_trap_width": "potential: {omega: 1.0e-310}\ninitial: {kind: gaussian, x0: 0.0}\n",
+    "narrow_sigma": "initial: {kind: gaussian, x0: 0.0, sigma: 1.0e-200}\n",
+    "far_x0": "initial: {kind: gaussian, x0: 1.0e+200}\n",
+}
+WAVE_RUNS = {
+    "evolve": ("evolve", "run: {t_final: 0.1, dt: 0.01}\n"),
+    "field_sampled_learn": ("learn", "disruptor: {kind: field_sampled, pde_dt: 0.1}\n"
+                                     "run: {steps: 5}\n"),
+}
+
+
+@pytest.mark.parametrize("run", WAVE_RUNS)
+@pytest.mark.parametrize("initial", UNBUILDABLE_GAUSSIANS)
+def test_unbuildable_gaussian_writes_only_its_config_report_to_stderr(tmp_path, initial, run):
+    """A Gaussian that overflows or underflows while it is built is a config
+    error: exit 2 and one stderr line, the report, that speaks of the
+    initial state, with no traceback or numpy warning ahead of it.  It runs
+    in a subprocess because pytest captures warnings raised in-process."""
+    command, text = WAVE_RUNS[run]
+    cfg = _write(tmp_path, "c.yaml", UNBUILDABLE_GAUSSIANS[initial] + text + "grid: {n: 256}\n")
+    proc = subprocess.run([sys.executable, "-m", "quantum_descent.cli", command,
+                           "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    report = json.loads(lines[0])
+    assert report["exit_code"] == 2
+    assert "initial" in report["error"]["message"]
+
+
 def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):
     """Importing the CLI, loading a polynomial potential's config and running
     a 2-point compare sweep in-process load none of logging,

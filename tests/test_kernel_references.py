@@ -40,6 +40,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantum_descent.derivatives import (central_from_increments,
                                          first_derivative, second_derivative)
@@ -55,16 +56,16 @@ from quantum_descent.learner import PotentialSpec
 
 
 def ref_first_derivative(f, dx):
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * dx)
 
 
 def ref_second_derivative(f, dx):
-    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (dx * dx)
+    return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / (dx * dx)
 
 
 def ref_central_from_increments(d, dx):
     d = np.asarray(d, dtype=float)
-    return (d + np.roll(d, 1)) / (2.0 * dx)
+    return (d + np.roll(d, 1, axis=0)) / (2.0 * dx)
 
 
 def ref_fill_from_nearest_valid(values, valid_idx):
@@ -236,21 +237,28 @@ def wavefunctions(draw):
 # --- stencils ------------------------------------------------------------------------
 
 
-@given(values=st.lists(finite, min_size=4, max_size=64),
-       imag=st.booleans(), dx=st.floats(1e-3, 2.0))
-@settings(max_examples=200, deadline=None)
-def test_periodic_stencils_equal_roll_versions(values, imag, dx):
-    f = np.array(values)
+@st.composite
+def stencil_inputs(draw):
+    """A 1-D array or a 2-D stack of columns, differentiated along axis 0,
+    with 2 or 3 rows (every padded row is then a seam row) or more."""
+    n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(4, 64)))
+    columns = draw(st.sampled_from((None, 1, 3)))
+    shape = (n,) if columns is None else (n, columns)
+    return draw(arrays(float, shape, elements=finite))
+
+
+@given(f=stencil_inputs(), imag=st.booleans(), dx=st.floats(1e-3, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_periodic_stencils_equal_roll_versions(f, imag, dx):
     if imag:
-        f = f + 1j * np.roll(f, 3)[::-1]
+        f = f + 1j * np.roll(f, 3, axis=0)[::-1]
     assert np.array_equal(first_derivative(f, dx), ref_first_derivative(f, dx))
     assert np.array_equal(second_derivative(f, dx), ref_second_derivative(f, dx))
 
 
-@given(d=st.lists(finite, min_size=3, max_size=64), dx=st.floats(1e-3, 2.0))
-@settings(max_examples=200, deadline=None)
+@given(d=stencil_inputs(), dx=st.floats(1e-3, 2.0))
+@settings(max_examples=300, deadline=None)
 def test_central_from_increments_equals_roll_version(d, dx):
-    d = np.array(d)
     assert np.array_equal(central_from_increments(d, dx), ref_central_from_increments(d, dx))
 
 
