@@ -51,12 +51,14 @@ class ComputedRun:
     """In-memory result of one experiment: tables keyed by file stem, and
     its sweep-summary row ``(steps, final_x, final_u)``, where steps is -1 if
     no learner ran.  A failed run's ``meta["error"]`` holds the ``type``,
-    ``message`` and ``step`` of its failure."""
+    ``message`` and ``step`` of its failure.  ``compute_s`` is the time
+    spent computing it (a sweep's points')."""
 
     tables: dict
     meta: dict
     exit_code: int
     summary: tuple = (-1, np.nan, np.nan)
+    compute_s: float = 0.0
 
 
 @dataclass
@@ -101,23 +103,32 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         if init.kind != "custom":
             if init.kind == "coherent" or (init.sigma is None and harmonic):
                 sigma = _ground_state_width(cfg)
-                source = f"'potential.omega' = {cfg.potential.omega} gives the trap width"
+                width = f"the trap width {sigma:.4g} from 'potential.omega' = {cfg.potential.omega}"
             else:
                 sigma = 1.0 if init.sigma is None else init.sigma
-                source = "'initial.sigma' ="
+                width = f"'initial.sigma' = {sigma:.4g}"
             # the packet divides by sigma**2: a float's square raises where
             # overflowing, numpy's (the trap width's) is inf
             try:
                 squared = sigma**2
             except OverflowError:
                 squared = np.inf
-            if squared == np.inf:
-                raise ValueError(f"{source} {sigma:.4g}, whose square overflows")
+            if squared == np.inf or squared == 0.0:
+                raise ValueError(f"{width}, whose square "
+                                 f"{'overflows' if squared else 'underflows to 0'}")
             if init.kind == "coherent" and (init.x0 - 4.0 * sigma < grid.x_min
                                             or init.x0 + 4.0 * sigma > grid.x_max):
                 raise ValueError(
                     f"grid [{grid.x_min}, {grid.x_max}] too narrow for a packet at "
                     f"x_t={init.x0} with sigma={sigma:.4g} (needs 8 standard deviations)")
+            # the density of the packet's real exponent: zero where the packet
+            # is off the grid or narrower than a cell, NaN where it is 0/0
+            modulus = np.exp(-((grid.x - init.x0) ** 2) / (4.0 * squared))
+            if not np.sum(modulus * modulus) * grid.dx > 0.0:
+                raise ValueError(
+                    f"'initial.x0' = {init.x0} and {width} give a packet with no density "
+                    f"on the grid [{grid.x_min}, {grid.x_max}] of {grid.n} points: it is "
+                    f"off the grid or narrower than a cell")
             return gaussian_packet(grid, init.x0, p0=cfg.p0, sigma=sigma,
                                    hbar=cfg.physics.hbar)
         # custom: tabulated (x, re, im), linearly interpolated onto the grid
@@ -290,16 +301,23 @@ def _compute_figure1(run: PreparedRun) -> ComputedRun:
 def _compute_point(run: PreparedRun) -> ComputedRun:
     computer = {"learn": _compute_learn, "evolve": _compute_evolve,
                 "compare": _compute_compare, "figure1": _compute_figure1}[run.cfg.experiment]
+    t0 = time.perf_counter()
     try:
         with np.errstate(**_QUIET_NUMPY):
-            return computer(run)
+            comp = computer(run)
     except NumericalError as err:
         meta = {"error": {"type": type(err).__name__, "message": str(err),
                           "step": err.step}}
-        return ComputedRun({}, meta, EXIT_NUMERICAL)
+        comp = ComputedRun({}, meta, EXIT_NUMERICAL)
+    comp.compute_s = time.perf_counter() - t0
+    return comp
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> tuple:
+    """Compute and write each point of a sweep into its own directory.
+
+    Returns the sweep's computed run, whose table is its summary, and the
+    seconds its points took to write their tables."""
     sweep = cfg.sweep
     # prepare every point before computing any of them
     runs = []
@@ -312,12 +330,15 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
     # compute, write and drop one point at a time, each as a run alone; keep
     # its summary row and meta
     summary_rows, point_meta = [], []
+    compute_s = write_s = 0.0
     for i, (value, run) in enumerate(zip(sweep.values, runs)):
         t0 = time.perf_counter()
         comp = _compute_point(run)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        _write_run(run.cfg, point_dir, fmt, comp, t0)
+        written = _write_run(run.cfg, point_dir, fmt, comp, t0)
+        compute_s += comp.compute_s
+        write_s += written.meta["write_s"]
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         # index, exit code and step count are ints, written as integers
@@ -337,14 +358,19 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
         meta["error"] = {**first["error"], "message": (
             f"sweep points {failed} of {len(codes)} failed; point {first['index']} "
             f"({sweep.parameter} = {first['value']}): {first['error']['message']}")}
-    return ComputedRun({"sweep_summary": (header, summary_rows)}, meta, exit_code)
+    return ComputedRun({"sweep_summary": (header, summary_rows)}, meta, exit_code,
+                       compute_s=compute_s), write_s
 
 
 def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun,
-               t0: float) -> ExperimentResult:
+               t0: float, written_s: float = 0.0) -> ExperimentResult:
     """Write a computed run into ``out_dir``: its tables, then meta.json with
-    the wall time since ``t0``, then, if it failed, error.json."""
+    the wall time since ``t0`` and the times spent computing and writing
+    tables (a sweep's ``written_s``, its points' write time, is added to its
+    summary's), then, if it failed, error.json."""
+    t_write = time.perf_counter()
     files = write_tables(out_dir, comp.tables, fmt)
+    write_s = written_s + time.perf_counter() - t_write
     effective = cfg.effective_dict()
     effective["output"] = {"directory": str(out_dir), "format": fmt}
     meta = {
@@ -359,6 +385,8 @@ def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun
             "python": platform.python_version(),
         },
         **comp.meta,
+        "compute_s": comp.compute_s,
+        "write_s": write_s,
         "wall_time_s": time.perf_counter() - t0,
     }
     write_meta(out_dir / "meta.json", meta)
@@ -443,8 +471,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # and reports first, so that a run failing before it writes them leaves
     # none behind
     _remove_earlier_run(out_dir)
+    written_s = 0.0
     if cfg.experiment == "sweep":
-        comp = _run_sweep(cfg, out_dir, fmt)
+        comp, written_s = _run_sweep(cfg, out_dir, fmt)
     else:
         comp = _compute_point(_prepare(cfg))
-    return _write_run(cfg, out_dir, fmt, comp, t0)
+    return _write_run(cfg, out_dir, fmt, comp, t0, written_s)

@@ -13,8 +13,12 @@ updates are arithmetically identical.  Both run in one loop on plain floats,
 :func:`run_learner` and :func:`run_momentum_gd`, which writes the update out
 with no call per step but the gradient and a sampled disruptor's: the zero
 disruptor is a constant added without a call, and the classical twin adds
--0.0, which changes no bit.  The test suite keeps one-update versions of each
-as references they must equal to the bit.
+-0.0, which changes no bit.  A polynomial's value and gradient are each one
+generated straight-line function (:func:`_horner`) doing ``polyval``'s
+operations in ``polyval``'s order, so the update's gradient, the ``V``
+column and the propagator's potential are ``polyval``'s to the bit.  The
+test suite keeps one-update versions of each twin and ``polyval`` as
+references they must equal to the bit.
 
 The update's unit time step is 1; ``time_scale`` rescales the gradient and
 disruptor contributions together when a finer notional step is wanted.
@@ -39,24 +43,35 @@ DIVERGENCE_LIMIT = 1e6
 DEFAULT_GRAD_STEP = 1e-6
 
 
+# coefficients per statement of a generated polynomial: the parser bounds how
+# deeply one expression may nest
+_HORNER_NESTING = 64
+
+
 def _horner(coefficients: np.ndarray) -> Callable:
-    """numpy's ``polyval`` for ascending coefficients, on plain floats.
+    """numpy's ``polyval`` for ascending coefficients, as one generated
+    straight-line function.
 
-    The same operations in the same order as ``polyval`` (``c0 = c[-1] + x*0``,
-    then ``c0 = c[-i] + c0*x``), so a float x gives a Python float and an
-    array gives polyval's elementwise result, both equal to polyval's to the
-    bit, without numpy's per-call cost on scalars.
+    The same operations in the same order as ``polyval`` (``c0 = c[-1] +
+    x*0``, then ``c0 = c[-i] + c0*x``), written out as one nested expression
+    (``c0 + (c1 + (c2 + x * 0) * x) * x`` for three), so a float x gives a
+    Python float and an array gives polyval's elementwise result, both equal
+    to polyval's to the bit, without numpy's per-call cost on scalars or a
+    loop.  The coefficients are bound by name in the function's namespace,
+    never printed into its source, so infinite and NaN ones work; past
+    _HORNER_NESTING coefficients the expression continues in a new statement.
     """
-    *rest, last = (float(c) for c in coefficients)
-    rest = tuple(reversed(rest))
-
-    def value(x):
-        c0 = last + x * 0
-        for c in rest:
-            c0 = c + c0 * x
-        return c0
-
-    return value
+    names = [f"c{i}" for i in range(len(coefficients))]
+    namespace = dict(zip(names, map(float, coefficients)))
+    lines, text = [], f"{names[-1]} + x * 0"
+    for i, name in enumerate(reversed(names[:-1]), 1):
+        if i % _HORNER_NESTING == 0:
+            lines.append(f"    v = {text}\n")
+            text = "v"
+        text = f"{name} + ({text}) * x"
+    source = "def value(x):\n" + "".join(lines) + f"    return {text}\n"
+    exec(compile(source, "<polynomial>", "exec"), namespace)
+    return namespace["value"]
 
 
 def _polyder(c: np.ndarray) -> np.ndarray:

@@ -187,7 +187,8 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
 
     meta1, meta2 = dict(r1.meta), dict(r2.meta)
     for m in (meta1, meta2):
-        m.pop("wall_time_s")
+        for key in ("wall_time_s", "compute_s", "write_s"):
+            m.pop(key)
         m["effective_config"]["output"].pop("directory")
     same_meta = meta1 == meta2
 

@@ -25,7 +25,8 @@ from quantum_descent.experiments import run_experiment
 from quantum_descent.learner import PotentialSpec
 from quantum_descent.output import read_meta, read_table
 
-NOISE_KEYS = {"wall_time_s"}
+# the timings, the only fields of meta.json that vary between identical runs
+NOISE_KEYS = {"wall_time_s", "compute_s", "write_s"}
 
 
 def _write(tmp_path, name, text):
@@ -82,6 +83,26 @@ def test_repeated_runs_are_byte_identical(tmp_path):
                (tmp_path / "r2" / name).read_bytes()
     assert _meta_without_noise(tmp_path / "r1" / "meta.json") == \
            _meta_without_noise(tmp_path / "r2" / "meta.json")
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_meta_times_the_compute_and_the_table_writes(tmp_path, command):
+    """meta.json of a run, of a sweep and of each of its points holds the
+    seconds spent computing (compute_s) and writing tables (write_s), parts
+    of its wall time; a sweep's are the sums over its points plus its
+    summary table's write."""
+    sweep = "sweep: {parameter: physics.mu, values: [0.3, 0.6], experiment: compare}\n"
+    cfg = _write(tmp_path, "c.yaml", "run: {steps: 200}\n" + (sweep if command == "sweep" else ""))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    metas = [read_meta(out / "meta.json")]
+    if command == "sweep":
+        metas += [read_meta(out / f"point_{i:03d}" / "meta.json") for i in range(2)]
+        assert metas[0]["compute_s"] == sum(m["compute_s"] for m in metas[1:])
+        assert metas[0]["write_s"] >= sum(m["write_s"] for m in metas[1:])
+    for meta in metas:
+        assert meta["compute_s"] >= 0.0 and meta["write_s"] >= 0.0
+        assert meta["compute_s"] + meta["write_s"] <= meta["wall_time_s"]
 
 
 def test_meta_echo_suffices_to_rerun(tmp_path):
@@ -1044,14 +1065,15 @@ def test_a_failure_that_overflows_writes_only_its_report_to_stderr(tmp_path, nam
     assert json.loads(lines[0]) == json.loads((out / "error.json").read_text())
 
 
-# Gaussians that cannot be built: a width whose square overflows, given or
-# taken from the trap, one whose square underflows to 0, and a centre whose
-# distance to the grid squares to infinity
+# Gaussians that cannot be built, with the key their report names: a width
+# whose square overflows, given or taken from the trap, one whose square
+# underflows to 0, and a centre whose distance to the grid squares to infinity
 UNBUILDABLE_GAUSSIANS = {
-    "wide_sigma": "initial: {kind: gaussian, x0: 0.0, sigma: 1.0e+155}\n",
-    "wide_trap_width": "potential: {omega: 1.0e-310}\ninitial: {kind: gaussian, x0: 0.0}\n",
-    "narrow_sigma": "initial: {kind: gaussian, x0: 0.0, sigma: 1.0e-200}\n",
-    "far_x0": "initial: {kind: gaussian, x0: 1.0e+200}\n",
+    "wide_sigma": ("initial: {kind: gaussian, x0: 0.0, sigma: 1.0e+155}\n", "initial.sigma"),
+    "wide_trap_width": ("potential: {omega: 1.0e-310}\ninitial: {kind: gaussian, x0: 0.0}\n",
+                        "potential.omega"),
+    "narrow_sigma": ("initial: {kind: gaussian, x0: 0.0, sigma: 1.0e-200}\n", "initial.sigma"),
+    "far_x0": ("initial: {kind: gaussian, x0: 1.0e+200}\n", "initial.x0"),
 }
 WAVE_RUNS = {
     "evolve": ("evolve", "run: {t_final: 0.1, dt: 0.01}\n"),
@@ -1064,11 +1086,12 @@ WAVE_RUNS = {
 @pytest.mark.parametrize("initial", UNBUILDABLE_GAUSSIANS)
 def test_unbuildable_gaussian_writes_only_its_config_report_to_stderr(tmp_path, initial, run):
     """A Gaussian that overflows or underflows while it is built is a config
-    error: exit 2 and one stderr line, the report, that speaks of the
-    initial state, with no traceback or numpy warning ahead of it.  It runs
-    in a subprocess because pytest captures warnings raised in-process."""
+    error: exit 2 and one stderr line, the report, that names the key at
+    fault, with no traceback or numpy warning ahead of it.  It runs in a
+    subprocess because pytest captures warnings raised in-process."""
     command, text = WAVE_RUNS[run]
-    cfg = _write(tmp_path, "c.yaml", UNBUILDABLE_GAUSSIANS[initial] + text + "grid: {n: 256}\n")
+    initial_text, key = UNBUILDABLE_GAUSSIANS[initial]
+    cfg = _write(tmp_path, "c.yaml", initial_text + text + "grid: {n: 256}\n")
     proc = subprocess.run([sys.executable, "-m", "quantum_descent.cli", command,
                            "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"],
                           capture_output=True, text=True, timeout=120)
@@ -1077,7 +1100,23 @@ def test_unbuildable_gaussian_writes_only_its_config_report_to_stderr(tmp_path, 
     assert len(lines) == 1, proc.stderr
     report = json.loads(lines[0])
     assert report["exit_code"] == 2
-    assert "initial" in report["error"]["message"]
+    assert f"'{key}'" in report["error"]["message"]
+
+
+def test_a_gaussian_whose_phase_overflows_keeps_its_cause(tmp_path, capsys):
+    """A packet on the grid whose phase p0 (x - x0) / hbar overflows fails
+    on its NaN norm, and its report says so: it has density on the grid, so
+    it blames neither 'initial.x0' nor the width."""
+    cfg = _write(tmp_path, "c.yaml", "physics: {hbar: 1.0e-10}\ngrid: {n: 256}\n"
+                 "initial: {kind: gaussian, x0: 0.0, u0: 1.0e+300}\n"
+                 "run: {t_final: 0.1, dt: 0.01}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith("initial: cannot build the gaussian state:")
+    assert "non-finite norm nan" in message
+    assert "'initial.x0'" not in message and "no density" not in message
 
 
 def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):

@@ -3,13 +3,14 @@ the plain versions they replaced.
 
 The learner runs on plain floats in one loop shared by both twins, reuses the
 stop test's gradient as the next update's, and evaluates V once over the
-finished trajectory; polynomials are evaluated by a Horner closure in numpy's
-``polyval`` order, the gradient's coefficients are ``polyder``'s; CSV and JSON
-tables alike are written in blocks of about ``CELLS_PER_BLOCK`` cells
-(``block_rows(width)`` rows), a CSV float block is rendered by numpy into
-the bytes of ``%.17e``, a CSV column of one value once and a block of a
-column that recurs in another table of the call once, and a table equal to
-an earlier one of the same ``write_tables`` call is a copy of its file.  None of this changes an
+finished trajectory; polynomials are evaluated by a generated straight-line
+Horner function in numpy's ``polyval`` order, the gradient's coefficients are
+``polyder``'s; CSV and JSON tables alike are written in blocks of about
+``CELLS_PER_BLOCK`` cells (``block_rows(width)`` rows), a CSV float block is
+rendered by numpy into the bytes of ``%.17e``, a CSV column of one value
+once, in the first row, and spliced into every block as text, and a table
+equal to an earlier one of the same ``write_tables`` call is a copy of its
+file.  None of this changes an
 operation or its order, so every row, outcome and written byte must equal
 what the plain versions give.  The plain
 versions live here as references, down to one update of each twin
@@ -200,20 +201,54 @@ def assert_same_run(run, ref):
 
 coefficients = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=7)
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+# any float, with the values whose sums and products overflow or are NaN drawn often
+any_coefficients = st.lists(st.one_of(any_float, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -0.0])), min_size=1, max_size=9)
 
 
-@given(coefficients, st.lists(any_float, min_size=1, max_size=20))
-@settings(max_examples=200, deadline=None)
+def nan_blind_bits(a):
+    """The bits of a scalar with every NaN as numpy's NaN.  Of two NaN
+    addends, x86 returns the first, sign and all, and CPython passes
+    two floats to the machine in one order before it specializes an
+    addition and in the other after: one function's scalar NaN changes sign
+    after a few calls, the Horner loop's as well.  %.17e and JSON write
+    every NaN alike."""
+    return bits(np.nan if math.isnan(a) else a)
+
+
+@given(any_coefficients, st.lists(any_float, min_size=1, max_size=20))
+@settings(max_examples=400, deadline=None)
 def test_horner_equals_polyval_bitwise(coeffs, xs):
-    pot, ref = PotentialSpec.polynomial(coeffs), ref_polynomial(coeffs)
+    """The generated polynomial and its derivative equal polyval to the bit
+    for any coefficients: infinite and NaN ones, and ones whose derivative
+    overflows (1e308 * 4).  Over an array every bit matches, NaN payloads
+    included, and a scalar stays a Python float.  With finite coefficients
+    a scalar matches every bit too: at most one NaN arises (x's, or the
+    machine's from inf * 0 or inf - inf), so no two NaNs meet.  An infinite
+    or NaN coefficient can bring a second one, and then a scalar matches
+    all but a NaN's sign."""
     arr = np.array(xs)
+    same = bits if all(map(math.isfinite, coeffs)) else nan_blind_bits
     with np.errstate(all="ignore"):
+        pot, ref = PotentialSpec.polynomial(coeffs), ref_polynomial(coeffs)
         for f, g in ((pot.evaluate, ref.evaluate), (pot.gradient, ref.gradient)):
             assert np.array_equal(bits(f(arr)), bits(g(arr)))
             for x in xs:
                 value = f(x)
                 assert type(value) is float  # scalars stay Python floats
-                assert bits(value) == bits(g(x))
+                assert same(value) == same(g(x))
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 129, 500])
+def test_a_polynomial_past_one_statement_equals_polyval_bitwise(size):
+    """A polynomial of more coefficients than one generated expression nests
+    (_HORNER_NESTING) goes on in further statements, in polyval's order."""
+    coeffs = np.random.default_rng(size).standard_normal(size)
+    pot, ref = PotentialSpec.polynomial(coeffs), ref_polynomial(coeffs)
+    xs = np.linspace(-1.1, 1.1, 23)
+    for f, g in ((pot.evaluate, ref.evaluate), (pot.gradient, ref.gradient)):
+        assert np.array_equal(bits(f(xs)), bits(g(xs)))
+        assert [bits(f(x)) for x in xs.tolist()] == [bits(g(x)) for x in xs.tolist()]
 
 
 @given(st.lists(any_float, min_size=1, max_size=8))

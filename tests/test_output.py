@@ -344,3 +344,57 @@ def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
         data = (tmp_path / f"{stem}.csv").read_bytes()
         assert data == alone.read_bytes()
         assert data.decode() == ref_csv(*table)
+
+
+# --- constant columns spliced in as text ----------------------------------------
+
+# a constant of each kind: -0.0, NaN, and the values only %.17e writes (an
+# infinity, a subnormal, an 18th-digit tie)
+CONSTANTS = [-0.0, np.nan, -np.inf, 5e-324, _ties(1, 0)[0], 0.5]
+
+
+def _table(layout, n, seed=0):
+    """An ``n``-row table with a column per letter of ``layout``: "f" a
+    fresh column of random values, "C" a constant one, of CONSTANTS in turn."""
+    rows = np.random.default_rng(seed).standard_normal((n, len(layout)))
+    constant = [j for j, kind in enumerate(layout) if kind == "C"]
+    for j, value in zip(constant, CONSTANTS * len(layout)):
+        rows[:, j] = value
+    return [f"c{j}" for j in range(len(layout))], rows
+
+
+def _write_counting_cells(tmp_path, header, rows):
+    """The bytes write_table writes and the number of cells it renders."""
+    with mock.patch.object(output, "render_cells", wraps=output.render_cells) as rendered:
+        path = write_table(tmp_path, "t", header, rows, "csv")
+    return path.read_bytes(), sum(c.args[0].size for c in rendered.call_args_list)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2 * block_rows(6) + 3])
+@pytest.mark.parametrize("layout", ["CCffff", "ffCCff", "ffffCC", "CfCCfC", "fCfCfC",
+                                    "CCCCCC", "ffffff"],
+                         ids=["leading", "interior", "trailing", "every_position",
+                              "alternating", "no_fresh_column", "no_constant_column"])
+def test_constant_runs_are_spliced_into_the_reference_bytes(tmp_path, layout, n):
+    """A run of constant columns in any position, leading, interior,
+    trailing or all of them, and a table of constant columns alone, write
+    the per-cell reference bytes; only the fresh columns are rendered past
+    row 0 (in a one-row table, every column is constant)."""
+    header, rows = _table(layout, n)
+    data, cells = _write_counting_cells(tmp_path, header, rows)
+    # compared by line, so that a failure reports its first wrong row at once
+    assert data.decode().split("\n") == ref_csv(header, rows).split("\n")
+    fresh = layout.count("f") if n > 1 else 0
+    assert cells == (len(layout) + n * fresh if n else 0)
+
+
+def test_runs_past_the_markers_are_rendered_as_fresh_columns(tmp_path):
+    """A table with two more runs of constant columns than there are marker
+    bytes splices in the runs it has markers for and renders the last two
+    like fresh columns; its bytes are the reference's."""
+    markers = len(output._MARKERS)
+    header, rows = _table("fC" * (markers + 2), 2 * block_rows(2 * markers + 4) + 3)
+    data, cells = _write_counting_cells(tmp_path, header, rows)
+    # compared by line, so that a failure reports its first wrong row at once
+    assert data.decode().split("\n") == ref_csv(header, rows).split("\n")
+    assert cells == rows.shape[1] + len(rows) * (markers + 4)
