@@ -132,6 +132,7 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
             return gaussian_packet(grid, init.x0, p0=cfg.p0, sigma=sigma,
                                    hbar=cfg.physics.hbar)
         # custom: tabulated (x, re, im), linearly interpolated onto the grid
+        # and zero outside the table's x range
         header, rows = read_table(Path(init.path))
         if header[:3] != ["x", "re", "im"]:
             raise ValueError(f"needs columns x,re,im, got {','.join(header)}")
@@ -142,7 +143,8 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
         if not np.all(np.diff(xs) > 0):
             raise ValueError("x samples must be strictly increasing")
-        values = np.interp(cfg.grid.x, xs, re) + 1j * np.interp(cfg.grid.x, xs, im)
+        values = (np.interp(cfg.grid.x, xs, re, left=0.0, right=0.0)
+                  + 1j * np.interp(cfg.grid.x, xs, im, left=0.0, right=0.0))
         return Wavefunction(values, cfg.grid).normalized()
     except ValueError as err:
         source = f" from {init.path}" if init.kind == "custom" else ""
@@ -188,9 +190,14 @@ def _build_disruptor(run: PreparedRun):
                                  macro_time=run.cfg.run.time_scale)
 
 
-def _learner_meta(run: LearnerRun) -> dict:
-    return {"outcome": run.outcome, "steps_taken": int(run.t[-1]),
+def _learner_meta(run: LearnerRun, disruptor=None) -> dict:
+    """A learner's outcome and last state, and the propagator substep of a
+    field-sampled ``disruptor``."""
+    meta = {"outcome": run.outcome, "steps_taken": int(run.t[-1]),
             "final_x": float(run.x[-1]), "final_u": float(run.u[-1])}
+    if isinstance(disruptor, FieldSampledDisruptor):
+        meta["pde_substep"] = disruptor.dt
+    return meta
 
 
 _learner_summary = itemgetter("steps_taken", "final_x", "final_u")
@@ -226,10 +233,11 @@ def _evolve_meta(rec: EvolutionRecord) -> dict:
 
 def _compute_learn(run: PreparedRun) -> ComputedRun:
     cfg = run.cfg
+    disruptor = _build_disruptor(run)
     learner = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
-                          _build_disruptor(run), cfg.physics, steps=cfg.run.steps,
+                          disruptor, cfg.physics, steps=cfg.run.steps,
                           stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
-    meta = _learner_meta(learner)
+    meta = _learner_meta(learner, disruptor)
     return ComputedRun({"trajectory": (TRAJECTORY_HEADER, learner.rows)}, meta,
                        _divergence_code(meta, {"learner": learner}), _learner_summary(meta))
 
@@ -250,8 +258,9 @@ def _compute_evolve(run: PreparedRun) -> ComputedRun:
 
 def _compute_compare(run: PreparedRun) -> ComputedRun:
     cfg = run.cfg
+    disruptor = _build_disruptor(run)
     quantum = run_learner(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
-                          _build_disruptor(run), cfg.physics, steps=cfg.run.steps,
+                          disruptor, cfg.physics, steps=cfg.run.steps,
                           stop_tol=cfg.run.stop_tol, time_scale=cfg.run.time_scale)
     classical = run_momentum_gd(cfg.initial.x0, cfg.initial.u0, cfg.potential.spec,
                                 alpha=cfg.physics.lam, beta=cfg.physics.beta,
@@ -262,7 +271,7 @@ def _compute_compare(run: PreparedRun) -> ComputedRun:
     diff = rows_q[:n] - rows_c[:n]
     diff[:, 0] = rows_q[:n, 0]  # keep the shared time axis readable
     meta = {
-        "quantum": _learner_meta(quantum),
+        "quantum": _learner_meta(quantum, disruptor),
         "classical": _learner_meta(classical),
         "max_abs_x_difference": float(np.max(np.abs(diff[:, 1]))),
         "max_abs_u_difference": float(np.max(np.abs(diff[:, 2]))),

@@ -147,8 +147,9 @@ class FieldSampledDisruptor:
     """Disruptor sampled from a wavefunction evolved alongside the learner.
 
     Each ``sample`` call advances the underlying dissipative propagation by one
-    macro-step (the learner's unit of time) before evaluating the disruptor
-    field at the query point.  The source is stateful and must be owned by
+    macro-step (the learner's unit of time), in the fewest equal substeps
+    ``dt`` of at most ``pde_dt``, before evaluating the disruptor field at
+    the query point.  The source is stateful and must be owned by
     exactly one run.  It needs what its propagator needs: hbar > 0 and a
     power-of-two number of grid points (at hbar = 0 the disruptor vanishes
     identically, and :class:`ZeroDisruptor` is that limit).
@@ -161,9 +162,11 @@ class FieldSampledDisruptor:
         self.params = params
         self.grid = psi0.grid
         self._values = psi0.values  # read-only; the propagator never writes it
-        self._substeps = max(1, round(macro_time / pde_dt))
-        self._propagator = KostinPropagator(self.grid, potential, params,
-                                            dt=macro_time / self._substeps)
+        # the fewest substeps of at most pde_dt; a ratio a few ulps above an
+        # integer, as 0.07 / 0.01 is, takes that integer
+        self._substeps = max(1, math.ceil(macro_time / pde_dt * (1.0 - 2.0 ** -50)))
+        self.dt = macro_time / self._substeps
+        self._propagator = KostinPropagator(self.grid, potential, params, dt=self.dt)
 
     def sample(self, x: float) -> float:
         try:

@@ -9,10 +9,9 @@ into the bytes of ``%.17e``, exact to the byte, and hands the few cells it
 cannot decide exactly to ``%.17e`` one at a time.  Text that would be the same
 is rendered once: a table equal to an earlier one of the same
 :func:`write_tables` call is a copy of that one's file, and in CSV the
-float columns holding one value are rendered from the first row only.  A
-block renders its other columns, marks where each run of constant columns
-goes with a byte ``%.17e`` never writes, and splices the run's text in with
-one ``bytes.replace`` per run.
+float columns after the last column whose value changes are rendered from
+the first row only: a block renders the columns up to that one, and one
+``bytes.replace`` puts the constant columns' text in at each row's end.
 Both formats stream a table to disk in blocks of about CELLS_PER_BLOCK cells
 (:func:`block_rows` rows), so a block's text is bounded whatever the table's
 width, and no table's text is held whole.
@@ -40,9 +39,6 @@ CELLS_PER_BLOCK = 4096
 # that %.17e forms one cell at a time takes the first 25 bytes.
 CELL_BYTES = 28
 SEPARATOR_BYTE = 25
-# bytes %.17e never writes, each standing in a block's text for the text of
-# a run of constant columns: the control bytes but the line feed
-_MARKERS = bytes(range(1, 32)).replace(b"\n", b"")
 _WORD = np.dtype("<u4")
 # the decades of |x| rendered by numpy; outside, the scaled products below
 # could overflow or lose bits to underflow
@@ -236,54 +232,15 @@ def _constant_columns(rows: np.ndarray) -> np.ndarray:
     return same
 
 
-def _separator(column: int, width: int) -> bytes:
-    return b"\n" if column == width - 1 else b","
-
-
-def _splices(same: np.ndarray, texts: list) -> tuple:
-    """How :func:`_float_csv_blocks` writes the constant columns of a table
-    that has a fresh one: as text spliced in after a fresh column.
-
-    ``same`` marks the constant columns and ``texts`` holds each column's
-    text in row 0.  Each run of constant columns after a fresh column, up to
-    the next fresh column (the run after the last one wraps to the next
-    row's leading constant columns), takes a marker byte of _MARKERS as that
-    column's separator.  The marker stands for the separator and the run's
-    cells with theirs.  Once the markers run out, the columns of the runs
-    left are marked fresh in ``same``.
-
-    Returns the fresh columns, their separator bytes, the (marker, text)
-    pairs, and the head: the text of the leading constant columns, which
-    the first row has from no marker.
-    """
-    width = len(texts)
-    fresh = np.flatnonzero(~same).tolist()
-    runs = [(j, [c % width for c in range(j + 1, end)])
-            for j, end in zip(fresh, fresh[1:] + [fresh[0] + width]) if end > j + 1]
-    for _, run in runs[len(_MARKERS):]:
-        same[run] = False
-    fresh = np.flatnonzero(~same)
-    seps = np.array([_separator(j, width)[0] for j in fresh], np.uint8)
-    splices = []
-    for marker, (j, run) in zip(_MARKERS, runs):
-        seps[np.searchsorted(fresh, j)] = marker
-        splices.append((bytes([marker]), _separator(j, width) + b"".join(
-            texts[c] + _separator(c, width) for c in run)))
-    head = b"".join(texts[c] + b"," for c in range(fresh[0]))
-    return fresh, seps, splices, head
-
-
 def _float_csv_blocks(rows: np.ndarray):
     """The CSV bytes of a 2-D float64 array's rows, a block at a time.
 
     Row 0 is rendered once, for the text of the columns of one value.  A
     table of such columns alone repeats that row's text.  Otherwise a
-    block renders its fresh columns together (see :func:`render_cells`),
-    puts their separators in, drops the NULs that pad the cells, and then
-    one ``bytes.replace`` per marker of :func:`_splices` puts the constant
-    columns' text in.  The head of leading constant columns is written
-    before the first block; every block ends with the next row's, which
-    the last block drops.
+    block renders its columns up to the last that changes together (see
+    :func:`render_cells`), puts their separators in and drops the NULs that
+    pad the cells; one ``bytes.replace`` then puts the text of the constant
+    columns after those in at each row's end.
     """
     if not len(rows):
         return
@@ -295,18 +252,15 @@ def _float_csv_blocks(rows: np.ndarray):
         for block in _blocks(rows, width):
             yield line * len(block)
         return
-    fresh, seps, splices, head = _splices(same, texts)
-    if head:
-        yield head
-    left = len(rows)
+    rendered = int(np.flatnonzero(~same)[-1]) + 1
+    seps = np.full(rendered, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    tail = b"".join(b"," + text for text in texts[rendered:]) + b"\n"
     for block in _blocks(rows, width):
-        left -= len(block)
-        cells = render_cells(block[:, fresh])
+        cells = render_cells(block[:, :rendered])
         cells[..., SEPARATOR_BYTE] = seps
         data = cells.tobytes().translate(None, b"\0")
-        for marker, text in splices:
-            data = data.replace(marker, text)
-        yield data[:-len(head)] if head and not left else data
+        yield data.replace(b"\n", tail) if rendered < width else data
 
 
 def _table_chunks(header: list, rows, fmt: str):

@@ -22,6 +22,7 @@ from quantum_descent.config import parse_config
 from quantum_descent.dynamics import damped_oscillator_closed_form
 from quantum_descent.errors import ConfigError
 from quantum_descent.experiments import run_experiment
+from quantum_descent.fields import Wavefunction
 from quantum_descent.learner import PotentialSpec
 from quantum_descent.output import read_meta, read_table
 
@@ -669,6 +670,51 @@ def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, mess
     assert report["status"] == "config_error"
     assert report["error"]["message"].startswith("initial:")
     assert message in report["error"]["message"]
+
+
+def test_a_custom_table_is_zero_outside_its_x_range(tmp_path):
+    """A custom table's amplitude is 0 on the grid points outside its x range
+    (np.interp alone repeats its end values there: this table's ends,
+    0.2 -/+ 0.2i, put 0.544 of the norm at |x| > 2), and a table covering the
+    grid keeps the bits of plain linear interpolation."""
+    grid = "grid: {x_min: -20.0, x_max: 20.0, n: 256}\n"
+    narrow = np.linspace(-2.0, 2.0, 41)
+    wide = np.linspace(-20.0, 20.0, 401)
+    for name, xs in (("narrow", narrow), ("wide", wide)):
+        table = np.column_stack([xs, np.maximum(1.0 - 0.2 * xs ** 2, 0.0), 0.1 * xs])
+        np.savetxt(tmp_path / f"{name}.csv", table, delimiter=",", header="x,re,im",
+                   comments="")
+    cfg = parse_config("experiment: evolve\n" + grid + "initial: {kind: custom, path: "
+                       f"{json.dumps(str(tmp_path / 'narrow.csv'))}}}\n")
+    psi = experiments._initial_wavefunction(cfg)
+    outside = np.abs(cfg.grid.x) > 2.0
+    assert outside.sum() > 200 and np.all(psi.values[outside] == 0.0)
+    assert np.all(psi.values[~outside] != 0.0)
+
+    cfg = parse_config("experiment: evolve\n" + grid + "initial: {kind: custom, path: "
+                       f"{json.dumps(str(tmp_path / 'wide.csv'))}}}\n")
+    _, rows = read_table(tmp_path / "wide.csv")
+    interpolated = (np.interp(cfg.grid.x, rows[:, 0], rows[:, 1])
+                    + 1j * np.interp(cfg.grid.x, rows[:, 0], rows[:, 2]))
+    expected = Wavefunction(interpolated, cfg.grid).normalized().values
+    assert np.array_equal(experiments._initial_wavefunction(cfg).values.view(np.uint64),
+                          expected.view(np.uint64))
+
+
+def test_a_field_sampled_run_records_its_substep(tmp_path):
+    """pde_dt bounds the propagator's substep: 0.7 takes two substeps of 0.5
+    per unit macro-step, recorded in meta.json (of a learn, and of a compare's
+    quantum learner)."""
+    base = ("grid: {x_min: -10.0, x_max: 10.0, n: 256}\n"
+            "initial: {kind: gaussian, x0: -2.0, sigma: 1.0}\n"
+            "disruptor: {kind: field_sampled, pde_dt: 0.7}\nrun: {steps: 3}\n")
+    learn = run_experiment(parse_config("experiment: learn\n" + base), out_dir=tmp_path / "l")
+    assert learn.exit_code == 0
+    assert read_meta(tmp_path / "l" / "meta.json")["pde_substep"] == 0.5
+    compare = run_experiment(parse_config("experiment: compare\n" + base),
+                             out_dir=tmp_path / "c")
+    assert compare.meta["quantum"]["pde_substep"] == 0.5
+    assert "pde_substep" not in compare.meta["classical"]
 
 
 @pytest.mark.parametrize("payload,message", [

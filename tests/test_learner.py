@@ -6,6 +6,8 @@ gradient descent with learning rate 1/m and momentum factor 1-mu -- not just
 approximately but through the identical arithmetic path, hence bit-for-bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,20 @@ def test_field_sampled_near_center_is_small():
     dis = FieldSampledDisruptor(_coherent_on_grid(0.0), HARMONIC, params,
                                 pde_dt=0.01, macro_time=0.02)
     assert abs(dis.sample(0.0)) < 1e-3
+
+
+@pytest.mark.parametrize("macro_time,pde_dt,substeps", [
+    (1.0, 0.7, 2), (1.0, 0.4, 3), (1.0, 2.0, 1), (1.0, 0.01, 100), (0.5, 0.01, 50),
+    (0.07, 0.01, 7), (0.3, 0.1, 3)])
+def test_pde_dt_bounds_the_substep(macro_time, pde_dt, substeps):
+    """A macro-step takes the fewest equal substeps of at most pde_dt; a ratio
+    within roundoff of an integer (0.07 / 0.01 is 7.000000000000001) takes
+    that integer."""
+    params = PhysicsParams(m=1.0, hbar=1.0, mu=0.5)
+    dis = FieldSampledDisruptor(_coherent_on_grid(0.0), HARMONIC, params,
+                                pde_dt=pde_dt, macro_time=macro_time)
+    assert dis.dt == macro_time / substeps
+    assert dis.dt <= pde_dt or math.isclose(dis.dt, pde_dt)
 
 
 def test_field_sampled_validates_steps():

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_descent import output
+from quantum_descent.config import parse_config
+from quantum_descent.experiments import run_experiment
 from quantum_descent.output import (CELL_BYTES, CELLS_PER_BLOCK, SEPARATOR_BYTE,
                                     block_rows, read_meta, read_table, render_cells, write_meta,
                                     write_table, write_tables)
@@ -317,7 +319,8 @@ def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
     -0.0), shared with another table of the call, fresh, and fresh with
     cells rendered by %.17e alone (NaN, infinities, subnormals, a tie): each
     file holds the bytes of write_table alone and of the per-cell
-    reference, and a constant column is rendered only in the first row."""
+    reference.  Both tables end in a changing column, so every column is
+    rendered in every row."""
     n = 2 * block_rows(6) + 3
     rng = np.random.default_rng(3)
     t = np.arange(float(n))
@@ -333,9 +336,10 @@ def test_a_block_mixing_constant_recurring_and_formatted_cells(tmp_path):
             mock.patch.object(output, "_formatted", wraps=output._formatted) as formatted:
         write_tables(tmp_path, tables, "csv")
     (tmp_path / "alone").mkdir()
-    # per table, its first row, then each block's columns that are not constant
+    # per table, its first row, then each block's columns up to the last
+    # that changes: all six
     step = block_rows(6)
-    shapes = [(len(rows[i:i + step]), width) for i in range(0, n, step) for width in (4, 6)]
+    shapes = [(len(rows[i:i + step]), 6) for i in range(0, n, step) for _ in tables]
     assert sorted(c.args[0].shape for c in rendered.call_args_list) == sorted(
         [(6,), (6,)] + shapes)
     assert formatted.call_count >= 6
@@ -372,29 +376,39 @@ def _write_counting_cells(tmp_path, header, rows):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 2 * block_rows(6) + 3])
 @pytest.mark.parametrize("layout", ["CCffff", "ffCCff", "ffffCC", "CfCCfC", "fCfCfC",
-                                    "CCCCCC", "ffffff"],
+                                    "CCCCCC", "ffffff", "fC" * 32],
                          ids=["leading", "interior", "trailing", "every_position",
-                              "alternating", "no_fresh_column", "no_constant_column"])
+                              "alternating", "no_fresh_column", "no_constant_column",
+                              "thirty_two_runs"])
 def test_constant_runs_are_spliced_into_the_reference_bytes(tmp_path, layout, n):
     """A run of constant columns in any position, leading, interior,
     trailing or all of them, and a table of constant columns alone, write
-    the per-cell reference bytes; only the fresh columns are rendered past
-    row 0 (in a one-row table, every column is constant)."""
+    the per-cell reference bytes.  Past row 0, only the columns up to the
+    last fresh one are rendered; those after it are spliced in as text (in
+    a one-row table, every column is constant)."""
     header, rows = _table(layout, n)
     data, cells = _write_counting_cells(tmp_path, header, rows)
     # compared by line, so that a failure reports its first wrong row at once
     assert data.decode().split("\n") == ref_csv(header, rows).split("\n")
-    fresh = layout.count("f") if n > 1 else 0
-    assert cells == (len(layout) + n * fresh if n else 0)
+    rendered = layout.rfind("f") + 1 if n > 1 else 0
+    assert cells == (len(layout) + n * rendered if n else 0)
 
 
-def test_runs_past_the_markers_are_rendered_as_fresh_columns(tmp_path):
-    """A table with two more runs of constant columns than there are marker
-    bytes splices in the runs it has markers for and renders the last two
-    like fresh columns; its bytes are the reference's."""
-    markers = len(output._MARKERS)
-    header, rows = _table("fC" * (markers + 2), 2 * block_rows(2 * markers + 4) + 3)
-    data, cells = _write_counting_cells(tmp_path, header, rows)
-    # compared by line, so that a failure reports its first wrong row at once
-    assert data.decode().split("\n") == ref_csv(header, rows).split("\n")
-    assert cells == rows.shape[1] + len(rows) * (markers + 4)
+def test_a_zero_disruptor_compare_splices_dis_and_the_differences(tmp_path):
+    """A zero-disruptor compare point renders t, x, u and V of its quantum
+    trajectory (dis is constant) and only t of its difference table (the
+    twins agree to the bit); the classical twin's file is a copy."""
+    cfg = parse_config("experiment: compare\n"
+                       "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
+                       "initial: {kind: gaussian, x0: -1.6, u0: 0.01}\n"
+                       "disruptor: {kind: zero}\n"
+                       "run: {steps: 300, stop_tol: 1.0e-200}\n")
+    with mock.patch.object(output, "render_cells", wraps=output.render_cells) as rendered:
+        result = run_experiment(cfg, out_dir=tmp_path, fmt="csv")
+    assert result.exit_code == 0 and block_rows(5) > 301
+    # row 0 of each table, then the one block's rendered columns
+    assert sorted(c.args[0].shape for c in rendered.call_args_list) == sorted(
+        [(5,), (5,), (301, 4), (301, 1)])
+    for stem in ("trajectory_quantum", "difference"):
+        path = tmp_path / f"{stem}.csv"
+        assert path.read_text() == ref_csv(*read_table(path))
