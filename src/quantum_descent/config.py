@@ -331,15 +331,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     schema = _POTENTIALS[kind]
     potential = schema(**_values(schema, _section(raw, "potential", schema), "potential"))
 
-    init_sec = _section(raw, "initial", InitialConfig, extra=("p0",))
-    init = _values(InitialConfig, init_sec, "initial")
-    if "p0" in init_sec:
-        if "u0" in init_sec:
-            raise ConfigError("give either 'initial.u0' or 'initial.p0', not both")
-        init["u0"] = _as_float(init_sec["p0"], "initial.p0") / physics.m
-        if not np.isfinite(init["u0"]):
-            raise ConfigError(f"'initial.p0' = {init_sec['p0']!r} gives a velocity "
-                              f"p0 / m = {init['u0']} with m = {physics.m}; it must be finite")
+    init = _values(InitialConfig, _section(raw, "initial", InitialConfig), "initial")
     if init["kind"] == "custom" and init["path"] is None:
         raise ConfigError("'initial.path' is required for a custom initial state")
     if init["kind"] == "coherent" and init["sigma"] is not None:
@@ -352,17 +344,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     dis_sec = {k: v for k, v in dis_sec.items() if not (k == "pde_dt" and v is None)}
     disruptor = _values(DisruptorConfig, dis_sec, "disruptor")
 
-    run_sec = _section(raw, "run", RunConfig, extra=("scheme",))
-    run = _values(RunConfig, run_sec, "run", _RUN_OVERRIDES.get(tag))
-    if "scheme" in run_sec:
-        scheme = _as_str(run_sec["scheme"], "run.scheme")
-        if scheme != "split_step_spectral":
-            raise ConfigError(f"'run.scheme' must be 'split_step_spectral', got {scheme!r}: "
-                              "the split step is the only propagator, and the "
-                              "Crank-Nicolson scheme is no longer in the package")
-
-    output = _values(OutputConfig, _section(raw, "output", OutputConfig), "output")
-
     sweep = None
     if tag == "sweep":
         sweep_sec = _section(raw, "sweep", SweepConfig)
@@ -371,6 +352,19 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         sweep = SweepConfig(**_values(SweepConfig, sweep_sec, "sweep"))
     elif "sweep" in raw:
         raise ConfigError("a 'sweep' section is only allowed for sweep experiments")
+
+    # a sweep point takes the run defaults of the experiment it runs
+    run_sec = _section(raw, "run", RunConfig, extra=("scheme",))
+    run = _values(RunConfig, run_sec, "run",
+                  _RUN_OVERRIDES.get(sweep.experiment if sweep else tag))
+    if "scheme" in run_sec:
+        scheme = _as_str(run_sec["scheme"], "run.scheme")
+        if scheme != "split_step_spectral":
+            raise ConfigError(f"'run.scheme' must be 'split_step_spectral', got {scheme!r}: "
+                              "the split step is the only propagator, and the "
+                              "Crank-Nicolson scheme is no longer in the package")
+
+    output = _values(OutputConfig, _section(raw, "output", OutputConfig), "output")
 
     return ExperimentConfig(experiment=tag, grid=grid, physics=physics, potential=potential,
                             initial=InitialConfig(**init),

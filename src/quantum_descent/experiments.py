@@ -51,14 +51,16 @@ class ComputedRun:
     """In-memory result of one experiment: tables keyed by file stem, and
     its sweep-summary row ``(steps, final_x, final_u)``, where steps is -1 if
     no learner ran.  A failed run's ``meta["error"]`` holds the ``type``,
-    ``message`` and ``step`` of its failure.  ``compute_s`` is the time
-    spent computing it (a sweep's points')."""
+    ``message`` and ``step`` of its failure.  ``compute_s`` and ``write_s``
+    are the times spent computing it and writing its tables (a sweep's add
+    up its points')."""
 
     tables: dict
     meta: dict
     exit_code: int
     summary: tuple = (-1, np.nan, np.nan)
     compute_s: float = 0.0
+    write_s: float = 0.0
 
 
 @dataclass
@@ -143,9 +145,12 @@ def _initial_wavefunction(cfg: ExperimentConfig) -> Wavefunction:
         xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
         if not np.all(np.diff(xs) > 0):
             raise ValueError("x samples must be strictly increasing")
-        values = (np.interp(cfg.grid.x, xs, re, left=0.0, right=0.0)
-                  + 1j * np.interp(cfg.grid.x, xs, im, left=0.0, right=0.0))
-        return Wavefunction(values, cfg.grid).normalized()
+        if not np.any((grid.x >= xs[0]) & (grid.x <= xs[-1])):
+            raise ValueError(f"its x range [{xs[0]}, {xs[-1]}] holds no point of the grid "
+                             f"[{grid.x_min}, {grid.x_max}] of {grid.n} points")
+        values = (np.interp(grid.x, xs, re, left=0.0, right=0.0)
+                  + 1j * np.interp(grid.x, xs, im, left=0.0, right=0.0))
+        return Wavefunction(values, grid).normalized()
     except ValueError as err:
         source = f" from {init.path}" if init.kind == "custom" else ""
         raise ConfigError(f"initial: cannot build the {init.kind} state{source}: {err}") from err
@@ -322,11 +327,9 @@ def _compute_point(run: PreparedRun) -> ComputedRun:
     return comp
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> tuple:
-    """Compute and write each point of a sweep into its own directory.
-
-    Returns the sweep's computed run, whose table is its summary, and the
-    seconds its points took to write their tables."""
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> ComputedRun:
+    """Compute and write each point of a sweep into its own directory; the
+    sweep's computed run, whose table is its summary, is returned."""
     sweep = cfg.sweep
     # prepare every point before computing any of them
     runs = []
@@ -345,9 +348,9 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> tuple:
         comp = _compute_point(run)
         point_dir = out_dir / f"point_{i:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        written = _write_run(run.cfg, point_dir, fmt, comp, t0)
+        _write_run(run.cfg, point_dir, fmt, comp, t0)
         compute_s += comp.compute_s
-        write_s += written.meta["write_s"]
+        write_s += comp.write_s
         point_meta.append({"index": i, "value": float(value), "directory": point_dir.name,
                            "exit_code": comp.exit_code, **comp.meta})
         # index, exit code and step count are ints, written as integers
@@ -368,18 +371,18 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> tuple:
             f"sweep points {failed} of {len(codes)} failed; point {first['index']} "
             f"({sweep.parameter} = {first['value']}): {first['error']['message']}")}
     return ComputedRun({"sweep_summary": (header, summary_rows)}, meta, exit_code,
-                       compute_s=compute_s), write_s
+                       compute_s=compute_s, write_s=write_s)
 
 
 def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun,
-               t0: float, written_s: float = 0.0) -> ExperimentResult:
-    """Write a computed run into ``out_dir``: its tables, then meta.json with
-    the wall time since ``t0`` and the times spent computing and writing
-    tables (a sweep's ``written_s``, its points' write time, is added to its
-    summary's), then, if it failed, error.json."""
+               t0: float) -> ExperimentResult:
+    """Write a computed run into ``out_dir``: its tables, whose write time is
+    added to ``comp.write_s``, then meta.json with the wall time since ``t0``
+    and the times spent computing and writing tables, then, if it failed,
+    error.json."""
     t_write = time.perf_counter()
     files = write_tables(out_dir, comp.tables, fmt)
-    write_s = written_s + time.perf_counter() - t_write
+    comp.write_s += time.perf_counter() - t_write
     effective = cfg.effective_dict()
     effective["output"] = {"directory": str(out_dir), "format": fmt}
     meta = {
@@ -395,7 +398,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: Path, fmt: str, comp: ComputedRun
         },
         **comp.meta,
         "compute_s": comp.compute_s,
-        "write_s": write_s,
+        "write_s": comp.write_s,
         "wall_time_s": time.perf_counter() - t0,
     }
     write_meta(out_dir / "meta.json", meta)
@@ -480,9 +483,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # and reports first, so that a run failing before it writes them leaves
     # none behind
     _remove_earlier_run(out_dir)
-    written_s = 0.0
     if cfg.experiment == "sweep":
-        comp, written_s = _run_sweep(cfg, out_dir, fmt)
+        comp = _run_sweep(cfg, out_dir, fmt)
     else:
         comp = _compute_point(_prepare(cfg))
-    return _write_run(cfg, out_dir, fmt, comp, t0, written_s)
+    return _write_run(cfg, out_dir, fmt, comp, t0)

@@ -648,9 +648,15 @@ def test_field_sampled_at_hbar_0_is_the_zero_disruptor_run(tmp_path):
      "x samples must be strictly increasing"),
     ("{kind: custom, path: TABLE}", "x,re,im\n-1.0,0.6,0.0\n0.0,1.0,0.0\n0.0,0.8,0.0\n",
      "x samples must be strictly increasing"),
+    # a table whose x range holds no grid point: off the grid, or inside one
+    # cell (the grid steps 0.15625 from -20)
+    ("{kind: custom, path: TABLE}", "x,re,im\n30.0,1.0,0.0\n31.0,1.0,0.0\n",
+     "its x range [30.0, 31.0] holds no point of the grid [-20.0, 20.0] of 256 points"),
+    ("{kind: custom, path: TABLE}", "x,re,im\n0.01,1.0,0.0\n0.1,1.0,0.0\n",
+     "its x range [0.01, 0.1] holds no point of the grid [-20.0, 20.0] of 256 points"),
 ], ids=["all_zero_custom", "nan_custom", "coherent_off_the_grid", "non_numeric_custom",
         "header_only_custom", "two_column_custom", "empty_custom", "reversed_x_custom",
-        "repeated_x_custom"])
+        "repeated_x_custom", "off_grid_custom", "inside_a_cell_custom"])
 def test_unbuildable_initial_state_exit_2(tmp_path, capsys, initial, table, message):
     if table is not None:
         path = tmp_path / "seed.csv"

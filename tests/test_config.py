@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from quantum_descent.cli import main
-from quantum_descent.config import (ExperimentConfig, HarmonicConfig, QuarticConfig,
-                                    default_config, load_config, parse_config)
+from quantum_descent.config import (_SWEEPABLE, ExperimentConfig, HarmonicConfig,
+                                    QuarticConfig, default_config, load_config, parse_config)
 from quantum_descent.errors import ConfigError
 from quantum_descent.output import read_meta
 
@@ -54,6 +54,17 @@ def test_unknown_key_names_the_key():
         parse_config("experiment: learn\nphysics: {gamma: 2.0}\n")
 
 
+def test_p0_is_an_unknown_key(tmp_path, capsys):
+    """u0 is the one key for the initial velocity: p0 is rejected as any
+    unknown key is, in one stderr line (its migration is u0 = p0 / m)."""
+    (tmp_path / "c.yaml").write_text("initial: {p0: 1.0}\n")
+    assert main(["learn", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "unknown key 'p0' in section 'initial'" in lines[0]
+
+
 def test_unknown_top_level_section():
     with pytest.raises(ConfigError, match="lattice"):
         parse_config("experiment: learn\nlattice: {}\n")
@@ -88,27 +99,9 @@ def test_invariant_violations_name_the_field(snippet, field):
         parse_config(f"experiment: learn\n{snippet}\n")
 
 
-def test_momentum_alias_divides_by_mass():
-    cfg = parse_config("experiment: learn\nphysics: {m: 4.0}\ninitial: {p0: 2.0}\n")
-    assert cfg.initial.u0 == 0.5
-    assert cfg.p0 == 2.0
-
-
-def test_velocity_and_momentum_together_rejected():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config("experiment: learn\ninitial: {u0: 1.0, p0: 1.0}\n")
-
-
 def test_integer_fields_reject_floats():
     with pytest.raises(ConfigError, match="integer"):
         parse_config("experiment: learn\ngrid: {n: 2048.0}\n")
-
-
-def test_momentum_alias_must_give_a_finite_velocity():
-    """p0 / m overflows to inf here; a config whose u0 is not finite could
-    not be re-parsed from its own echo, so it is rejected naming p0."""
-    with pytest.raises(ConfigError, match="'initial.p0'"):
-        parse_config("experiment: learn\nphysics: {m: 1.0e-10}\ninitial: {p0: 1.0e+308}\n")
 
 
 def test_exponent_without_a_dot_is_a_number():
@@ -193,8 +186,8 @@ def test_effective_dict_round_trips():
     assert again == cfg
 
 
-# keys the parser takes as another spelling and does not echo
-ALIASES = {"initial": {"p0"}, "grid": {"periodic"}, "run": {"scheme"}}
+# legacy keys the parser takes and does not echo
+ALIASES = {"grid": {"periodic"}, "run": {"scheme"}}
 # every key the README's config reference names, in any section
 DOCUMENTED_KEYS = {
     "x_min", "x_max", "n", "periodic", "m", "hbar", "mu", "kind", "omega", "c",
@@ -224,7 +217,7 @@ def _accepts(doc: dict, section: str, key: str) -> bool:
 @pytest.mark.parametrize("kind", POTENTIALS)
 def test_echoed_keys_are_the_accepted_keys(kind):
     """Each section of the echo names exactly the keys its section accepts,
-    aliases aside: among every documented or echoed key, and some that no
+    legacy keys aside: among every documented or echoed key, and some that no
     section takes, a section accepts only its own."""
     doc = {"experiment": "sweep", "potential": POTENTIALS[kind],
            "sweep": {"parameter": "physics.mu", "values": [0.5]}}
@@ -237,6 +230,40 @@ def test_echoed_keys_are_the_accepted_keys(kind):
     for name in sections:
         accepted = {key for key in candidates if _accepts(doc, name, key)}
         assert accepted == set(echo[name]) | ALIASES.get(name, set()), name
+
+
+# two values of each sweepable parameter
+SWEEP_VALUES = {
+    "physics.m": [0.5, 4.0], "physics.hbar": [0.0, 0.5], "physics.mu": [0.25, 0.75],
+    "potential.omega": [0.5, 2.0], "potential.c": [0.5, 2.0],
+    "initial.x0": [-2.0, 1.0], "initial.u0": [0.0, 0.3],
+}
+
+
+@pytest.mark.parametrize("kind", POTENTIALS)
+@pytest.mark.parametrize("experiment", ["learn", "evolve", "compare", "figure1"])
+def test_a_sweep_point_is_configured_as_its_run_alone(experiment, kind):
+    """Each point of a sweep without a run section equals the same run on its
+    own: the sweep's document with the sub-experiment's tag, the swept key at
+    the point's value and no sweep section; for every sweepable parameter
+    that applies to the potential."""
+    assert set(SWEEP_VALUES) == _SWEEPABLE
+    base = {"physics": {"m": 2.0, "mu": 0.5}, "potential": POTENTIALS[kind],
+            "initial": {"kind": "gaussian", "x0": -1.5, "u0": 0.2}}
+    alone = parse_config(yaml.safe_dump({**base, "experiment": experiment}))
+    swept = 0
+    for parameter, values in SWEEP_VALUES.items():
+        section, key = parameter.split(".")
+        if not hasattr(getattr(alone, section), key):
+            continue
+        sweep = {"parameter": parameter, "values": values, "experiment": experiment}
+        points = parse_config(yaml.safe_dump({**base, "experiment": "sweep",
+                                              "sweep": sweep})).sweep_points()
+        assert points == [parse_config(yaml.safe_dump(
+            {**base, "experiment": experiment, section: {**base[section], key: v}}))
+            for v in values], parameter
+        swept += 1
+    assert swept == (6 if kind in ("harmonic", "quartic") else 5)
 
 
 def _gaussian_table(tmp_path) -> str:
@@ -256,7 +283,7 @@ RERUN_CONFIGS = {
     "learn_tabulated_p0": (
         "experiment: learn\nphysics: {m: 2.0, mu: 0.3, hbar: 0.0}\n"
         "potential: {kind: tabulated, x: [-10, 0, 10], V: [50, 0, 50], h: 1.0e-4}\n"
-        "initial: {kind: gaussian, x0: -3.0, p0: 0.5}\nrun: {steps: 40}\n"),
+        "initial: {kind: gaussian, x0: -3.0, u0: 0.25}\nrun: {steps: 40}\n"),
     "evolve_custom": (
         "experiment: evolve\n" + SMALL_GRID
         + "initial: {kind: custom, path: TABLE}\n"
@@ -304,6 +331,27 @@ def test_rerun_from_effective_config_writes_the_same_bytes(tmp_path, name):
     assert again["output"].pop("directory") == str(second)
     assert effective["output"].pop("directory") == str(first)
     assert again == effective
+
+
+def test_a_null_pde_dt_echo_reruns_as_the_default(tmp_path):
+    """meta.json files written while pde_dt had no default echo it as null;
+    such an echo parses to the default 0.01 and re-runs with its bytes."""
+    base = ("experiment: learn\n" + SMALL_GRID
+            + "initial: {kind: gaussian, x0: -2.0, sigma: 1.1}\nrun: {steps: 4}\n")
+    null = parse_config(base + "disruptor: {kind: field_sampled, pde_dt: null}\n")
+    assert null.disruptor.pde_dt == 0.01
+    (tmp_path / "c.yaml").write_text(base + "disruptor: {kind: field_sampled, pde_dt: 0.01}\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["learn", "--config", str(tmp_path / "c.yaml"), "--out", str(first),
+                 "--quiet"]) == 0
+    effective = read_meta(first / "meta.json")["effective_config"]
+    assert effective["disruptor"] == {"kind": "field_sampled", "pde_dt": 0.01}
+    effective["disruptor"]["pde_dt"] = None
+    (tmp_path / "echo.yaml").write_text(yaml.safe_dump(effective))
+    assert "pde_dt: null" in (tmp_path / "echo.yaml").read_text()
+    assert main(["learn", "--config", str(tmp_path / "echo.yaml"), "--out", str(second),
+                 "--quiet"]) == 0
+    assert _data_files(first) and _data_files(second) == _data_files(first)
 
 
 def test_default_config_equals_minimal_parse():
