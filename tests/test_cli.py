@@ -901,8 +901,9 @@ def test_sweep_summary_json_integer_columns(tmp_path):
 
 
 def test_evolve_sweep_summary_holds_each_points_last_trajectory_row(tmp_path):
-    """An evolve point's summary row is steps -1 and its trajectory's last
-    <x> and <p>/m, at any mass."""
+    """Each point of an evolve sweep writes the files of an evolve run, and
+    its summary row is steps -1 and its trajectory's last <x> and <p>/m, at
+    any mass."""
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: sweep\ngrid: {n: 512}\n"
                  "run: {t_final: 0.5, dt: 0.005, snapshot_every: 50}\n"
@@ -911,7 +912,10 @@ def test_evolve_sweep_summary_holds_each_points_last_trajectory_row(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     _, summary = read_table(out / "sweep_summary.csv")
     for i in range(2):
-        _, trajectory = read_table(out / f"point_{i:03d}" / "trajectory.csv")
+        point = out / f"point_{i:03d}"
+        assert sorted(f.name for f in point.iterdir()) == [
+            "density.csv", "meta.json", "trajectory.csv"]
+        _, trajectory = read_table(point / "trajectory.csv")
         assert summary[i, 3] == -1
         assert list(summary[i, 4:]) == list(trajectory[-1, 1:3]), i
 
@@ -1174,7 +1178,8 @@ def test_a_gaussian_whose_phase_overflows_keeps_its_cause(tmp_path, capsys):
 def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):
     """Importing the CLI, loading a polynomial potential's config and running
     a 2-point compare sweep in-process load none of logging,
-    concurrent.futures or numpy.polynomial."""
+    concurrent.futures, numpy.polynomial, fractions or decimal (the CSV
+    renderer builds its powers of ten from Python integers)."""
     cfg = _write(tmp_path, "c.yaml",
                  "experiment: sweep\nphysics: {m: 20.0}\n"
                  "potential: {kind: polynomial, coefficients: [0.0, 0.0, -0.5, 0.0, 0.25]}\n"
@@ -1184,8 +1189,8 @@ def test_a_run_imports_no_logging_thread_pool_or_numpy_polynomial(tmp_path):
             "from quantum_descent.config import load_config\n"
             "from quantum_descent.experiments import run_experiment\n"
             "assert run_experiment(load_config(sys.argv[1]), sys.argv[2]).exit_code == 0\n"
-            "print([m for m in ('logging', 'concurrent.futures', 'numpy.polynomial')\n"
-            "       if m in sys.modules])\n")
+            "print([m for m in ('logging', 'concurrent.futures', 'numpy.polynomial',\n"
+            "                   'fractions', 'decimal') if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "o")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import quantum_descent
-from quantum_descent.output import write_meta, write_table
+from quantum_descent.output import read_table, write_meta, write_table
+from test_output import ref_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,9 +33,19 @@ def test_script_exits_0(tmp_path, script, args):
     assert done.returncode == 0, done.stderr
 
 
+# runs the script named by its first argument with the test-only packages
+# (the test extra of pyproject.toml) made to fail on import
+WITHOUT_TEST_EXTRAS = ("import runpy, sys\n"
+                       "for name in ('scipy', 'pytest', 'hypothesis', 'sympy'):\n"
+                       "    sys.modules[name] = None\n"
+                       "sys.argv = sys.argv[1:]\n"
+                       "runpy.run_path(sys.argv[0], run_name='__main__')\n")
+
+
 def test_nonlinearity_report_rises_from_roundoff_with_mu(tmp_path):
-    done = subprocess.run([sys.executable, str(SCRIPTS / "nonlinearity_report.py"),
-                           "--mu", "0", "0.1", "0.5"],
+    """The report runs on the runtime dependencies alone."""
+    done = subprocess.run([sys.executable, "-c", WITHOUT_TEST_EXTRAS,
+                           str(SCRIPTS / "nonlinearity_report.py"), "--mu", "0", "0.1", "0.5"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
@@ -45,12 +56,19 @@ def test_nonlinearity_report_rises_from_roundoff_with_mu(tmp_path):
     assert residuals[0] < residuals[1] < residuals[2], residuals
 
 
-def test_output_digest_hashes_every_data_file(tmp_path):
-    out = tmp_path / "runs"
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory):
+    """The output directory of one output_digest.py run, and its document."""
+    out = tmp_path_factory.mktemp("digest") / "runs"
     done = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py"), "--out", str(out)],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=600)
+                          cwd=out.parent, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    sums = json.loads(done.stdout)
+    assert done.stderr == ""
+    return out, json.loads(done.stdout)
+
+
+def test_output_digest_hashes_every_data_file(digest):
+    out, sums = digest
     runs = {key.split("/")[0] for key in sums}
     assert runs == {"relax", "quantum_learn", "descent_sweep", "frictionless",
                     "field_sampled_hbar", "coherent_hbar_m", "quartic_compare",
@@ -64,6 +82,18 @@ def test_output_digest_hashes_every_data_file(tmp_path):
     assert "relax/density.csv" in sums and "descent_sweep/sweep_summary.csv" in sums
     assert ("relax_json/density.json" in sums
             and "descent_sweep_json/sweep_summary.json" in sums)
+
+
+def test_every_csv_float_table_of_the_digest_runs_holds_the_bytes_of_percent_17e(digest):
+    """Each CSV table of the default learn, evolve, compare and figure1 runs,
+    of a sweep of zero-disruptor double-well compares and of the other
+    digest runs equals its values written again one %.17e per cell
+    (sweep_summary.csv writes its integer columns as integers)."""
+    out, _ = digest
+    tables = [p for p in sorted(out.rglob("*.csv")) if p.name != "sweep_summary.csv"]
+    assert len(tables) >= 20
+    for path in tables:
+        assert path.read_text() == ref_csv(*read_table(path)), path
 
 
 def test_ulp_sensitivity_reports_every_learner_column(tmp_path):
